@@ -7,9 +7,25 @@ statistics; node gain is
     1/2 [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - (G_L+G_R)^2/(H_L+H_R+lambda)] - gamma
 
 and leaf weights are -G/(H+lambda).  Shrinkage scales leaf contributions
-at prediction time.  Training is single-threaded and fully deterministic:
-ties between equal-gain splits break toward the lowest feature index and
-then the lowest threshold.
+at prediction time.
+
+Split search runs on pre-sorted columns (the exact greedy algorithm of
+Chen & Guestrin 2016, section 4.1).  train() argsorts every feature once,
+stably, into a (p, n) order matrix.  Each node keeps its own (p, m) order
+matrix; a split partitions it stably with the go-left mask, so children
+inherit sorted rows and no node sorts again.  One cumsum along the rows
+of that matrix scores every (feature, threshold) cut at once.
+
+The node totals G and H (parent score, leaf weight) are summed over the
+node's rows in ascending row order, not in any feature's sorted order.
+Floating-point addition is not associative; row order makes the totals,
+and with them every gain, threshold choice and leaf weight, the same bits
+as those of a grower that re-sorts each node, so models do not depend on
+how a node's rows were partitioned.
+
+Training is single-threaded and fully deterministic: ties between
+equal-gain splits break toward the lowest feature index and then the
+lowest threshold.
 """
 from __future__ import annotations
 
@@ -108,14 +124,6 @@ class RegressionTree:
             idx = np.where(at_leaf, idx, nxt)
         return self.value[idx]
 
-    def depth(self) -> int:
-        def walk(i):
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(walk(self.left[i]), walk(self.right[i]))
-
-        return walk(0)
-
 
 @dataclass
 class TreeEnsemble:
@@ -126,7 +134,6 @@ class TreeEnsemble:
     n_features: int
     loss_config: dict
     trees: list[RegressionTree] = field(default_factory=list)
-    train_loss_history: list[float] = field(default_factory=list, repr=False)
 
     def predict(self, X, num_trees: int | None = None) -> np.ndarray:
         """Predicted log event time per row."""
@@ -150,54 +157,46 @@ class TreeEnsemble:
         return len(self.trees)
 
 
-def _best_split(X, g, h, rows, cfg: TrainConfig):
+def _best_split(X, g, h, rows, order, cfg: TrainConfig):
     """Best (feature, threshold, gain) over a node, or None.
 
-    Scans features in index order and thresholds ascending; a candidate
-    replaces the incumbent only on strictly larger gain, which realizes
-    the lowest-feature-then-lowest-threshold tie-break.
+    rows holds the node's row indices in ascending order; order is the
+    (p, m) matrix whose row f lists the same rows sorted stably by feature
+    f.  All features are scored in one pass, and a row-major argmax over
+    the (feature, threshold) gains realizes the
+    lowest-feature-then-lowest-threshold tie-break.
     """
     g_total = g[rows].sum()
     h_total = h[rows].sum()
     lam = cfg.reg_lambda
     parent_score = g_total * g_total / (h_total + lam)
-    best = None  # (gain, feature, threshold)
-    for f in range(X.shape[1]):
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        if xs_sorted[0] == xs_sorted[-1]:
-            continue
-        gl = np.cumsum(g[rows][order])[:-1]
-        hl = np.cumsum(h[rows][order])[:-1]
-        gr = g_total - gl
-        hr = h_total - hl
-        mid = 0.5 * (xs_sorted[:-1] + xs_sorted[1:])
-        # valid cut: between distinct values, midpoint strictly above the
-        # left value (guards against rounding collapsing the cut), and
-        # both children above the Hessian-mass floor
-        valid = (
-            (xs_sorted[:-1] < xs_sorted[1:])
-            & (mid > xs_sorted[:-1])
-            & (hl >= cfg.min_child_weight)
-            & (hr >= cfg.min_child_weight)
-        )
-        if not np.any(valid):
-            continue
-        gains = np.full(mid.shape, -np.inf)
-        gains[valid] = 0.5 * (
-            gl[valid] ** 2 / (hl[valid] + lam)
-            + gr[valid] ** 2 / (hr[valid] + lam)
-            - parent_score
-        ) - cfg.gamma
-        k = int(np.argmax(gains))  # first max -> lowest threshold
-        if best is None or gains[k] > best[0]:
-            best = (float(gains[k]), f, float(mid[k]))
-    return best
+    xs = np.take_along_axis(X.T, order, axis=1)
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    hr = h_total - hl
+    lo, hi = xs[:, :-1], xs[:, 1:]
+    mid = 0.5 * (lo + hi)
+    # valid cut: between distinct values, midpoint strictly above the
+    # left value (guards against rounding collapsing the cut), and both
+    # children above the Hessian-mass floor
+    valid = (lo < hi) & (mid > lo) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+    if not valid.any():
+        return None
+    gl, hl, hr = gl[valid], hl[valid], hr[valid]
+    gr = g_total - gl
+    gains = np.full(mid.shape, -np.inf)
+    gains[valid] = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score) - cfg.gamma
+    f, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    return float(gains[f, k]), int(f), float(mid[f, k])
 
 
-def _grow_tree(X, g, h, cfg: TrainConfig):
-    """Grow one tree; returns (tree, leaf_index_per_row)."""
+def _grow_tree(X, g, h, order, cfg: TrainConfig):
+    """Grow one tree; returns (tree, leaf_index_per_row).
+
+    order is the (p, n) stable argsort of every feature column.  A split
+    partitions each node's order matrix stably with the go-left mask, so
+    every child inherits its rows already sorted and no node sorts again.
+    """
     n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
     row_leaf = np.empty(n, dtype=np.int64)
@@ -211,21 +210,26 @@ def _grow_tree(X, g, h, cfg: TrainConfig):
         return len(feature) - 1
 
     lam = cfg.reg_lambda
-    stack = [(new_node(), np.arange(n), 0)]
+    p = order.shape[0]
+    stack = [(new_node(), np.arange(n), order, 0)]
     while stack:
-        node, rows, depth = stack.pop()
-        split = _best_split(X, g, h, rows, cfg) if depth < cfg.max_depth else None
+        node, rows, node_order, depth = stack.pop()
+        split = _best_split(X, g, h, rows, node_order, cfg) if depth < cfg.max_depth else None
         if split is not None and split[0] > 0.0:
             _, f, thr = split
-            go_left = X[rows, f] < thr
+            go_left = X[:, f] < thr  # indexed by row
+            rows_left, order_left = go_left[rows], go_left[node_order]
             feature[node] = f
             threshold[node] = thr
             left[node] = new_node()
             right[node] = new_node()
             # push right first so nodes are numbered in left-first order
-            stack.append((right[node], rows[~go_left], depth + 1))
-            stack.append((left[node], rows[go_left], depth + 1))
+            stack.append((right[node], rows[~rows_left],
+                          node_order[~order_left].reshape(p, -1), depth + 1))
+            stack.append((left[node], rows[rows_left],
+                          node_order[order_left].reshape(p, -1), depth + 1))
         else:
+            # summed in row order, like the totals in _best_split
             w = -g[rows].sum() / (h[rows].sum() + lam)
             value[node] = float(w)
             row_leaf[rows] = node
@@ -250,16 +254,16 @@ def train(data: SurvivalDataset, loss, config: TrainConfig) -> TreeEnsemble:
         loss_config=loss.to_config(),
     )
     pred = np.full(data.n, base)
+    order = np.argsort(X.T, axis=1, kind="stable")
     for k in range(config.rounds):
         g, h = loss.grad_hess(t, delta, pred)
         bad = ~(np.isfinite(g) & np.isfinite(h))
         if np.any(bad):
             row = int(np.argmax(bad))
             raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
-        tree, row_leaf = _grow_tree(X, g, h, config)
+        tree, row_leaf = _grow_tree(X, g, h, order, config)
         model.trees.append(tree)
         pred += config.learning_rate * tree.value[row_leaf]
-        model.train_loss_history.append(float(np.mean(loss.loss(t, delta, pred))))
     return model
 
 
@@ -338,19 +342,27 @@ def save(model: TreeEnsemble, path) -> None:
 
 
 def _nodes_to_tree(nodes: list[dict]) -> RegressionTree:
+    """Rebuild a tree, refusing any node list that save() cannot write.
+
+    Ids must be exactly 0..n-1, every child id must exceed its parent's
+    and no node may have two parents.  Together these make the tree
+    acyclic, so predict() always reaches a leaf.
+    """
     n = len(nodes)
+    if n == 0:
+        raise PersistenceError("tree has no nodes")
     feature = np.full(n, -1, dtype=np.int64)
     threshold = np.zeros(n)
     left = np.full(n, -1, dtype=np.int64)
     right = np.full(n, -1, dtype=np.int64)
     value = np.zeros(n)
-    for node in nodes:
-        try:
-            i = int(node["id"])
-        except (KeyError, TypeError) as exc:
-            raise PersistenceError("tree node missing field 'id'") from exc
-        if not 0 <= i < n:
-            raise PersistenceError(f"tree node id {i} out of range")
+    try:
+        ids = [int(node["id"]) for node in nodes]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError("tree node missing field 'id'") from exc
+    if sorted(ids) != list(range(n)):
+        raise PersistenceError(f"tree node ids must be 0..{n - 1}, each once")
+    for i, node in zip(ids, nodes):
         if "weight" in node:
             value[i] = float(node["weight"])
             if not np.isfinite(value[i]):
@@ -365,8 +377,12 @@ def _nodes_to_tree(nodes: list[dict]) -> RegressionTree:
                 raise PersistenceError(f"internal node {i} missing field {exc}") from exc
             if feature[i] < 0:
                 raise PersistenceError(f"node {i}: field 'split_feature' must be >= 0")
-            if not (0 <= left[i] < n and 0 <= right[i] < n):
-                raise PersistenceError(f"node {i}: child index out of range")
+            if not (i < left[i] < n and i < right[i] < n):
+                raise PersistenceError(f"node {i}: child ids must lie in {i + 1}..{n - 1}")
+    internal = feature >= 0
+    parents = np.bincount(np.concatenate([left[internal], right[internal]]), minlength=n)
+    if np.any(parents > 1):
+        raise PersistenceError(f"tree node {int(np.argmax(parents > 1))} has two parents")
     return RegressionTree(feature, threshold, left, right, value)
 
 

@@ -73,7 +73,7 @@ def cmd_train(args) -> int:
     loss, train_cfg = _train_configs(_load_json(args.config), args.seed)
     model = booster.train(data, loss, train_cfg)
     booster.save(model, args.out)
-    final_loss = model.train_loss_history[-1]
+    final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")
     return 0
 

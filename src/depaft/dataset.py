@@ -135,7 +135,10 @@ def read_csv(path) -> SurvivalDataset:
             raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         try:
             times[i] = float(row[0])
-            events[i] = int(float(row[1]))
+            event = float(row[1])
+            if event not in (0.0, 1.0):
+                raise ValueError(f"event must be 0 or 1, got {row[1]!r}")
+            events[i] = int(event)
             for j in range(p):
                 X[i, j] = float(row[2 + j])
             if has_oracle:

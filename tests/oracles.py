@@ -134,3 +134,61 @@ def ref_split_gain(g, h, left_mask, lam: float, gamma: float) -> float:
     gr = [gi for gi, m in zip(g, left_mask) if not m]
     hr = [hi for hi, m in zip(h, left_mask) if not m]
     return best_obj(g, h) - best_obj(gl, hl) - best_obj(gr, hr) - gamma
+
+
+# -- exact greedy tree, plain enumeration -----------------------------------
+
+def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_weight: float):
+    """One second-order tree as lists (feature, threshold, left, right, value).
+
+    Every node sorts its rows by each feature afresh (ties by row index)
+    and scans the cuts between distinct neighbours left to right.  A cut
+    replaces the incumbent only on strictly larger gain, so the lowest
+    feature, then the lowest threshold, wins a tie.  Node totals are
+    summed in row order.  Nodes are numbered depth-first, left child
+    first; a leaf has feature -1.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def grow(node, rows, depth):
+        g_total = sum(g[i] for i in rows)
+        h_total = sum(h[i] for i in rows)
+        best = None  # (gain, feature, threshold)
+        if depth < max_depth:
+            parent = g_total * g_total / (h_total + lam)
+            for f in range(len(X[0])):
+                ordered = sorted(rows, key=lambda i: (X[i][f], i))
+                gl = hl = 0.0
+                for a, b in zip(ordered, ordered[1:]):
+                    gl += g[a]
+                    hl += h[a]
+                    lo, hi = X[a][f], X[b][f]
+                    mid = 0.5 * (lo + hi)
+                    gr, hr = g_total - gl, h_total - hl
+                    if not (lo < hi and lo < mid):
+                        continue
+                    if hl < min_child_weight or hr < min_child_weight:
+                        continue
+                    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
+                    if best is None or gain > best[0]:
+                        best = (gain, f, mid)
+        if best is not None and best[0] > 0.0:
+            _, f, thr = best
+            feature[node], threshold[node] = f, thr
+            left[node] = new_node()
+            right[node] = new_node()
+            grow(left[node], [i for i in rows if X[i][f] < thr], depth + 1)
+            grow(right[node], [i for i in rows if not X[i][f] < thr], depth + 1)
+        else:
+            value[node] = -g_total / (h_total + lam)
+
+    grow(new_node(), list(range(len(X))), 0)
+    return feature, threshold, left, right, value

@@ -190,7 +190,8 @@ def test_criterion_6_split_gain_and_leaf_weights():
         lam = float(rng.uniform(0.0, 2.0))
         gamma = float(rng.uniform(0.0, 0.3))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
-        found = _best_split(X, g, h, np.arange(n), cfg)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        found = _best_split(X, g, h, np.arange(n), order, cfg)
         if found is None:
             continue
         gain, f, thr = found

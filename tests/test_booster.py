@@ -15,7 +15,7 @@ from depaft.booster import (
 from depaft.dataset import SurvivalDataset
 from depaft.errors import ConfigError, DataError, NumericError, PersistenceError
 
-from oracles import ref_best_leaf_weight, ref_leaf_objective, ref_split_gain
+from oracles import ref_best_leaf_weight, ref_grow_tree, ref_leaf_objective, ref_split_gain
 
 
 class SquaredErrorLoss:
@@ -97,7 +97,8 @@ def test_split_gain_matches_bruteforce_objective():
         lam = float(rng.uniform(0.0, 2.0))
         gamma = float(rng.uniform(0.0, 0.5))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
-        found = _best_split(X, g, h, np.arange(n), cfg)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        found = _best_split(X, g, h, np.arange(n), order, cfg)
         if found is None:
             continue
         gain, f, thr = found
@@ -111,6 +112,52 @@ def test_split_gain_matches_bruteforce_objective():
                     continue
                 other = ref_split_gain(list(g), list(h), list(mask), lam, gamma)
                 assert other <= gain + 1e-9
+
+
+class FixedStatsLoss(SquaredErrorLoss):
+    """Test-only loss whose gradient and Hessian ignore the prediction."""
+
+    def __init__(self, g, h):
+        self.g, self.h = g, h
+
+    def grad_hess(self, t, delta, yhat):
+        return self.g.copy(), self.h.copy()
+
+
+@pytest.mark.parametrize(
+    "lam, gamma, mcw",
+    [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.75, 0.0), (1.0, 0.0, 6.0), (0.0, 0.5, 4.0)],
+)
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_trees_match_exact_greedy_oracle_on_ties(lam, gamma, mcw, dyadic):
+    # integer-valued columns, a constant column and a copy of column 0;
+    # dyadic statistics make every sum exact, so distinct cuts tie exactly
+    rng = np.random.default_rng(11)
+    twin_used = False
+    for trial in range(15):
+        n = int(rng.integers(5, 80))
+        X = rng.integers(0, 4, size=(n, 3)).astype(float)
+        X = np.column_stack([X, np.full(n, 7.0), X[:, 0]])
+        if dyadic:
+            g = rng.integers(-16, 17, size=n) / 8.0
+            h = rng.integers(1, 5, size=n) / 2.0
+        else:
+            g = rng.normal(size=n)
+            h = rng.uniform(0.3, 2.0, size=n)
+        data = SurvivalDataset(np.ones(n), np.ones(n, dtype=int), X)
+        cfg = TrainConfig(rounds=1, max_depth=4, reg_lambda=lam, gamma=gamma,
+                          min_child_weight=mcw, base_score=0.0)
+        tree = train(data, FixedStatsLoss(g, h), cfg).trees[0]
+        feature, threshold, left, right, value = ref_grow_tree(
+            X.tolist(), g.tolist(), h.tolist(), 4, lam, gamma, mcw
+        )
+        assert tree.feature.tolist() == feature
+        assert tree.threshold.tolist() == threshold
+        assert tree.left.tolist() == left and tree.right.tolist() == right
+        assert np.allclose(tree.value, value, rtol=0.0, atol=1e-12)
+        assert 3 not in feature and 4 not in feature  # constant column; copy loses ties
+        twin_used |= 0 in feature
+    assert twin_used
 
 
 def test_leaf_weight_optimality():
@@ -141,8 +188,14 @@ def test_depth_and_child_weight_constraints():
     loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
     cfg = TrainConfig(rounds=10, max_depth=4, min_child_weight=3.0)
     model = train(sim.data, loss, cfg)
+
+    def depth(tree, node=0):
+        if tree.feature[node] < 0:
+            return 0
+        return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+
     for tree in model.trees:
-        assert tree.depth() <= 4
+        assert depth(tree) <= 4
 
     # audit the Hessian-mass constraint on the first tree, whose growth
     # statistics are reproducible from the base score
@@ -168,7 +221,11 @@ def test_training_loss_non_increasing_on_study_data():
     sim = generate(DgpConfig(n=1000, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=29))
     loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
     model = train(sim.data, loss, TrainConfig(rounds=60, learning_rate=0.1, max_depth=3))
-    hist = np.asarray(model.train_loss_history)
+    data = sim.data
+    hist = np.array([
+        np.mean(loss.loss(data.times, data.events, model.predict(data.X, num_trees=k)))
+        for k in range(1, model.n_rounds + 1)
+    ])
     assert np.all(np.diff(hist) <= 1e-12)
 
 
@@ -241,6 +298,42 @@ def test_load_rejects_unknown_loss(tmp_path):
     }
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown loss"):
+        load(path)
+
+
+def _split(i, left, right):
+    return {"id": i, "split_feature": 0, "threshold": 0.5, "left": left, "right": right,
+            "default_direction": "left"}
+
+
+def _leaf(i):
+    return {"id": i, "weight": 0.25}
+
+
+@pytest.mark.parametrize(
+    "nodes, match",
+    [
+        ([_split(0, 0, 0)], "child ids"),  # self-loop: predict would never halt
+        ([_split(0, 1, 2), _split(1, 0, 2), _leaf(2)], "child ids"),  # back edge
+        ([_split(0, 1, 2), _leaf(1), _leaf(1)], "ids must be"),  # id 1 twice
+        ([_split(0, 1, 3), _leaf(1), _leaf(3)], "ids must be"),  # id 2 missing
+        ([_split(0, 1, 1), _leaf(1), _leaf(2)], "two parents"),
+        ([_split(0, 1, 2), _split(1, 2, 3), _leaf(2), _leaf(3)], "two parents"),
+        ([], "no nodes"),
+    ],
+)
+def test_load_rejects_malformed_tree(tmp_path, nodes, match):
+    path = tmp_path / "m.json"
+    doc = {
+        "format_version": 1,
+        "base_score": 0.0,
+        "learning_rate": 0.1,
+        "n_features": 1,
+        "loss": SquaredErrorLoss().to_config(),
+        "trees": [{"nodes": nodes}],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PersistenceError, match=match):
         load(path)
 
 

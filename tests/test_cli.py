@@ -160,6 +160,23 @@ def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path):
                  "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
 
 
+def test_predict_cyclic_model_exit_3(sim_dir, tmp_path):
+    # a node that is its own child used to send predict into an endless loop
+    model = tmp_path / "cyclic.json"
+    model.write_text(json.dumps({
+        "format_version": 1, "base_score": 0.0, "learning_rate": 0.1, "n_features": 10,
+        "loss": TRAIN_CFG["loss"],
+        "trees": [{"nodes": [{"id": 0, "split_feature": 0, "threshold": 0.5, "left": 0,
+                              "right": 0, "default_direction": "left"}]}],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "depaft.cli", "predict", "--model", str(model),
+         "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "p.csv")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+
+
 def test_cv_single_point_and_grid(sim_dir, tmp_path):
     cfg = _write(
         tmp_path / "cv.json",

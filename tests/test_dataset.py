@@ -73,6 +73,20 @@ def test_corrupt_row_names_line(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("event", ["0.7", "1.9", "2", "-1", "nan"])
+def test_event_not_zero_or_one_names_line(tmp_path, event):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"time,event,x1\n1.0,1,0.5\n2.0,{event},0.25\n")
+    with pytest.raises(DataError, match="line 3"):
+        read_csv(path)
+
+
+def test_event_written_as_float_reads(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("time,event,x1\n1.0,1.0,0.5\n2.0,0.0,0.25\n3.0,1e0,0.5\n")
+    assert read_csv(path).events.tolist() == [1, 0, 1]
+
+
 def test_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,event,x1\n1.0,1,0.5\n1.0,1\n")
