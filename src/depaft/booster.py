@@ -30,6 +30,7 @@ lowest threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,13 +342,34 @@ def save(model: TreeEnsemble, path) -> None:
         fh.write("\n")
 
 
-def _nodes_to_tree(nodes: list[dict]) -> RegressionTree:
+def _number(value, kind, what: str):
+    """value as a finite float or an int64-sized int, else PersistenceError.
+
+    The value must equal its conversion, so strings, fractional ids and
+    counts, NaN and infinities are refused rather than coerced.
+    """
+    try:
+        out = kind(value)
+        ok = out == value and (
+            math.isfinite(out) if kind is float else -(2**63) <= out < 2**63
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        noun = "a finite number" if kind is float else "an integer"
+        raise PersistenceError(f"{what} must be {noun}, got {value!r}")
+    return out
+
+
+def _nodes_to_tree(nodes) -> RegressionTree:
     """Rebuild a tree, refusing any node list that save() cannot write.
 
     Ids must be exactly 0..n-1, every child id must exceed its parent's
     and no node may have two parents.  Together these make the tree
     acyclic, so predict() always reaches a leaf.
     """
+    if not isinstance(nodes, list):
+        raise PersistenceError("tree field 'nodes' must be a list")
     n = len(nodes)
     if n == 0:
         raise PersistenceError("tree has no nodes")
@@ -364,21 +386,19 @@ def _nodes_to_tree(nodes: list[dict]) -> RegressionTree:
         raise PersistenceError(f"tree node ids must be 0..{n - 1}, each once")
     for i, node in zip(ids, nodes):
         if "weight" in node:
-            value[i] = float(node["weight"])
-            if not np.isfinite(value[i]):
-                raise PersistenceError(f"leaf {i}: field 'weight' must be finite")
-        else:
-            try:
-                feature[i] = int(node["split_feature"])
-                threshold[i] = float(node["threshold"])
-                left[i] = int(node["left"])
-                right[i] = int(node["right"])
-            except KeyError as exc:
-                raise PersistenceError(f"internal node {i} missing field {exc}") from exc
-            if feature[i] < 0:
-                raise PersistenceError(f"node {i}: field 'split_feature' must be >= 0")
-            if not (i < left[i] < n and i < right[i] < n):
-                raise PersistenceError(f"node {i}: child ids must lie in {i + 1}..{n - 1}")
+            value[i] = _number(node["weight"], float, f"leaf {i}: field 'weight'")
+            continue
+        for key in ("split_feature", "threshold", "left", "right"):
+            if key not in node:
+                raise PersistenceError(f"internal node {i} missing field {key!r}")
+        feature[i] = _number(node["split_feature"], int, f"node {i}: field 'split_feature'")
+        threshold[i] = _number(node["threshold"], float, f"node {i}: field 'threshold'")
+        left[i] = _number(node["left"], int, f"node {i}: field 'left'")
+        right[i] = _number(node["right"], int, f"node {i}: field 'right'")
+        if feature[i] < 0:
+            raise PersistenceError(f"node {i}: field 'split_feature' must be >= 0")
+        if not (i < left[i] < n and i < right[i] < n):
+            raise PersistenceError(f"node {i}: child ids must lie in {i + 1}..{n - 1}")
     internal = feature >= 0
     parents = np.bincount(np.concatenate([left[internal], right[internal]]), minlength=n)
     if np.any(parents > 1):
@@ -390,6 +410,8 @@ def load(path) -> TreeEnsemble:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise PersistenceError(f"cannot read model file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise PersistenceError(f"{path}: malformed model file: {exc}") from exc
     if not isinstance(doc, dict):
@@ -404,11 +426,20 @@ def load(path) -> TreeEnsemble:
             raise PersistenceError(f"{path}: missing field {key!r}")
     loss_config = doc["loss"]
     loss_from_config(loss_config)  # validates, including "unknown loss"
-    model = TreeEnsemble(
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
-        n_features=int(doc["n_features"]),
+    if not isinstance(doc["trees"], list):
+        raise PersistenceError(f"{path}: field 'trees' must be a list")
+    trees = []
+    for k, t in enumerate(doc["trees"]):
+        if not isinstance(t, dict) or "nodes" not in t:
+            raise PersistenceError(f"{path}: tree {k} must be an object with field 'nodes'")
+        try:
+            trees.append(_nodes_to_tree(t["nodes"]))
+        except PersistenceError as exc:
+            raise PersistenceError(f"{path}: tree {k}: {exc}") from exc
+    return TreeEnsemble(
+        base_score=_number(doc["base_score"], float, f"{path}: field 'base_score'"),
+        learning_rate=_number(doc["learning_rate"], float, f"{path}: field 'learning_rate'"),
+        n_features=_number(doc["n_features"], int, f"{path}: field 'n_features'"),
         loss_config=loss_config,
-        trees=[_nodes_to_tree(t["nodes"]) for t in doc["trees"]],
+        trees=trees,
     )
-    return model

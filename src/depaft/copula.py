@@ -30,6 +30,8 @@ class CopulaSpec:
                 f"unknown copula family {self.family!r}; expected one of {FAMILIES}"
             )
         th = self.theta
+        if not np.isfinite(th):
+            raise ConfigError(f"copula theta must be finite, got {th!r}")
         if self.family == "clayton" and not th > 0:
             raise ConfigError("clayton copula requires theta > 0")
         if self.family == "gumbel" and not th >= 1:

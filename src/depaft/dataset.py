@@ -96,8 +96,15 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
             writer.writerow(row)
 
 
+def _open_for_reading(path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def read_csv(path) -> SurvivalDataset:
-    with open(path, newline="") as fh:
+    with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -161,7 +168,7 @@ def write_predictions_csv(log_times: np.ndarray, times: np.ndarray, path) -> Non
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
+    with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -337,6 +337,73 @@ def test_load_rejects_malformed_tree(tmp_path, nodes, match):
         load(path)
 
 
+def _valid_model_doc():
+    return {
+        "format_version": 1,
+        "base_score": 0.0,
+        "learning_rate": 0.1,
+        "n_features": 1,
+        "loss": SquaredErrorLoss().to_config(),
+        "trees": [{"nodes": [_split(0, 1, 2), _leaf(1), _leaf(2)]}],
+    }
+
+
+def _set_left(doc, value):
+    doc["trees"][0]["nodes"][0]["left"] = value
+
+
+def _set_weight(doc, value):
+    doc["trees"][0]["nodes"][1]["weight"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda doc: _set_left(doc, "x"), "node 0: field 'left'"),
+        (lambda doc: _set_left(doc, None), "node 0: field 'left'"),
+        (lambda doc: _set_weight(doc, "abc"), "leaf 1: field 'weight'"),
+        (lambda doc: _set_weight(doc, [1.0]), "leaf 1: field 'weight'"),
+        (lambda doc: doc["trees"][0].pop("nodes"), "'nodes'"),
+        (lambda doc: doc["trees"].__setitem__(0, 5), "tree 0"),
+        (lambda doc: doc["trees"][0].__setitem__("nodes", 5), "'nodes'"),
+        (lambda doc: doc["trees"][0]["nodes"].__setitem__(2, 5), "node"),
+        (lambda doc: doc.__setitem__("trees", 5), "'trees'"),
+        (lambda doc: doc.__setitem__("base_score", "foo"), "'base_score'"),
+        (lambda doc: doc.__setitem__("base_score", float("nan")), "'base_score'"),
+        (lambda doc: doc.__setitem__("learning_rate", "foo"), "'learning_rate'"),
+        (lambda doc: doc.__setitem__("learning_rate", None), "'learning_rate'"),
+        (lambda doc: doc.__setitem__("n_features", "foo"), "'n_features'"),
+        (lambda doc: doc.__setitem__("n_features", [1]), "'n_features'"),
+        (lambda doc: doc.__setitem__("n_features", 1.5), "'n_features'"),
+        (lambda doc: _set_left(doc, 1.5), "node 0: field 'left'"),
+        (lambda doc: _set_left(doc, "1"), "node 0: field 'left'"),
+        (lambda doc: _set_left(doc, 10**30), "node 0: field 'left'"),
+        (lambda doc: _set_weight(doc, "0.25"), "leaf 1: field 'weight'"),
+    ],
+    ids=[
+        "left-str", "left-null", "weight-str", "weight-list", "tree-without-nodes",
+        "tree-not-object", "nodes-not-list", "node-not-object", "trees-not-list",
+        "base-score-str", "base-score-nan", "learning-rate-str", "learning-rate-null",
+        "n-features-str", "n-features-list", "n-features-fraction", "left-fraction",
+        "left-numeric-str", "left-huge", "weight-numeric-str",
+    ],
+)
+def test_load_rejects_malformed_field_values(tmp_path, mutate, match):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_valid_model_doc()))
+    assert load(path).n_rounds == 1
+    doc = _valid_model_doc()
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PersistenceError, match=match):
+        load(path)
+
+
+def test_load_missing_file_is_persistence_error(tmp_path):
+    with pytest.raises(PersistenceError, match="cannot read model file"):
+        load(tmp_path / "absent.json")
+
+
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format_version": 99}))

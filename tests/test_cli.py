@@ -69,6 +69,15 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("theta", ["NaN", "Infinity"])
+def test_simulate_nonfinite_theta_exit_2(tmp_path, theta):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        '{"n": 50, "c": 1.49, "copula": {"family": "frank", "theta": %s}}' % theta
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
 def test_train_predict_evaluate_pipeline(sim_dir, tmp_path, capsys):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
@@ -133,6 +142,43 @@ def test_evaluate_row_mismatch_exit_3(sim_dir, tmp_path):
     out = tmp_path / "eval"
     assert main(["evaluate", "--predictions", str(preds), "--data", str(sim_dir / "data.csv"),
                  "--out", str(out), "--quiet"]) == 3
+
+
+def test_evaluate_nan_prediction_exit_3(sim_dir, tmp_path, capsys):
+    data = read_csv(sim_dir / "data.csv")
+    rows = ["predicted_log_time,predicted_time"] + ["0.0,1.0"] * data.n
+    rows[5] = "nan,nan"
+    preds = tmp_path / "p.csv"
+    preds.write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--predictions", str(preds), "--data", str(sim_dir / "data.csv"),
+                 "--out", str(tmp_path / "eval"), "--quiet"]) == 3
+    assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate-predictions", "evaluate-data", "predict-model",
+                                     "predict-data", "train-data", "cv-data"])
+def test_missing_input_file_exit_3(sim_dir, tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    main(["train", "--data", str(sim_dir / "data.csv"), "--config",
+          _write(tmp_path / "train.json", TRAIN_CFG), "--out", str(model), "--quiet"])
+    preds = tmp_path / "p.csv"
+    main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+          "--out", str(preds), "--quiet"])
+    capsys.readouterr()
+    missing = str(tmp_path / "absent")
+    data = str(sim_dir / "data.csv")
+    out = str(tmp_path / "out")
+    argv = {
+        "evaluate-predictions": ["evaluate", "--predictions", missing, "--data", data],
+        "evaluate-data": ["evaluate", "--predictions", str(preds), "--data", missing],
+        "predict-model": ["predict", "--model", missing, "--data", data],
+        "predict-data": ["predict", "--model", str(model), "--data", missing],
+        "train-data": ["train", "--data", missing, "--config", str(tmp_path / "train.json")],
+        "cv-data": ["cv", "--data", missing, "--config", str(tmp_path / "train.json")],
+    }[command]
+    assert main(argv + ["--out", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read") and missing in err
 
 
 def test_train_unknown_loss_exit_2(sim_dir, tmp_path):

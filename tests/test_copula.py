@@ -41,6 +41,13 @@ def test_spec_validation():
     CopulaSpec("clayton", 1e-10)  # the near-independence setting is legal
 
 
+@pytest.mark.parametrize("family", ["clayton", "gumbel", "frank", "independent"])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_nonfinite_theta(family, theta):
+    with pytest.raises(ConfigError, match="finite"):
+        CopulaSpec(family, theta)
+
+
 def test_generator_hand_values():
     assert clayton_generator(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert clayton_generator(1.0, 0.5) == pytest.approx(1.0, rel=1e-12)

@@ -128,3 +128,10 @@ def test_predictions_bad_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError, match="header"):
         read_predictions_csv(path)
+
+
+def test_missing_files_are_data_errors(tmp_path):
+    with pytest.raises(DataError, match="cannot read"):
+        read_csv(tmp_path / "absent.csv")
+    with pytest.raises(DataError, match="cannot read"):
+        read_predictions_csv(tmp_path / "absent.csv")

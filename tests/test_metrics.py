@@ -8,12 +8,13 @@ from depaft.metrics import (
     CalibrationCurve,
     calibration,
     concordance,
+    count_larger_before,
     evaluate_predictions,
     event_mae,
     mae,
 )
 
-from oracles import ref_concordance
+from oracles import ref_concordance, ref_concordance_pairwise, ref_count_larger_before
 
 
 def test_perfect_and_reversed_ranking():
@@ -63,9 +64,90 @@ def test_matches_bruteforce_oracle_on_random_instances():
         t = rng.integers(1, 20, size=n).astype(float)
         d = rng.integers(0, 2, size=n)
         p = rng.integers(1, 15, size=n).astype(float)
-        assert concordance(t, d, p) == pytest.approx(
-            ref_concordance(list(t), list(d), list(p)), abs=1e-15
-        )
+        assert concordance(t, d, p) == ref_concordance(list(t), list(d), list(p))
+
+
+def test_matches_pairwise_oracle_at_three_thousand_rows():
+    rng = np.random.default_rng(2024)
+    n = 3000
+    # coarse times and predictions: many ties of each kind, plus infinities
+    t = np.round(rng.weibull(3.0, n), 2) + 0.01
+    d = rng.integers(0, 2, n)
+    p = np.round(rng.weibull(3.0, n), 2)
+    p[rng.choice(n, 40, replace=False)] = np.inf
+    p[rng.choice(n, 40, replace=False)] = 0.0
+    assert concordance(t, d, p) == ref_concordance_pairwise(t, d, p)
+    assert concordance(t, d, -p) == ref_concordance_pairwise(t, d, -p)
+
+
+def test_pairwise_oracle_agrees_with_loop_oracle():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        t = rng.integers(1, 8, size=n).astype(float)
+        d = rng.integers(0, 2, size=n)
+        p = rng.integers(1, 6, size=n).astype(float)
+        assert ref_concordance_pairwise(t, d, p) == ref_concordance(list(t), list(d), list(p))
+
+
+def test_count_larger_before_matches_loop():
+    rng = np.random.default_rng(4)
+    for n in list(range(0, 10)) + [31, 32, 33, 100, 257]:
+        for top in (1, 3, n):
+            ranks = rng.integers(0, max(top, 1), size=n)
+            assert count_larger_before(ranks).tolist() == ref_count_larger_before(ranks.tolist())
+    ranks = rng.permutation(500)
+    assert count_larger_before(ranks).tolist() == ref_count_larger_before(ranks.tolist())
+
+
+def test_single_row_and_empty_input():
+    assert concordance(np.array([1.0]), np.array([1]), np.array([2.0])) == 0.5
+    assert concordance(np.array([]), np.array([], dtype=int), np.array([])) == 0.5
+
+
+def test_all_censored_returns_half():
+    t = np.array([1.0, 1.0, 2.0, 3.0])
+    assert concordance(t, np.zeros(4, dtype=int), np.array([4.0, 1.0, 2.0, 2.0])) == 0.5
+
+
+def test_all_times_tied():
+    # only event-censored pairs are usable: events 0 and 2 against 1 and 3
+    t = np.full(4, 2.0)
+    d = np.array([1, 0, 1, 0])
+    p = np.array([1.0, 3.0, 3.0, 0.5])
+    # (0,1) concordant, (0,3) discordant, (2,1) tied, (2,3) discordant
+    assert concordance(t, d, p) == 1.5 / 4
+    assert concordance(t, d, p) == ref_concordance(list(t), list(d), list(p))
+    assert concordance(t, np.ones(4, dtype=int), p) == 0.5
+
+
+def test_all_predictions_tied():
+    rng = np.random.default_rng(8)
+    t = rng.integers(1, 5, 30).astype(float)
+    d = rng.integers(0, 2, 30)
+    d[0] = 1
+    t[0] = 0.5  # one usable pair at least
+    assert concordance(t, d, np.full(30, 7.0)) == 0.5
+
+
+def test_infinite_predictions_rank_like_numbers():
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    d = np.ones(4, dtype=int)
+    assert concordance(t, d, np.array([-np.inf, 0.0, 1.0, np.inf])) == 1.0
+    assert concordance(t, d, np.array([np.inf, 1.0, 0.0, -np.inf])) == 0.0
+    assert concordance(t[:2], d[:2], np.array([np.inf, np.inf])) == 0.5
+    # exp overflow of log-time predictions gives +inf ties at the top
+    p = np.array([0.5, np.inf, np.inf, 2.0])
+    assert concordance(t, d, p) == ref_concordance(list(t), list(d), list(p))
+
+
+@pytest.mark.parametrize("where", ["times", "predictions"])
+def test_nan_input_is_a_data_error(where):
+    t = np.array([1.0, 2.0, 3.0])
+    p = np.array([1.0, 2.0, 3.0])
+    (t if where == "times" else p)[1] = np.nan
+    with pytest.raises(DataError, match="NaN"):
+        concordance(t, np.array([1, 0, 1]), p)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -77,8 +159,8 @@ def test_invariance_under_increasing_transform(seed):
     d = rng.integers(0, 2, n)
     p = rng.uniform(0.1, 5.0, n)
     base = concordance(t, d, p)
-    assert concordance(t, d, np.exp(p)) == pytest.approx(base, abs=1e-15)
-    assert concordance(t, d, 3.0 * p + 7.0) == pytest.approx(base, abs=1e-15)
+    assert concordance(t, d, np.exp(p)) == base
+    assert concordance(t, d, 3.0 * p + 7.0) == base
 
 
 def test_reversal_complement():
