@@ -30,13 +30,12 @@ lowest threshold.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import ConfigError, DataError, NumericError, PersistenceError
+from .errors import ConfigError, DataError, NumericError, PersistenceError, number
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
@@ -79,14 +78,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {
-            "rounds", "learning_rate", "max_depth", "lambda", "gamma",
-            "min_child_weight", "base_score", "seed",
+        kinds = {
+            "rounds": int, "learning_rate": float, "max_depth": int, "lambda": float,
+            "gamma": float, "min_child_weight": float, "base_score": float, "seed": int,
         }
-        extra = set(d) - known
+        extra = set(d) - set(kinds)
         if extra:
             raise ConfigError(f"unknown train config fields: {sorted(extra)}")
-        kwargs = dict(d)
+        kwargs = {
+            name: value if name == "base_score" and value == "auto"
+            else number(value, kinds[name], f"train config field {name!r}")
+            for name, value in d.items()
+        }
         if "lambda" in kwargs:
             kwargs["reg_lambda"] = kwargs.pop("lambda")
         return cls(**kwargs)
@@ -113,17 +116,30 @@ class RegressionTree:
         return int(np.sum(self.feature < 0))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Raw (unshrunk) leaf weight for every row of X."""
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            at_leaf = self.feature[idx] < 0
-            if np.all(at_leaf):
-                break
-            feat = np.where(at_leaf, 0, self.feature[idx])
-            go_left = X[np.arange(X.shape[0]), feat] < self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(at_leaf, idx, nxt)
-        return self.value[idx]
+        """Raw (unshrunk) leaf weight for every row of X.
+
+        Rows are routed by boolean masks.  Nodes are visited in id order,
+        in which every child follows its parent; an internal node splits
+        the mask of the rows that reach it with one compare on its column
+        (rows at the threshold go right), and a leaf writes its weight to
+        its rows.  Column reads are contiguous when X is column-major,
+        which is how TreeEnsemble.predict passes it.
+        """
+        out = np.empty(X.shape[0])
+        reach = [None] * self.n_nodes  # row mask per node; None: unreached
+        reach[0] = np.ones(X.shape[0], dtype=bool)
+        nodes = zip(self.feature.tolist(), self.threshold.tolist(),
+                    self.left.tolist(), self.right.tolist(), self.value.tolist())
+        for i, (f, thr, left, right, value) in enumerate(nodes):
+            rows, reach[i] = reach[i], None
+            if rows is None:
+                continue
+            if f < 0:
+                out[rows] = value
+            else:
+                reach[left] = rows & (X[:, f] < thr)
+                reach[right] = rows ^ reach[left]  # rows & ~go: left is a subset
+        return out
 
 
 @dataclass
@@ -143,6 +159,7 @@ class TreeEnsemble:
             raise DataError(
                 f"feature matrix must have shape (n, {self.n_features}), got {X.shape}"
             )
+        X = np.asfortranarray(X)  # one column-major copy serves every tree
         out = np.full(X.shape[0], self.base_score)
         use = self.trees if num_trees is None else self.trees[:num_trees]
         for tree in use:
@@ -343,30 +360,17 @@ def save(model: TreeEnsemble, path) -> None:
 
 
 def _number(value, kind, what: str):
-    """value as a finite float or an int64-sized int, else PersistenceError.
-
-    The value must equal its conversion, so strings, fractional ids and
-    counts, NaN and infinities are refused rather than coerced.
-    """
-    try:
-        out = kind(value)
-        ok = out == value and (
-            math.isfinite(out) if kind is float else -(2**63) <= out < 2**63
-        )
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        noun = "a finite number" if kind is float else "an integer"
-        raise PersistenceError(f"{what} must be {noun}, got {value!r}")
-    return out
+    """number() for model-file fields, failing with PersistenceError."""
+    return number(value, kind, what, PersistenceError)
 
 
-def _nodes_to_tree(nodes) -> RegressionTree:
+def _nodes_to_tree(nodes, n_features: int) -> RegressionTree:
     """Rebuild a tree, refusing any node list that save() cannot write.
 
     Ids must be exactly 0..n-1, every child id must exceed its parent's
     and no node may have two parents.  Together these make the tree
-    acyclic, so predict() always reaches a leaf.
+    acyclic, so predict() always reaches a leaf.  Split features must
+    index one of the model's n_features columns.
     """
     if not isinstance(nodes, list):
         raise PersistenceError("tree field 'nodes' must be a list")
@@ -395,8 +399,10 @@ def _nodes_to_tree(nodes) -> RegressionTree:
         threshold[i] = _number(node["threshold"], float, f"node {i}: field 'threshold'")
         left[i] = _number(node["left"], int, f"node {i}: field 'left'")
         right[i] = _number(node["right"], int, f"node {i}: field 'right'")
-        if feature[i] < 0:
-            raise PersistenceError(f"node {i}: field 'split_feature' must be >= 0")
+        if not 0 <= feature[i] < n_features:
+            raise PersistenceError(
+                f"node {i}: field 'split_feature' must lie in 0..{n_features - 1}"
+            )
         if not (i < left[i] < n and i < right[i] < n):
             raise PersistenceError(f"node {i}: child ids must lie in {i + 1}..{n - 1}")
     internal = feature >= 0
@@ -428,18 +434,19 @@ def load(path) -> TreeEnsemble:
     loss_from_config(loss_config)  # validates, including "unknown loss"
     if not isinstance(doc["trees"], list):
         raise PersistenceError(f"{path}: field 'trees' must be a list")
+    n_features = _number(doc["n_features"], int, f"{path}: field 'n_features'")
     trees = []
     for k, t in enumerate(doc["trees"]):
         if not isinstance(t, dict) or "nodes" not in t:
             raise PersistenceError(f"{path}: tree {k} must be an object with field 'nodes'")
         try:
-            trees.append(_nodes_to_tree(t["nodes"]))
+            trees.append(_nodes_to_tree(t["nodes"], n_features))
         except PersistenceError as exc:
             raise PersistenceError(f"{path}: tree {k}: {exc}") from exc
     return TreeEnsemble(
         base_score=_number(doc["base_score"], float, f"{path}: field 'base_score'"),
         learning_rate=_number(doc["learning_rate"], float, f"{path}: field 'learning_rate'"),
-        n_features=_number(doc["n_features"], int, f"{path}: field 'n_features'"),
+        n_features=n_features,
         loss_config=loss_config,
         trees=trees,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, number
 
 FAMILIES = ("clayton", "gumbel", "frank", "independent")
 
@@ -45,7 +45,8 @@ class CopulaSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CopulaSpec":
         try:
-            return cls(family=d["family"], theta=float(d.get("theta", 0.0)))
+            theta = number(d.get("theta", 0.0), float, "copula field 'theta'")
+            return cls(family=d["family"], theta=theta)
         except KeyError as exc:
             raise ConfigError(f"copula spec missing field {exc}") from exc
 

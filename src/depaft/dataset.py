@@ -4,11 +4,22 @@ Dataset CSV columns: time, event, x1..xp, and optionally the simulator's
 oracle columns true_event_time and true_censor_time.  Predictions CSV
 columns: predicted_log_time, predicted_time.  Floats are written with
 repr so re-reading is bit-exact and output bytes are deterministic.
+
+Both schemas share one writer and one reader core, and both work a block
+of _BLOCK_ROWS rows at a time.  _write_table formats each block column
+by column (tolist, then repr) and writes it in one call, with the bytes
+csv.writer gives.  _parse_rows tokenises with csv.reader, checks every
+row's width, converts all of a block's fields with one
+np.fromiter(map(float, ...)) and tests the event column at once.  Only
+when a block fails are its rows scanned one by one, to name the line of
+the first fault.
 """
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -76,24 +87,33 @@ class SurvivalDataset:
         )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_BLOCK_ROWS = 1024
+
+
+def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a header and equal-length columns as CSV.
+
+    Fields are repr() of each value (floats round-trip bit-exactly, ints
+    print as digits) and lines end in \r\n, the bytes csv.writer gives
+    for these fields.  Rows are formatted and written in blocks of
+    _BLOCK_ROWS, so the file never sits in memory whole.
+    """
+    n = min(len(col) for col in columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, n, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, n)
+            fields = [map(repr, col[a:b].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_csv(dataset: SurvivalDataset, path) -> None:
     header = ["time", "event"] + [f"x{j + 1}" for j in range(dataset.n_features)]
-    oracle = dataset.has_oracle
-    if oracle:
+    columns = [dataset.times, dataset.events] + list(dataset.X.T)
+    if dataset.has_oracle:
         header += list(ORACLE_COLUMNS)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [_fmt(dataset.times[i]), str(int(dataset.events[i]))]
-            row += [_fmt(v) for v in dataset.X[i]]
-            if oracle:
-                row += [_fmt(dataset.true_event_times[i]), _fmt(dataset.true_censor_times[i])]
-            writer.writerow(row)
+        columns += [dataset.true_event_times, dataset.true_censor_times]
+    _write_table(path, header, columns)
 
 
 def _open_for_reading(path):
@@ -103,89 +123,114 @@ def _open_for_reading(path):
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def read_csv(path) -> SurvivalDataset:
-    with _open_for_reading(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
-    if header[:2] != ["time", "event"]:
-        raise DataError(f"{path}: header must start with time,event")
-    feature_names = []
-    for name in header[2:]:
-        if name in ORACLE_COLUMNS:
-            break
-        feature_names.append(name)
-    expected = [f"x{j + 1}" for j in range(len(feature_names))]
-    if feature_names != expected:
-        raise DataError(f"{path}: feature columns must be named x1..x{len(feature_names)}")
-    rest = header[2 + len(feature_names):]
-    if rest not in ([], list(ORACLE_COLUMNS)):
-        raise DataError(f"{path}: trailing columns must be exactly {ORACLE_COLUMNS}")
-    has_oracle = rest == list(ORACLE_COLUMNS)
+@contextmanager
+def _csv_rows(path):
+    """The stripped header and an iterator over the token rows after it.
 
-    n, p = len(rows), len(feature_names)
-    if n == 0:
-        raise DataError(f"{path}: no data rows")
-    times = np.empty(n)
-    events = np.empty(n, dtype=int)
-    X = np.empty((n, p))
-    te = np.empty(n) if has_oracle else None
-    tc = np.empty(n) if has_oracle else None
-    width = len(header)
-    for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after header
-        if len(row) != width:
-            raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+    A file the csv module cannot tokenise (a field over its size limit,
+    say) is a DataError naming the line, here or in the caller's body.
+    """
+    with _open_for_reading(path) as fh:
+        rows = csv.reader(fh)
         try:
-            times[i] = float(row[0])
-            event = float(row[1])
-            if event not in (0.0, 1.0):
-                raise ValueError(f"event must be 0 or 1, got {row[1]!r}")
-            events[i] = int(event)
-            for j in range(p):
-                X[i, j] = float(row[2 + j])
-            if has_oracle:
-                te[i] = float(row[2 + p])
-                tc[i] = float(row[3 + p])
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            yield [h.strip() for h in header], rows
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {rows.line_num}: {exc}") from exc
+
+
+def _parse_rows(path, rows, width: int, event_col: int | None = None,
+                width_error: str = "expected {width} fields, got {got}") -> np.ndarray:
+    """The (n, width) float table of an iterator over token rows.
+
+    Rows are taken _BLOCK_ROWS at a time, so only one block of tokens is
+    held.  Every field goes through float(), and the event column, if
+    given, must hold 0 or 1.  A block with any fault goes to
+    _raise_first_fault; earlier blocks have passed every check.
+    """
+    blocks = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        table = None
+        if all(len(row) == width for row in block):
+            try:
+                flat = np.fromiter(map(float, chain.from_iterable(block)), float, len(block) * width)
+                table = flat.reshape(len(block), width)
+            except ValueError:
+                pass
+        if table is None or (
+            event_col is not None
+            and not np.all((table[:, event_col] == 0.0) | (table[:, event_col] == 1.0))
+        ):
+            first_line = 2 + _BLOCK_ROWS * len(blocks)  # 1-based, after the header
+            _raise_first_fault(path, block, first_line, width, event_col, width_error)
+        blocks.append(table)
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _raise_first_fault(path, block, first_line, width, event_col, width_error) -> None:
+    """Raise a DataError naming the line of the block's first faulty row.
+
+    Runs only after a block has failed.  Fields are checked in file
+    order, the event check right after its own field, so a row with
+    several faults reports the first of them.
+    """
+    for line, row in enumerate(block, start=first_line):
+        if len(row) != width:
+            fault = width_error.format(width=width, got=len(row))
+            raise DataError(f"{path}: line {line}: {fault}")
+        try:
+            for j, field in enumerate(row):
+                value = float(field)
+                if j == event_col and value not in (0.0, 1.0):
+                    raise ValueError(f"event must be 0 or 1, got {field!r}")
         except ValueError as exc:
             raise DataError(f"{path}: line {line}: {exc}") from exc
+
+
+def read_csv(path) -> SurvivalDataset:
+    with _csv_rows(path) as (header, rows):
+        if header[:2] != ["time", "event"]:
+            raise DataError(f"{path}: header must start with time,event")
+        feature_names = []
+        for name in header[2:]:
+            if name in ORACLE_COLUMNS:
+                break
+            feature_names.append(name)
+        expected = [f"x{j + 1}" for j in range(len(feature_names))]
+        if feature_names != expected:
+            raise DataError(f"{path}: feature columns must be named x1..x{len(feature_names)}")
+        rest = header[2 + len(feature_names):]
+        if rest not in ([], list(ORACLE_COLUMNS)):
+            raise DataError(f"{path}: trailing columns must be exactly {ORACLE_COLUMNS}")
+        has_oracle = rest == list(ORACLE_COLUMNS)
+        table = _parse_rows(path, rows, len(header), event_col=1)
+    if len(table) == 0:
+        raise DataError(f"{path}: no data rows")
+    p = len(feature_names)
     try:
-        return SurvivalDataset(times, events, X, te, tc)
+        return SurvivalDataset(
+            times=table[:, 0],
+            events=table[:, 1],
+            X=table[:, 2:2 + p],
+            true_event_times=table[:, 2 + p] if has_oracle else None,
+            true_censor_times=table[:, 3 + p] if has_oracle else None,
+        )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_predictions_csv(log_times: np.ndarray, times: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["predicted_log_time", "predicted_time"])
-        for lt, t in zip(log_times, times):
-            writer.writerow([_fmt(lt), _fmt(t)])
+    _write_table(path, ["predicted_log_time", "predicted_time"],
+                 [np.asarray(log_times, dtype=float), np.asarray(times, dtype=float)])
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with _open_for_reading(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["predicted_log_time", "predicted_time"]:
+    with _csv_rows(path) as (header, rows):
+        if header != ["predicted_log_time", "predicted_time"]:
             raise DataError(f"{path}: bad predictions header")
-        log_times, times = [], []
-        for i, row in enumerate(reader):
-            line = i + 2
-            if len(row) != 2:
-                raise DataError(f"{path}: line {line}: expected 2 fields")
-            try:
-                log_times.append(float(row[0]))
-                times.append(float(row[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line}: {exc}") from exc
-    if not times:
+        table = _parse_rows(path, rows, 2, width_error="expected {width} fields")
+    if len(table) == 0:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(log_times), np.asarray(times)
+    return table[:, 0], table[:, 1]

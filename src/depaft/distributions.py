@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, number
 
 FAMILIES = ("extreme", "normal", "logistic")
 
@@ -45,7 +45,8 @@ class BaselineSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "BaselineSpec":
         try:
-            return cls(family=d["family"], sigma=float(d["sigma"]))
+            sigma = number(d["sigma"], float, "baseline field 'sigma'")
+            return cls(family=d["family"], sigma=sigma)
         except KeyError as exc:
             raise ConfigError(f"baseline spec missing field {exc}") from exc
 

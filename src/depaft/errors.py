@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the numeric-field
+check that config and model-file readers share.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
+import math
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,23 @@ class PersistenceError(DataError):
 
 class NumericError(RuntimeError):
     """Internal numerical failure (non-finite intermediate, sampler breakdown)."""
+
+
+def number(value, kind, what: str, error: type[Exception] = ConfigError):
+    """value as a finite float or an int64-sized int, else `error`.
+
+    kind is float or int.  The value must equal its conversion, so
+    strings, fractional counts, NaN and infinities are refused rather
+    than coerced.
+    """
+    try:
+        out = kind(value)
+        ok = out == value and (
+            math.isfinite(out) if kind is float else -(2**63) <= out < 2**63
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        noun = "a finite number" if kind is float else "an integer"
+        raise error(f"{what} must be {noun}, got {value!r}")
+    return out

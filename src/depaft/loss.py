@@ -21,7 +21,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import BaselineSpec
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, number
 
 # The loss is singular where the survival probability hits zero, so
 # survival values are floored at SURVIVAL_FLOOR.  The floor sits at the
@@ -292,7 +292,7 @@ def loss_from_config(config: dict):
     if tag == "clayton":
         try:
             return ClaytonAftLoss(
-                theta=float(config["theta"]),
+                theta=number(config["theta"], float, "clayton loss config field 'theta'"),
                 event_baseline=BaselineSpec.from_dict(config["event_baseline"]),
                 censor_baseline=BaselineSpec.from_dict(config["censor_baseline"]),
             )

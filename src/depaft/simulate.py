@@ -28,7 +28,7 @@ import numpy as np
 
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, number
 from .metrics import count_larger_before
 
 N_FEATURES = 10
@@ -75,15 +75,13 @@ class DgpConfig:
             raise ConfigError(f"unknown simulate config fields: {sorted(extra)}")
         if "n" not in d or "c" not in d or "copula" not in d:
             raise ConfigError("simulate config requires fields n, c, copula")
-        return cls(
-            n=int(d["n"]),
-            c=float(d["c"]),
-            copula=CopulaSpec.from_dict(d["copula"]),
-            weibull_shape=float(d.get("weibull_shape", 3.0)),
-            weibull_scale=float(d.get("weibull_scale", 1.0)),
-            n_features=int(d.get("n_features", N_FEATURES)),
-            seed=int(d.get("seed", 0)),
-        )
+        kinds = {"n": int, "c": float, "weibull_shape": float, "weibull_scale": float,
+                 "n_features": int, "seed": int}
+        kwargs = {
+            name: number(d[name], kind, f"simulate config field {name!r}")
+            for name, kind in kinds.items() if name in d
+        }
+        return cls(copula=CopulaSpec.from_dict(d["copula"]), **kwargs)
 
 
 @dataclass

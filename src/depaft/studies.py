@@ -37,7 +37,7 @@ import numpy as np
 
 from .booster import TrainConfig
 from .copula import CopulaSpec
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .metrics import evaluate_predictions
 from .simulate import DgpConfig, generate
 from .tuning import CvConfig, grid_search
@@ -100,20 +100,23 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
-        known = {
-            "study", "repetitions", "n_train", "n_test", "seed", "max_rounds",
-            "checkpoint_stride", "learning_rate", "max_depth", "min_child_weight",
-            "lambda", "gamma", "n_horizons",
+        kinds = {
+            "study": int, "repetitions": int, "n_train": int, "n_test": int, "seed": int,
+            "max_rounds": int, "checkpoint_stride": int, "learning_rate": float,
+            "max_depth": int, "min_child_weight": float, "lambda": float, "gamma": float,
+            "n_horizons": int,
         }
-        extra = set(d) - known
+        extra = set(d) - set(kinds)
         if extra:
             raise ConfigError(f"unknown study config fields: {sorted(extra)}")
         if "study" not in d:
             raise ConfigError("study config requires field 'study'")
-        kwargs = dict(d)
+        kwargs = {
+            name: number(value, kinds[name], f"study config field {name!r}")
+            for name, value in d.items()
+        }
         if "lambda" in kwargs:
             kwargs["reg_lambda"] = kwargs.pop("lambda")
-        kwargs["study"] = int(kwargs["study"])
         return cls(**kwargs)
 
 
@@ -212,6 +215,34 @@ def _partial_path(out_dir: str, grid_index: int, rep: int) -> str:
     return os.path.join(out_dir, "partial", f"task_g{grid_index:03d}_r{rep:04d}.json")
 
 
+def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
+    """Refuse to resume partial results written under another config.
+
+    partial/config.json holds the config the task files were run with;
+    a directory with task files but no such file is refused too.
+    """
+    partial = os.path.join(out_dir, "partial")
+    path = os.path.join(partial, "config.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            try:
+                saved = json.load(fh)
+            except json.JSONDecodeError:
+                saved = None
+        if saved != config.to_dict():
+            raise ConfigError(
+                f"{out_dir} holds partial results of a different study config "
+                f"({path}); use a new output directory"
+            )
+        return
+    if any(name.startswith("task_") for name in os.listdir(partial)):
+        raise ConfigError(
+            f"{partial} holds task files but no config fingerprint; "
+            "use a new output directory"
+        )
+    _write_atomic(path, json.dumps(config.to_dict(), sort_keys=True))
+
+
 def _write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -232,6 +263,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     """
     points = grid_points(config)
     os.makedirs(os.path.join(out_dir, "partial"), exist_ok=True)
+    _check_fingerprint(config, out_dir)
     tasks = [(point, rep) for point in points for rep in range(config.repetitions)]
 
     records: dict[tuple[int, int], dict] = {}

@@ -13,7 +13,7 @@ import numpy as np
 
 from .booster import TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .loss import loss_from_config
 from .metrics import concordance
 
@@ -53,14 +53,18 @@ class CvConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown cv config fields: {sorted(extra)}")
+        kwargs = {
+            name: number(value, int, f"cv config field {name!r}")
+            for name, value in d.items() if name != "theta_grid"
+        }
         grid = d.get("theta_grid")
-        return cls(
-            folds=int(d.get("folds", 2)),
-            max_rounds=int(d.get("max_rounds", 500)),
-            checkpoint_stride=int(d.get("checkpoint_stride", 50)),
-            theta_grid=None if grid is None else tuple(float(x) for x in grid),
-            seed=int(d.get("seed", 0)),
-        )
+        if grid is not None:
+            if not isinstance(grid, list):
+                raise ConfigError(f"cv config field 'theta_grid' must be a list, got {grid!r}")
+            kwargs["theta_grid"] = tuple(
+                number(x, float, "cv config field 'theta_grid' entry") for x in grid
+            )
+        return cls(**kwargs)
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:
@@ -91,11 +95,12 @@ def stratified_folds(events, folds: int, rng: np.random.Generator) -> list[np.nd
 
 def _checkpoint_scores(model: TreeEnsemble, val: SurvivalDataset, checkpoints) -> list[float]:
     """Validation c-index at each round checkpoint, one tree pass total."""
+    X = np.asfortranarray(val.X)  # one column-major copy serves every tree
     pred = np.full(val.n, model.base_score)
     scores = []
     next_i = 0
     for k, tree in enumerate(model.trees, start=1):
-        pred += model.learning_rate * tree.predict(val.X)
+        pred += model.learning_rate * tree.predict(X)
         if next_i < len(checkpoints) and k == checkpoints[next_i]:
             scores.append(concordance(val.times, val.events, np.exp(pred)))
             next_i += 1

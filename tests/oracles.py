@@ -7,6 +7,7 @@ internals it verifies.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -220,3 +221,29 @@ def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_w
 
     grow(new_node(), list(range(len(X))), 0)
     return feature, threshold, left, right, value
+
+
+# -- tree prediction, one row at a time -------------------------------------
+
+def ref_tree_predict(feature, threshold, left, right, value, X) -> list[float]:
+    """Leaf value per row, walking from the root.  A row goes left when
+    x[f] < threshold, so a row at the threshold goes right; a leaf has
+    feature -1."""
+    out = []
+    for row in X:
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] < threshold[node] else right[node]
+        out.append(value[node])
+    return out
+
+
+# -- CSV writing through the csv module --------------------------------------
+
+def ref_write_csv(path, header, rows) -> None:
+    """csv.writer output with every field written as repr of its value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) for v in row])

@@ -5,6 +5,7 @@ import pytest
 
 from depaft import BaselineSpec, ClaytonAftLoss, CopulaSpec, DgpConfig, generate
 from depaft.booster import (
+    RegressionTree,
     TrainConfig,
     TreeEnsemble,
     _best_split,
@@ -15,7 +16,13 @@ from depaft.booster import (
 from depaft.dataset import SurvivalDataset
 from depaft.errors import ConfigError, DataError, NumericError, PersistenceError
 
-from oracles import ref_best_leaf_weight, ref_grow_tree, ref_leaf_objective, ref_split_gain
+from oracles import (
+    ref_best_leaf_weight,
+    ref_grow_tree,
+    ref_leaf_objective,
+    ref_split_gain,
+    ref_tree_predict,
+)
 
 
 class SquaredErrorLoss:
@@ -320,6 +327,9 @@ def _leaf(i):
         ([_split(0, 1, 1), _leaf(1), _leaf(2)], "two parents"),
         ([_split(0, 1, 2), _split(1, 2, 3), _leaf(2), _leaf(3)], "two parents"),
         ([], "no nodes"),
+        # predict indexes X by split feature, so it must be a column of the model
+        ([{**_split(0, 1, 2), "split_feature": 1}, _leaf(1), _leaf(2)], "split_feature"),
+        ([{**_split(0, 1, 2), "split_feature": -1}, _leaf(1), _leaf(2)], "split_feature"),
     ],
 )
 def test_load_rejects_malformed_tree(tmp_path, nodes, match):
@@ -441,3 +451,96 @@ def test_model_file_schema(tmp_path):
                     "id", "split_feature", "threshold", "left", "right", "default_direction",
                 }
                 assert node["default_direction"] == "left"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", "0.1"), ("rounds", "10"), ("rounds", 10.5), ("max_depth", None),
+    ("lambda", "1"), ("gamma", [0.0]), ("min_child_weight", "x"), ("base_score", "zero"),
+    ("seed", "1"),
+])
+def test_train_config_rejects_non_numeric_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig.from_dict({field: value})
+
+
+# Hand-built trees as (feature, threshold, left, right, value); a leaf has
+# feature -1.  Child ids always exceed their parent's, as load() demands.
+HAND_TREES = {
+    "single-leaf": ([-1], [0.0], [-1], [-1], [0.75]),
+    # left spine of depth 3 with leaves hanging off each split
+    "unbalanced": (
+        [0, 1, 2, -1, -1, -1, -1],
+        [0.5, 0.25, 0.75, 0.0, 0.0, 0.0, 0.0],
+        [1, 2, 3, -1, -1, -1, -1],
+        [6, 5, 4, -1, -1, -1, -1],
+        [0.0, 0.0, 0.0, -1.5, 2.0, 0.125, 3.0],
+    ),
+    # breadth-first ids instead of the grower's depth-first ones
+    "breadth-first": (
+        [1, 0, 2, -1, -1, -1, -1],
+        [0.5, 0.25, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [1, 3, 5, -1, -1, -1, -1],
+        [2, 4, 6, -1, -1, -1, -1],
+        [0.0, 0.0, 0.0, 1.0, -2.0, 0.5, -0.25],
+    ),
+    # node 3 has no parent; load() accepts it and no row may reach it
+    "orphan": ([2, -1, -1, -1], [0.5, 0.0, 0.0, 0.0], [1, -1, -1, -1], [2, -1, -1, -1],
+               [0.0, 1.0, 2.0, 99.0]),
+}
+
+
+def _rows_with_ties(n, seed, thresholds=(0.25, 0.5, 0.75)):
+    """Uniform rows in which about a third of the cells sit exactly on a
+    threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, 3))
+    on = rng.uniform(size=X.shape) < 0.35
+    X[on] = rng.choice(thresholds, size=int(on.sum()))
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TREES))
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_tree_predict_matches_row_walk(name, order):
+    nodes = HAND_TREES[name]
+    tree = RegressionTree(*nodes)
+    for n in (0, 1, 7, 500):
+        X = np.asarray(_rows_with_ties(n, n), order=order)
+        out = tree.predict(X)
+        assert out.shape == (n,) and out.dtype == float
+        assert out.tolist() == ref_tree_predict(*nodes, X.tolist())
+
+
+def test_rows_at_threshold_go_right():
+    tree = RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
+    X = np.array([[0.5], [np.nextafter(0.5, 0.0)], [np.nextafter(0.5, 1.0)]])
+    assert tree.predict(X).tolist() == [1.0, -1.0, 1.0]
+
+
+def test_trained_trees_match_row_walk():
+    data = _toy_data(n=300, seed=11)
+    model = train(data, SquaredErrorLoss(), TrainConfig(rounds=25, max_depth=4))
+    thresholds = [t for tree in model.trees for t, f in zip(tree.threshold, tree.feature) if f >= 0]
+    X = _rows_with_ties(400, 12, thresholds=thresholds)
+    for tree in model.trees:
+        nodes = (tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                 tree.right.tolist(), tree.value.tolist())
+        assert tree.predict(X).tolist() == ref_tree_predict(*nodes, X.tolist())
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [0, 1, 333])
+def test_ensemble_predict_matches_row_walk(order, n):
+    data = _toy_data(n=300, seed=13)
+    model = train(data, SquaredErrorLoss(), TrainConfig(rounds=30, max_depth=3))
+    model.trees.append(RegressionTree(*HAND_TREES["unbalanced"]))
+    model.trees.append(RegressionTree(*HAND_TREES["single-leaf"]))
+    X = np.asarray(_rows_with_ties(n, 14), order=order)
+    for k in (0, 1, 17, len(model.trees)):
+        expect = np.full(n, model.base_score)
+        for tree in model.trees[:k]:
+            nodes = (tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                     tree.right.tolist(), tree.value.tolist())
+            expect += model.learning_rate * np.array(ref_tree_predict(*nodes, X.tolist()), dtype=float)
+        assert model.predict(X, num_trees=k).tolist() == expect.tolist()
+    assert model.predict(X).tolist() == model.predict(X, num_trees=len(model.trees)).tolist()

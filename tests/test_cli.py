@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -260,3 +261,60 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, keys, value",
+    [
+        ("simulate", ("n",), "abc"),
+        ("simulate", ("copula", "theta"), "x"),
+        ("cv", ("loss", "event_baseline", "sigma"), "a"),
+        ("train", ("train", "learning_rate"), "0.1"),
+    ],
+)
+def test_non_numeric_config_field_exit_2(sim_dir, tmp_path, capsys, command, keys, value):
+    cv = {"folds": 2, "max_rounds": 10, "checkpoint_stride": 5}
+    cfg = json.loads(json.dumps(SIM_CFG if command == "simulate" else {**TRAIN_CFG, "cv": cv}))
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    argv = [command, "--config", _write(tmp_path / "cfg.json", cfg)]
+    if command != "simulate":
+        argv += ["--data", str(sim_dir / "data.csv")]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and keys[-1] in err and repr(value) in err
+
+
+# SHA-256 of each file the pipeline below writes, recorded with the per-row
+# tree walk and csv-module I/O that the block-wise code replaced; any change
+# to these bytes must be deliberate.
+PINNED_SHA256 = {
+    "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
+    "model.json": "10544f13d363c18c45f2bc846ff00e3ad73be7e6dcdee763224795fec2b02fb5",
+    "preds.csv": "49675cdc21b320a8df1b4004012cb0305f86c37faa5a686fddab868cdf656f10",
+    "metrics.json": "6b46c280e0e5131306e238049da9422c1c8b24a8e5cfeceae6f857f5f0911293",
+}
+
+
+def test_pipeline_output_bytes_are_pinned(tmp_path):
+    sim = _write(tmp_path / "sim.json", {**SIM_CFG, "n": 300})
+    train_cfg = _write(tmp_path / "train.json",
+                       {**TRAIN_CFG, "train": {**TRAIN_CFG["train"], "rounds": 30}})
+    paths = {name: tmp_path / name for name in PINNED_SHA256}
+    paths["data.csv"] = tmp_path / "sim" / "data.csv"
+    paths["metrics.json"] = tmp_path / "eval" / "metrics.json"
+    data = str(paths["data.csv"])
+    for argv in (
+        ["simulate", "--config", sim, "--out", str(tmp_path / "sim")],
+        ["train", "--data", data, "--config", train_cfg, "--out", str(paths["model.json"])],
+        ["predict", "--model", str(paths["model.json"]), "--data", data,
+         "--out", str(paths["preds.csv"])],
+        ["evaluate", "--predictions", str(paths["preds.csv"]), "--data", data,
+         "--out", str(tmp_path / "eval")],
+    ):
+        assert main(argv + ["--quiet"]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PINNED_SHA256

@@ -10,6 +10,8 @@ from depaft.dataset import (
 )
 from depaft.errors import DataError
 
+from oracles import ref_write_csv
+
 
 def _data(n=20, oracle=True, seed=0):
     rng = np.random.default_rng(seed)
@@ -135,3 +137,127 @@ def test_missing_files_are_data_errors(tmp_path):
         read_csv(tmp_path / "absent.csv")
     with pytest.raises(DataError, match="cannot read"):
         read_predictions_csv(tmp_path / "absent.csv")
+
+
+AWKWARD = [5e-324, 1e-300, 1.7976931348623157e308, 1e16, 0.1, 1.0, 2.5e-5, 123456.789]
+
+
+def _awkward_data(n, oracle=True):
+    """Rows whose floats need every repr form: subnormal, huge, exponent
+    and plain, with negative and -0.0 covariates."""
+    rng = np.random.default_rng(n)
+    X = rng.choice(AWKWARD, size=(n, 3)) * rng.choice([1.0, -1.0], size=(n, 3))
+    X[:, 2] = rng.uniform(-1, 1, size=n)
+    X[::5, 1] = -0.0
+    oracle_times = [rng.choice(AWKWARD, size=n) if oracle else None for _ in range(2)]
+    return SurvivalDataset(rng.choice(AWKWARD, size=n), rng.integers(0, 2, size=n), X,
+                           *oracle_times)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+def test_write_csv_matches_csv_module_and_round_trips(tmp_path, n, oracle):
+    d = _awkward_data(n, oracle)
+    header = ["time", "event", "x1", "x2", "x3"] + (
+        ["true_event_time", "true_censor_time"] if oracle else [])
+    columns = [d.times.tolist(), d.events.tolist()] + d.X.T.tolist()
+    if oracle:
+        columns += [d.true_event_times.tolist(), d.true_censor_times.tolist()]
+    ref = tmp_path / "ref.csv"
+    ref_write_csv(ref, header, zip(*columns))
+    path = tmp_path / "d.csv"
+    write_csv(d, path)
+    assert path.read_bytes() == ref.read_bytes()
+    back = read_csv(path)
+    assert _same_bits(back.times, d.times) and _same_bits(back.X, d.X)
+    assert back.events.tolist() == d.events.tolist()
+    if oracle:
+        assert _same_bits(back.true_event_times, d.true_event_times)
+        assert _same_bits(back.true_censor_times, d.true_censor_times)
+    else:
+        assert not back.has_oracle
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+def test_write_predictions_matches_csv_module_and_round_trips(tmp_path, n):
+    rng = np.random.default_rng(n)
+    log_t = rng.choice(AWKWARD, size=n) * rng.choice([1.0, -1.0], size=n)
+    log_t[::7] = -0.0
+    times = rng.choice(AWKWARD, size=n)
+    ref = tmp_path / "ref.csv"
+    ref_write_csv(ref, ["predicted_log_time", "predicted_time"], zip(log_t.tolist(), times.tolist()))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(log_t, times, path)
+    assert path.read_bytes() == ref.read_bytes()
+    back_log, back_t = read_predictions_csv(path)
+    assert _same_bits(back_log, log_t) and _same_bits(back_t, times)
+
+
+def _lines_with(tmp_path, edits, n=1500):
+    """A valid 1500-row dataset file with some lines replaced."""
+    path = tmp_path / "d.csv"
+    write_csv(_awkward_data(n, oracle=False), path)
+    lines = path.read_text().split("\n")
+    for line, text in edits.items():
+        lines[line - 1] = text + "\r"
+    path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({1300: "1.0,1,nope,0.5,0.5"}, "line 1300: could not convert string to float: 'nope'"),
+    ({1500: "1.0,0.7,0.5,0.5,0.5"}, "line 1500: event must be 0 or 1, got '0.7'"),
+    ({1026: "1.0,1,0.5,0.5"}, "line 1026: expected 5 fields, got 4"),
+    # the first faulty line wins, across blocks and within one
+    ({1200: "1.0,2,0.5,0.5,0.5", 1030: "x,1,0.5,0.5,0.5"}, "line 1030: could not convert"),
+    ({1100: "1.0,1,0.5,0.5", 1050: "1.0,-1,0.5,0.5,0.5"}, "line 1050: event must be"),
+    ({1400: "1.0,1,0.5,0.5,0.5", 3: "1.0,1,0.5,0.5,bad"}, "line 3: could not convert"),
+    # within a row the event is checked before the covariates after it
+    ({1234: "1.0,0.5,bad,0.5,0.5"}, "line 1234: event must be 0 or 1, got '0.5'"),
+])
+def test_faults_past_the_first_block_name_their_line(tmp_path, edits, message):
+    path = _lines_with(tmp_path, edits)
+    with pytest.raises(DataError) as exc:
+        read_csv(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_predictions_faults_past_the_first_block_name_their_line(tmp_path):
+    path = tmp_path / "p.csv"
+    write_predictions_csv(np.zeros(1500), np.ones(1500), path)
+    lines = path.read_text().split("\n")
+    lines[1099] = "0.0,oops\r"
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataError, match="line 1100: could not convert string to float: 'oops'"):
+        read_predictions_csv(path)
+    lines[1099] = "0.0,1.0,2.0\r"
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataError) as exc:
+        read_predictions_csv(path)
+    assert str(exc.value) == f"{path}: line 1100: expected 2 fields"
+
+
+def test_predictions_without_rows(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("predicted_log_time,predicted_time\n")
+    with pytest.raises(DataError, match="no data rows"):
+        read_predictions_csv(path)
+    data = tmp_path / "d.csv"
+    data.write_text("time,event,x1\n")
+    with pytest.raises(DataError, match="no data rows"):
+        read_csv(data)
+
+
+def test_untokenisable_field_is_a_data_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("time,event,x1\n1.0,1,0.5\n2.0,0," + "1" * 200_000 + "\n")
+    with pytest.raises(DataError, match="line 3: field larger than field limit"):
+        read_csv(path)
+    path.write_text("predicted_log_time,predicted_time\n0.0,1.0\n0.0," + "1" * 200_000 + "\n")
+    with pytest.raises(DataError, match="line 3: field larger than field limit"):
+        read_predictions_csv(path)

@@ -100,3 +100,9 @@ def test_extreme_family_safe_over_wide_range(x):
     # the clamp keeps every function finite well beyond the usable range
     for fn in (cdf, pdf, pdf_grad, pdf_hess):
         assert np.isfinite(fn("extreme", x))
+
+
+@pytest.mark.parametrize("sigma", ["a", "0.5", None, [0.5]])
+def test_baseline_spec_rejects_non_numeric_sigma(sigma):
+    with pytest.raises(ConfigError, match="sigma"):
+        BaselineSpec.from_dict({"family": "normal", "sigma": sigma})

@@ -239,3 +239,11 @@ def test_loss_config_round_trip():
     assert loss_from_config(indep.to_config()) == indep
     with pytest.raises(ConfigError, match="unknown loss"):
         loss_from_config({"loss": "coxph"})
+
+
+@pytest.mark.parametrize("theta", ["2.5", "x", None, [2.5]])
+def test_loss_config_rejects_non_numeric_theta(theta):
+    extreme = BaselineSpec("extreme", 0.4)
+    config = ClaytonAftLoss(2.5, extreme, extreme).to_config()
+    with pytest.raises(ConfigError, match="theta"):
+        loss_from_config({**config, "theta": theta})

@@ -233,3 +233,19 @@ def test_generate_deterministic():
     assert np.array_equal(a.data.X, b.data.X)
     c = generate(DgpConfig(n=300, c=1.49, copula=CLAYTON3, seed=100))
     assert not np.array_equal(a.data.times, c.data.times)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "abc"), ("n", "300"), ("n", 300.5), ("c", "x"), ("c", None),
+    ("weibull_shape", [3.0]), ("seed", "7"),
+])
+def test_config_rejects_non_numeric_fields(field, value):
+    d = {"n": 100, "c": 1.49, "copula": {"family": "clayton", "theta": 3.0}, field: value}
+    with pytest.raises(ConfigError, match=field):
+        DgpConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("theta", ["x", "3.0", None, [3.0]])
+def test_copula_spec_rejects_non_numeric_theta(theta):
+    with pytest.raises(ConfigError, match="theta"):
+        CopulaSpec.from_dict({"family": "clayton", "theta": theta})

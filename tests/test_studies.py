@@ -130,3 +130,46 @@ def test_clayton_loss_gets_residual_theta(monkeypatch):
     assert seen["clayton"]["theta"] == sim.residual_clayton_theta
     assert seen["clayton"]["theta"] < sim.clayton_equivalent_theta
     assert "theta" not in seen["independent"]
+
+
+def test_resume_refuses_a_different_config(tmp_path):
+    out = tmp_path / "study"
+    cfg = StudyConfig(**{**TINY, "study": 2, "repetitions": 1})
+    run_study(cfg, str(out), workers=1, quiet=True)
+    fingerprint = json.loads((out / "partial" / "config.json").read_text())
+    assert fingerprint == cfg.to_dict()
+    before = (out / "results.csv").read_bytes()
+    with pytest.raises(ConfigError, match="different study config"):
+        run_study(StudyConfig(**{**TINY, "study": 2, "repetitions": 1, "seed": 6}), str(out),
+                  workers=1, quiet=True)
+    assert (out / "results.csv").read_bytes() == before
+
+
+def test_resume_refuses_task_files_without_fingerprint(tmp_path):
+    out = tmp_path / "study"
+    cfg = StudyConfig(**{**TINY, "study": 2, "repetitions": 1})
+    run_study(cfg, str(out), workers=1, quiet=True)
+    (out / "partial" / "config.json").unlink()
+    with pytest.raises(ConfigError, match="no config fingerprint"):
+        run_study(cfg, str(out), workers=1, quiet=True)
+
+
+def test_study_cli_second_seed_into_same_directory_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
+    assert main(["study", "--config", str(cfg), "--out", out, "--seed", "1", "--quiet"]) == 0
+    before = (tmp_path / "out" / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", out, "--seed", "2", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert (tmp_path / "out" / "results.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_train", "abc"), ("repetitions", "2"), ("learning_rate", "0.1"), ("study", "x"),
+    ("max_depth", 2.5), ("gamma", None),
+])
+def test_config_rejects_non_numeric_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        StudyConfig.from_dict({**TINY, field: value})

@@ -93,3 +93,12 @@ def test_theta_grid_requires_clayton():
     cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=10, theta_grid=(1.0,))
     with pytest.raises(ConfigError):
         grid_search(sim.data, loss_cfg, TrainConfig(rounds=10), cv)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("folds", "2"), ("max_rounds", "abc"), ("checkpoint_stride", 2.5), ("seed", None),
+    ("theta_grid", ["x"]), ("theta_grid", "1.5"), ("theta_grid", 1.5),
+])
+def test_cv_config_rejects_non_numeric_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        CvConfig.from_dict({field: value})
