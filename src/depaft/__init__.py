@@ -2,10 +2,10 @@
 with a copula-based data simulator and evaluation metrics."""
 
 from .booster import TrainConfig, TreeEnsemble, load, save, train
-from .copula import CopulaSpec, copula_cdf, kendall_tau, sample_pair, sample_pairs
+from .copula import CopulaSpec, copula_cdf, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset, read_csv, write_csv
 from .distributions import BaselineSpec
-from .loss import ClaytonAftLoss, IndependentAftLoss, LossEval, transform
+from .loss import ClaytonAftLoss, IndependentAftLoss, transform
 from .metrics import calibration, concordance, event_mae, evaluate_predictions, mae
 from .simulate import DgpConfig, SimulatedDataset, generate, h_function
 from .studies import StudyConfig, run_study
@@ -18,7 +18,6 @@ __all__ = [
     "CvConfig",
     "DgpConfig",
     "IndependentAftLoss",
-    "LossEval",
     "SimulatedDataset",
     "StudyConfig",
     "SurvivalDataset",
@@ -37,7 +36,6 @@ __all__ = [
     "mae",
     "read_csv",
     "run_study",
-    "sample_pair",
     "sample_pairs",
     "save",
     "train",

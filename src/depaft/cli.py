@@ -16,7 +16,7 @@ import numpy as np
 
 from . import booster, dataset
 from .booster import TrainConfig
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, section
 from .loss import loss_from_config
 from .metrics import evaluate_predictions
 from .simulate import DgpConfig, generate
@@ -27,7 +27,7 @@ from .tuning import CvConfig, grid_search
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return section(json.load(fh), f"{path}: config")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -62,7 +62,7 @@ def _train_configs(cfg_dict: dict, seed_override):
     if "loss" not in cfg_dict:
         raise ConfigError("train config requires a 'loss' section")
     loss = loss_from_config(cfg_dict["loss"])
-    train_dict = dict(cfg_dict.get("train", {}))
+    train_dict = dict(section(cfg_dict.get("train", {}), "config section 'train'"))
     if seed_override is not None:
         train_dict["seed"] = seed_override
     return loss, TrainConfig.from_dict(train_dict)
@@ -114,7 +114,7 @@ def cmd_cv(args) -> int:
     data = dataset.read_csv(args.data)
     cfg_dict = _load_json(args.config)
     loss, train_cfg = _train_configs(cfg_dict, args.seed)
-    cv_dict = dict(cfg_dict.get("cv", {}))
+    cv_dict = dict(section(cfg_dict.get("cv", {}), "config section 'cv'"))
     if args.seed is not None:
         cv_dict["seed"] = args.seed
     cv = CvConfig.from_dict(cv_dict)

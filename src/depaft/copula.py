@@ -1,5 +1,5 @@
-"""Bivariate Archimedean copulas: Clayton generator algebra, CDF
-evaluation, Kendall's tau, and samplers for the four supported families.
+"""Bivariate Archimedean copulas: CDF evaluation, Kendall's tau, and
+samplers for the four supported families.
 
 Samplers draw from the CDF-orientation copula (uniform marginals, joint
 law C_theta).  The survival orientation used by the data simulator is
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigError, DomainError, NumericError, number
+from .errors import ConfigError, DomainError, NumericError, number, section
 
 FAMILIES = ("clayton", "gumbel", "frank", "independent")
 
@@ -44,31 +44,12 @@ class CopulaSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CopulaSpec":
+        d = section(d, "copula spec")
         try:
             theta = number(d.get("theta", 0.0), float, "copula field 'theta'")
             return cls(family=d["family"], theta=theta)
         except KeyError as exc:
             raise ConfigError(f"copula spec missing field {exc}") from exc
-
-
-def clayton_generator(theta: float, t):
-    """Clayton generator phi(t) = (t^-theta - 1) / theta on (0, 1]."""
-    if not theta > 0:
-        raise DomainError("clayton generator requires theta > 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t > 1.0):
-        raise DomainError("generator argument must lie in (0, 1]")
-    return np.expm1(-theta * np.log(t)) / theta
-
-
-def clayton_generator_inv(theta: float, s):
-    """Inverse generator phi^-1(s) = (s*theta + 1)^(-1/theta) on [0, inf)."""
-    if not theta > 0:
-        raise DomainError("clayton generator requires theta > 0")
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("inverse generator argument must be >= 0")
-    return np.exp(-np.log1p(s * theta) / theta)
 
 
 def copula_cdf(spec: CopulaSpec, u, v):
@@ -170,12 +151,6 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
         w2 = -np.log1p((-np.expm1(-th)) * p / (p * (a - 1.0) - a)) / th
         return w1, w2
     raise ConfigError(f"unknown copula family {spec.family!r}")
-
-
-def sample_pair(spec: CopulaSpec, rng: np.random.Generator):
-    """Draw a single pair; see sample_pairs."""
-    w1, w2 = sample_pairs(spec, 1, rng)
-    return float(w1[0]), float(w2[0])
 
 
 def _positive_stable(alpha: float, n: int, rng: np.random.Generator):

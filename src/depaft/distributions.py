@@ -3,25 +3,71 @@
 Three location-0 scale-1 families: "extreme" (Gumbel minimum, the law of
 log of a unit-scale Weibull variable), "normal", and "logistic".  The AFT
 scale sigma never enters here; it is applied by the loss through the
-log-time transform.  All functions accept scalars or numpy arrays.
+log-time transform.
+
+Each family is one row of a table of closed forms in log space, after
+Barnwal, Cho & Hocking (2020): log S, log f, the hazard h = f/S, its
+derivative h', and the first two derivatives of log f.  The losses read
+the table directly, so their derivatives stay exact and non-zero in both
+tails with no floor on S or f.  The extreme family is finite while e^x
+is, i.e. for x below ~709.78; the other two for every finite x.
+
+cdf, survival, pdf, pdf_grad and pdf_hess are views on the table that
+accept scalars or numpy arrays and refuse non-finite arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit, log_ndtr
 
-from .errors import ConfigError, DomainError, number
+from .errors import ConfigError, DomainError, number, section
 
 FAMILIES = ("extreme", "normal", "logistic")
 
-# Inner exponent of exp(x - e^x) clamped so e^x cannot overflow; the
-# density underflows to zero in float64 already near x ~ 6.7, far below
-# the clamp, so clamping never changes a nonzero value.
-_EXP_CLAMP = 350.0
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+class Margin(NamedTuple):
+    """One family's table row at x."""
+
+    log_s: np.ndarray  # log S(x), S = 1 - F
+    log_f: np.ndarray  # log f(x)
+    haz: np.ndarray  # h = f / S
+    dhaz: np.ndarray  # h' = h (d log f + h)
+    dlogf: np.ndarray  # (log f)'
+    d2logf: np.ndarray  # (log f)''
+
+
+def _extreme(x) -> Margin:
+    e = np.exp(x)
+    return Margin(-e, x - e, e, e, 1.0 - e, -e)
+
+
+def _normal(x) -> Margin:
+    log_s = log_ndtr(-x)
+    log_f = -0.5 * x * x - _LOG_SQRT_2PI
+    haz = np.exp(log_f - log_s)
+    return Margin(log_s, log_f, haz, haz * (haz - x), -x, -1.0)
+
+
+def _logistic(x) -> Margin:
+    log_s = -np.logaddexp(0.0, x)
+    p, q = expit(x), expit(-x)
+    return Margin(log_s, log_s - np.logaddexp(0.0, -x), p, p * q, q - p, -2.0 * p * q)
+
+
+_TABLE = {"extreme": _extreme, "normal": _normal, "logistic": _logistic}
+
+
+def margin(family: str, x) -> Margin:
+    """The family's table row at x (no check that x is finite)."""
+    row = _TABLE.get(family)
+    if row is None:
+        raise ConfigError(f"unknown baseline family {family!r}; expected one of {FAMILIES}")
+    return row(x)
 
 
 @dataclass(frozen=True)
@@ -44,6 +90,7 @@ class BaselineSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BaselineSpec":
+        d = section(d, "baseline spec")
         try:
             sigma = number(d["sigma"], float, "baseline field 'sigma'")
             return cls(family=d["family"], sigma=sigma)
@@ -51,91 +98,36 @@ class BaselineSpec:
             raise ConfigError(f"baseline spec missing field {exc}") from exc
 
 
-def _checked(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _row(family: str, x) -> Margin:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise DomainError("baseline distribution argument must be finite")
-    return arr
-
-
-def _unknown(family: str):
-    raise ConfigError(f"unknown baseline family {family!r}; expected one of {FAMILIES}")
+    return margin(family, x)
 
 
 def cdf(family: str, x):
     """Distribution function F(x) of the standardized family."""
-    x = _checked(x)
-    if family == "extreme":
-        return -np.expm1(-np.exp(np.minimum(x, _EXP_CLAMP)))
-    if family == "normal":
-        return ndtr(x)
-    if family == "logistic":
-        return expit(x)
-    _unknown(family)
+    return -np.expm1(_row(family, x).log_s)
 
 
 def survival(family: str, x):
-    """Upper-tail probability 1 - F(x), computed directly.
-
-    The direct forms stay exact down to the underflow threshold
-    (~1e-300), far beyond where 1 - cdf(x) would cancel to zero; the
-    losses depend on this accuracy because they divide densities by the
-    survival value.
-    """
-    x = _checked(x)
-    if family == "extreme":
-        return np.exp(-np.exp(np.minimum(x, _EXP_CLAMP)))
-    if family == "normal":
-        return ndtr(-x)
-    if family == "logistic":
-        return expit(-x)
-    _unknown(family)
+    """Upper-tail probability S(x) = 1 - F(x), exact to the underflow threshold."""
+    return np.exp(_row(family, x).log_s)
 
 
 def pdf(family: str, x):
     """Density f(x) of the standardized family."""
-    x = _checked(x)
-    if family == "extreme":
-        t = np.minimum(x, _EXP_CLAMP)
-        return np.exp(t - np.exp(t))
-    if family == "normal":
-        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    if family == "logistic":
-        p = expit(x)
-        return p * (1.0 - p)
-    _unknown(family)
+    return np.exp(_row(family, x).log_f)
 
 
 def pdf_grad(family: str, x):
-    """First derivative f'(x) of the density."""
-    x = _checked(x)
-    if family == "extreme":
-        t = np.minimum(x, _EXP_CLAMP)
-        ex = np.exp(t)
-        return np.exp(t - ex) * (1.0 - ex)
-    if family == "normal":
-        return -x * pdf("normal", x)
-    if family == "logistic":
-        p = expit(x)
-        return p * (1.0 - p) * (1.0 - 2.0 * p)
-    _unknown(family)
+    """First derivative f'(x) = f (log f)' of the density."""
+    m = _row(family, x)
+    return np.exp(m.log_f) * m.dlogf
 
 
 def pdf_hess(family: str, x):
-    """Second derivative f''(x) of the density.
-
-    Closed forms: extreme f((1-e^x)^2 - e^x); normal (x^2-1)f;
-    logistic f((1-2F)^2 - 2f) with F the logistic CDF.
-    """
-    x = _checked(x)
-    if family == "extreme":
-        t = np.minimum(x, _EXP_CLAMP)
-        ex = np.exp(t)
-        return np.exp(t - ex) * ((1.0 - ex) ** 2 - ex)
-    if family == "normal":
-        return (x * x - 1.0) * pdf("normal", x)
-    if family == "logistic":
-        p = expit(x)
-        f = p * (1.0 - p)
-        return f * ((1.0 - 2.0 * p) ** 2 - 2.0 * f)
-    _unknown(family)
+    """Second derivative f''(x) = f ((log f)'' + (log f)'^2) of the density."""
+    m = _row(family, x)
+    f = np.exp(m.log_f)
+    return f * m.d2logf + f * m.dlogf * m.dlogf

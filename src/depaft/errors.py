@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the numeric-field
-check that config and model-file readers share.
+"""Exception types shared across the package, and the numeric-field and
+section checks that config and model-file readers share.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
@@ -45,3 +45,10 @@ def number(value, kind, what: str, error: type[Exception] = ConfigError):
         noun = "a finite number" if kind is float else "an integer"
         raise error(f"{what} must be {noun}, got {value!r}")
     return out
+
+
+def section(value, what: str) -> dict:
+    """value if it is a JSON object (a dict), else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value

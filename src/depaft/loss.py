@@ -9,9 +9,15 @@ Two objectives over the predicted log event time yhat = h(x):
   log-likelihood that assumes independent censoring.
 
 Both expose value, gradient, and Hessian with respect to yhat, the
-quantities a second-order boosting engine needs.  The Hessian is floored
-at HESSIAN_FLOOR by default because the exact curvature can be
-non-positive far from the optimum while leaf weights need H > 0.
+quantities a second-order boosting engine needs, in log space from one
+margin core: each call checks its inputs and takes log t once, then reads
+each baseline's row of the family table in distributions.py.  Nothing
+but the Hessian is floored, so derivatives stay exact and non-zero in
+both tails; the extreme family is finite until e^s overflows (s near
+709), where a call raises NumericError instead of returning a silent
+zero.  The Hessian is floored at HESSIAN_FLOOR by default because the
+exact curvature can be non-positive far from the optimum while leaf
+weights need H > 0.
 """
 from __future__ import annotations
 
@@ -21,27 +27,9 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import BaselineSpec
-from .errors import ConfigError, DomainError, NumericError, number
+from .errors import ConfigError, DomainError, NumericError, number, section
 
-# The loss is singular where the survival probability hits zero, so
-# survival values are floored at SURVIVAL_FLOOR.  The floor sits at the
-# underflow frontier rather than higher up: survival() is exact down to
-# ~1e-300, and flooring any earlier would misstate the hazard f/S in the
-# tail, which destabilizes training (the Hessian turns negative there
-# while the gradient is still large).
-SURVIVAL_FLOOR = 1e-300
-# Floor for log arguments (densities can underflow to exactly zero).
-_TINY = 1e-300
 HESSIAN_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """Per-observation value, gradient, and Hessian at yhat."""
-
-    value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
 
 
 def transform(t, yhat, sigma: float):
@@ -58,7 +46,8 @@ def transform(t, yhat, sigma: float):
     return (np.log(t) - np.asarray(yhat, dtype=float)) / sigma
 
 
-def _validate(t, delta, yhat):
+def _inputs(t, delta, yhat):
+    """(log t, event mask, yhat), broadcast together and checked once."""
     t = np.asarray(t, dtype=float)
     delta = np.asarray(delta)
     yhat = np.asarray(yhat, dtype=float)
@@ -69,11 +58,37 @@ def _validate(t, delta, yhat):
         raise DomainError("event indicators must be 0 or 1")
     if not np.all(np.isfinite(yhat)):
         raise DomainError("predictions must be finite")
-    return t, delta.astype(bool), yhat
+    return np.log(t), delta.astype(bool), yhat
 
 
-def _safe_survival(family: str, x):
-    return np.maximum(dist.survival(family, x), SURVIVAL_FLOOR)
+def _margin(spec: BaselineSpec, log_t, yhat) -> dist.Margin:
+    """The baseline's table row at its residual (log t - yhat) / sigma."""
+    return dist.margin(spec.family, (log_t - yhat) / spec.sigma)
+
+
+def _derivs(m: dist.Margin, spec: BaselineSpec):
+    """First and second yhat-derivatives of log S, then of log f, at the
+    residual, which moves by -1/sigma per unit of yhat."""
+    p = -1.0 / spec.sigma
+    return -m.haz * p, -m.dhaz * (p * p), m.dlogf * p, m.d2logf * (p * p)
+
+
+def _finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericError("non-finite loss value or derivative")
+
+
+def _log_bracket(theta: float, z: dist.Margin, v: dist.Margin):
+    """(a, b, log D) for the Clayton bracket D = e^a + e^b - 1 with
+    a = -theta log S_Z and b = -theta log S_V, both >= 0, so D >= 1.
+
+    expm1/log1p keep full precision when theta is tiny, where log D is
+    O(theta) and gets multiplied back by 1/theta.
+    """
+    a = -theta * z.log_s
+    b = -theta * v.log_s
+    m = np.maximum(a, b)
+    return a, b, m + np.log1p(np.expm1(a - m) + np.expm1(b - m) - np.expm1(-m))
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,19 @@ class ClaytonAftLoss:
     For s = (log t - yhat)/sigma_Z and r = (log t - yhat)/sigma_V the
     loss of an observation is
 
-        (1 + 1/theta) * log((1-F_Z(s))^-theta + (1-F_V(r))^-theta - 1)
-        + (1+theta) * log(1-F_W(q)) - log(f_W(q) / (sigma_W t))
+        (1 + 1/theta) * log(S_Z(s)^-theta + S_V(r)^-theta - 1)
+        + (1+theta) * log S_W(q) - log(f_W(q) / (sigma_W t))
 
     where (W, q) is (Z, s) for events and (V, r) for censored rows.  The
-    copula bracket is evaluated in log space so large theta cannot
-    overflow.
+    copula bracket D is evaluated in log space so large theta cannot
+    overflow.  With u = S_Z^-theta / D and w = S_V^-theta / D, which sum
+    to 1 + 1/D, the gradient of an event row is
+
+        (1+theta) (w (Z1 - V1) - Z1 / D) - (log f_Z)'
+
+    with Z1, V1 the yhat-derivatives of log S_Z and log S_V (censored
+    rows swap Z and V, and u and w), so identical margins cancel
+    exactly instead of through two large terms.
     """
 
     theta: float
@@ -99,48 +121,17 @@ class ClaytonAftLoss:
         if not (np.isfinite(self.theta) and self.theta > 0):
             raise ConfigError(f"theta must be a positive finite real, got {self.theta}")
 
-    # -- shared pieces -------------------------------------------------
-
-    def _state(self, t, delta, yhat):
-        t, delta, yhat = _validate(t, delta, yhat)
-        fam_z, sig_z = self.event_baseline.family, self.event_baseline.sigma
-        fam_v, sig_v = self.censor_baseline.family, self.censor_baseline.sigma
-        s = transform(t, yhat, sig_z)
-        r = transform(t, yhat, sig_v)
-        sz = _safe_survival(fam_z, s)
-        sv = _safe_survival(fam_v, r)
-        log_sz = np.log(sz)
-        log_sv = np.log(sv)
-        # log-space copula bracket: D = Sz^-theta + Sv^-theta - 1 >= 1.
-        # expm1/log1p keep full precision when theta is tiny, where log D
-        # is O(theta) and gets multiplied back by 1/theta.
-        la = -self.theta * log_sz
-        lb = -self.theta * log_sv
-        m = np.maximum(la, lb)
-        excess = np.expm1(la - m) + np.expm1(lb - m) - np.expm1(-m)  # = D/e^m - 1
-        excess = np.maximum(excess, -1.0 + _TINY)
-        log_d = m + np.log1p(excess)
-        bracket = 1.0 + excess  # = D / e^m
-        return t, delta, s, r, sz, sv, log_sz, log_sv, la, lb, m, bracket, log_d
-
     def loss(self, t, delta, yhat) -> np.ndarray:
         """Loss value per observation."""
-        th = self.theta
-        t, delta, s, r, sz, sv, log_sz, log_sv, la, lb, m, bracket, log_d = self._state(
-            t, delta, yhat
-        )
-        fz = np.maximum(dist.pdf(self.event_baseline.family, s), _TINY)
-        fv = np.maximum(dist.pdf(self.censor_baseline.family, r), _TINY)
-        log_t = np.log(t)
-        g_event = (
-            (1.0 + th) * log_sz - np.log(fz) + np.log(self.event_baseline.sigma) + log_t
-        )
-        g_censor = (
-            (1.0 + th) * log_sv - np.log(fv) + np.log(self.censor_baseline.sigma) + log_t
-        )
-        out = (1.0 + 1.0 / th) * log_d + np.where(delta, g_event, g_censor)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite loss value after safeguarding")
+        th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
+        log_t, delta, yhat = _inputs(t, delta, yhat)
+        z, v = _margin(ez, log_t, yhat), _margin(ev, log_t, yhat)
+        _, _, log_d = _log_bracket(th, z, v)
+        own_log_s = np.where(delta, z.log_s, v.log_s)
+        own_log_f = np.where(delta, z.log_f, v.log_f)
+        own_log_sigma = np.where(delta, np.log(ez.sigma), np.log(ev.sigma))
+        out = (1.0 + 1.0 / th) * log_d + ((1.0 + th) * own_log_s - own_log_f + own_log_sigma + log_t)
+        _finite(out)
         return out
 
     def grad(self, t, delta, yhat) -> np.ndarray:
@@ -158,61 +149,29 @@ class ClaytonAftLoss:
         g, h = self._grad_hess_raw(t, delta, yhat)
         return g, np.maximum(h, HESSIAN_FLOOR)
 
-    def evaluate(self, t, delta, yhat) -> LossEval:
-        g, h = self.grad_hess(t, delta, yhat)
-        return LossEval(value=self.loss(t, delta, yhat), grad=g, hess=h)
-
     def _grad_hess_raw(self, t, delta, yhat):
-        th = self.theta
-        fam_z, sig_z = self.event_baseline.family, self.event_baseline.sigma
-        fam_v, sig_v = self.censor_baseline.family, self.censor_baseline.sigma
-        t, delta, s, r, sz, sv, log_sz, log_sv, la, lb, m, bracket, log_d = self._state(
-            t, delta, yhat
-        )
-        sp = -1.0 / sig_z  # ds/dyhat
-        rp = -1.0 / sig_v  # dr/dyhat
+        th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
+        log_t, delta, yhat = _inputs(t, delta, yhat)
+        z, v = _margin(ez, log_t, yhat), _margin(ev, log_t, yhat)
+        a, b, log_d = _log_bracket(th, z, v)
+        u, w, inv_d = np.exp(a - log_d), np.exp(b - log_d), np.exp(-log_d)
+        z1, z2, fz1, fz2 = _derivs(z, ez)
+        v1, v2, fv1, fv2 = _derivs(v, ev)
 
-        fz = dist.pdf(fam_z, s)
-        fv = dist.pdf(fam_v, r)
-        fzp = dist.pdf_grad(fam_z, s)
-        fvp = dist.pdf_grad(fam_v, r)
-        fzpp = dist.pdf_hess(fam_z, s)
-        fvpp = dist.pdf_hess(fam_v, r)
-        fz_safe = np.maximum(fz, _TINY)
-        fv_safe = np.maximum(fv, _TINY)
-
-        # u = Sz^-theta / D and v = Sv^-theta / D, both in (0, 1]
-        u = np.exp(la - m) / bracket
-        v = np.exp(lb - m) / bracket
-
-        haz_z = fz / sz
-        haz_v = fv / sv
-        nd = u * haz_z * sp + v * haz_v * rp  # N / D
-
-        grad = (1.0 + th) * nd + np.where(
-            delta,
-            -(1.0 + th) * haz_z * sp - (fzp / fz_safe) * sp,
-            -(1.0 + th) * haz_v * rp - (fvp / fv_safe) * rp,
-        )
-
-        # N'/D; the transforms are linear in yhat, so q'' terms vanish
-        ndp = u * sp * sp * ((1.0 + th) * haz_z * haz_z + fzp / sz) + v * rp * rp * (
-            (1.0 + th) * haz_v * haz_v + fvp / sv
-        )
-        hess_copula = (1.0 + th) * ndp - th * (1.0 + th) * nd * nd
-        hess_branch = np.where(
-            delta,
-            -(1.0 + th) * sp * sp * (fzp / sz + haz_z * haz_z)
-            - sp * sp * (fzpp / fz_safe - (fzp / fz_safe) ** 2),
-            -(1.0 + th) * rp * rp * (fvp / sv + haz_v * haz_v)
-            - rp * rp * (fvpp / fv_safe - (fvp / fv_safe) ** 2),
-        )
-        hess = hess_copula + hess_branch
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise NumericError("non-finite derivative after safeguarding")
+        # own margin (Z for events, V for censored rows), the other one,
+        # the other's copula weight, and the own log-density derivatives
+        own1, own2 = np.where(delta, z1, v1), np.where(delta, z2, v2)
+        other1, other2 = np.where(delta, v1, z1), np.where(delta, v2, z2)
+        weight, f1, f2 = np.where(delta, w, u), np.where(delta, fz1, fv1), np.where(delta, fz2, fv2)
+        grad = (1.0 + th) * (weight * (own1 - other1) - own1 * inv_d) - f1
+        # u Z1^2 + w V1^2 - (u Z1 + w V1)^2 = u w (Z1 - V1)^2 - (u Z1^2 + w V1^2) / D;
+        # each product is ordered so an underflowed factor zeroes it before
+        # a large one can overflow
+        gap = z1 - v1
+        spread = (u * gap) * (w * gap) - (u * z1 * inv_d) * z1 - (w * v1 * inv_d) * v1
+        hess = (1.0 + th) * (weight * (own2 - other2) - own2 * inv_d) + th * (1.0 + th) * spread - f2
+        _finite(grad, hess)
         return grad, hess
-
-    # -- persistence ----------------------------------------------------
 
     def to_config(self) -> dict:
         return {
@@ -226,20 +185,17 @@ class ClaytonAftLoss:
 @dataclass(frozen=True)
 class IndependentAftLoss:
     """Right-censored AFT negative log-likelihood under independent
-    censoring: -log(f_Z(s)/(sigma_Z t)) for events, -log(1 - F_Z(s)) for
+    censoring: -log(f_Z(s)/(sigma_Z t)) for events, -log S_Z(s) for
     censored rows."""
 
     event_baseline: BaselineSpec
 
     def loss(self, t, delta, yhat) -> np.ndarray:
-        t, delta, yhat = _validate(t, delta, yhat)
-        fam, sig = self.event_baseline.family, self.event_baseline.sigma
-        s = transform(t, yhat, sig)
-        fz = np.maximum(dist.pdf(fam, s), _TINY)
-        sz = _safe_survival(fam, s)
-        out = np.where(delta, -np.log(fz) + np.log(sig) + np.log(t), -np.log(sz))
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite loss value after safeguarding")
+        ez = self.event_baseline
+        log_t, delta, yhat = _inputs(t, delta, yhat)
+        z = _margin(ez, log_t, yhat)
+        out = np.where(delta, -z.log_f + np.log(ez.sigma) + log_t, -z.log_s)
+        _finite(out)
         return out
 
     def grad(self, t, delta, yhat) -> np.ndarray:
@@ -254,29 +210,14 @@ class IndependentAftLoss:
         g, h = self._grad_hess_raw(t, delta, yhat)
         return g, np.maximum(h, HESSIAN_FLOOR)
 
-    def evaluate(self, t, delta, yhat) -> LossEval:
-        g, h = self.grad_hess(t, delta, yhat)
-        return LossEval(value=self.loss(t, delta, yhat), grad=g, hess=h)
-
     def _grad_hess_raw(self, t, delta, yhat):
-        t, delta, yhat = _validate(t, delta, yhat)
-        fam, sig = self.event_baseline.family, self.event_baseline.sigma
-        s = transform(t, yhat, sig)
-        sp = -1.0 / sig
-        fz = dist.pdf(fam, s)
-        fzp = dist.pdf_grad(fam, s)
-        fzpp = dist.pdf_hess(fam, s)
-        fz_safe = np.maximum(fz, _TINY)
-        sz = _safe_survival(fam, s)
-        haz = fz / sz
-        grad = np.where(delta, -(fzp / fz_safe) * sp, haz * sp)
-        hess = np.where(
-            delta,
-            sp * sp * ((fzp / fz_safe) ** 2 - fzpp / fz_safe),
-            sp * sp * (fzp / sz + haz * haz),
-        )
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise NumericError("non-finite derivative after safeguarding")
+        ez = self.event_baseline
+        log_t, delta, yhat = _inputs(t, delta, yhat)
+        z = _margin(ez, log_t, yhat)
+        z1, z2, fz1, fz2 = _derivs(z, ez)
+        grad = -np.where(delta, fz1, z1)
+        hess = -np.where(delta, fz2, z2)
+        _finite(grad, hess)
         return grad, hess
 
     def to_config(self) -> dict:
@@ -285,10 +226,10 @@ class IndependentAftLoss:
 
 def loss_from_config(config: dict):
     """Build a loss object from its serialized configuration."""
-    try:
-        tag = config["loss"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("loss config must carry a 'loss' tag") from exc
+    config = section(config, "loss config")
+    if "loss" not in config:
+        raise ConfigError("loss config must carry a 'loss' tag")
+    tag = config["loss"]
     if tag == "clayton":
         try:
             return ClaytonAftLoss(

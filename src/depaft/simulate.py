@@ -55,6 +55,8 @@ class DgpConfig:
             raise ConfigError("weibull shape and scale must be positive")
         if self.n_features != N_FEATURES:
             raise ConfigError(f"n_features is fixed at {N_FEATURES}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"simulate seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {

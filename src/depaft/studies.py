@@ -80,6 +80,8 @@ class StudyConfig:
             raise ConfigError("repetitions must be a positive integer")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("n_train and n_test must be >= 2")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"study seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {

@@ -7,7 +7,7 @@ for the Clayton loss.  The winning configuration is refit on all data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class CvConfig:
             raise ConfigError("checkpoint_stride must be a positive integer")
         if self.theta_grid is not None and len(self.theta_grid) == 0:
             raise ConfigError("theta_grid must be non-empty when given")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         out = {
@@ -124,6 +126,7 @@ def grid_search(
     folds = stratified_folds(data.events, cv.folds, rng)
     checkpoints = checkpoint_schedule(cv.max_rounds, cv.checkpoint_stride)
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
+    fold_cfg = replace(train_config, rounds=cv.max_rounds)
 
     points = []
     best = None  # (score, rounds, theta_key, point_dict)
@@ -137,17 +140,7 @@ def grid_search(
             train_idx = np.sort(
                 np.concatenate([f for j, f in enumerate(folds) if j != i])
             )
-            sub_cfg = TrainConfig(
-                rounds=cv.max_rounds,
-                learning_rate=train_config.learning_rate,
-                max_depth=train_config.max_depth,
-                reg_lambda=train_config.reg_lambda,
-                gamma=train_config.gamma,
-                min_child_weight=train_config.min_child_weight,
-                base_score=train_config.base_score,
-                seed=train_config.seed,
-            )
-            model = train(data.subset(train_idx), loss, sub_cfg)
+            model = train(data.subset(train_idx), loss, fold_cfg)
             fold_scores[i] = _checkpoint_scores(model, data.subset(val_idx), checkpoints)
         means = fold_scores.mean(axis=0)
         for j, rounds in enumerate(checkpoints):
@@ -170,17 +163,8 @@ def grid_search(
     refit_cfg = dict(loss_config)
     if best_point["theta"] is not None:
         refit_cfg["theta"] = best_point["theta"]
-    final_train_cfg = TrainConfig(
-        rounds=best_point["rounds"],
-        learning_rate=train_config.learning_rate,
-        max_depth=train_config.max_depth,
-        reg_lambda=train_config.reg_lambda,
-        gamma=train_config.gamma,
-        min_child_weight=train_config.min_child_weight,
-        base_score=train_config.base_score,
-        seed=train_config.seed,
-    )
-    refit = train(data, loss_from_config(refit_cfg), final_train_cfg)
+    refit_train_cfg = replace(train_config, rounds=best_point["rounds"])
+    refit = train(data, loss_from_config(refit_cfg), refit_train_cfg)
     result = {
         "folds": cv.folds,
         "checkpoints": checkpoints,

@@ -1,15 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written with the math module and plain loops, or
-with numpy broadcasting over all pairs at once, straight from the
-defining formulas, and deliberately shares no code with the package
-internals it verifies.
+Everything here is written with the math module and plain loops, with
+numpy broadcasting over all pairs at once, or with mpmath where float64
+would underflow, straight from the defining formulas, and deliberately
+shares no code with the package internals it verifies.
 """
 from __future__ import annotations
 
 import csv
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -34,6 +35,18 @@ def ref_pdf(family: str, x: float) -> float:
         e = math.exp(-x)
         return e / (1.0 + e) ** 2
     raise ValueError(family)
+
+
+# -- Clayton generator algebra -------------------------------------------
+
+def ref_clayton_generator(theta: float, t: float) -> float:
+    """phi(t) = (t^-theta - 1) / theta on (0, 1]."""
+    return (t ** -theta - 1.0) / theta
+
+
+def ref_clayton_generator_inv(theta: float, s: float) -> float:
+    """phi^-1(s) = (1 + theta s)^(-1/theta) on [0, inf)."""
+    return (1.0 + theta * s) ** (-1.0 / theta)
 
 
 # -- dependent-censoring loss, direct transcription ------------------------
@@ -87,6 +100,58 @@ def ref_independent_limit_loss(
     return -math.log(1.0 - ref_cdf(family_z, s)) - math.log(
         ref_pdf(family_v, r) / (sigma_v * t)
     )
+
+
+# -- both losses in arbitrary precision -------------------------------------
+#
+# The same formulas evaluated with mpmath at the working precision of the
+# caller (mpmath.mp.dps), so tail values that underflow float64 stay exact.
+
+
+def mp_log_survival(family: str, x):
+    """log S(x) = log(1 - F(x)), kept exact in both tails."""
+    if family == "extreme":
+        return -mpmath.exp(x)
+    if family == "normal":
+        return mpmath.log1p(-mpmath.ncdf(x)) if x <= 0 else mpmath.log(mpmath.ncdf(-x))
+    if family == "logistic":
+        return -mpmath.log1p(mpmath.exp(x))
+    raise ValueError(family)
+
+
+def mp_log_density(family: str, x):
+    if family == "extreme":
+        return x - mpmath.exp(x)
+    if family == "normal":
+        return -x * x / 2 - mpmath.log(mpmath.sqrt(2 * mpmath.pi))
+    if family == "logistic":
+        return x - 2 * mpmath.log1p(mpmath.exp(x))
+    raise ValueError(family)
+
+
+def mp_clayton_loss(theta, family_z, sigma_z, family_v, sigma_v, t, delta, yhat):
+    """ref_clayton_loss in mpmath, as a function of the mpf yhat."""
+    log_t = mpmath.log(t)
+    s = (log_t - yhat) / sigma_z
+    r = (log_t - yhat) / sigma_v
+    log_sz = mp_log_survival(family_z, s)
+    log_sv = mp_log_survival(family_v, r)
+    theta = mpmath.mpf(theta)
+    value = (1 + 1 / theta) * mpmath.log(
+        mpmath.exp(-theta * log_sz) + mpmath.exp(-theta * log_sv) - 1
+    )
+    if delta == 1:
+        return value + (1 + theta) * log_sz - mp_log_density(family_z, s) + mpmath.log(sigma_z) + log_t
+    return value + (1 + theta) * log_sv - mp_log_density(family_v, r) + mpmath.log(sigma_v) + log_t
+
+
+def mp_independent_loss(family, sigma, t, delta, yhat):
+    """-log(f(s) / (sigma t)) for events, -log S(s) for censored rows."""
+    log_t = mpmath.log(t)
+    s = (log_t - yhat) / sigma
+    if delta == 1:
+        return -mp_log_density(family, s) + mpmath.log(sigma) + log_t
+    return -mp_log_survival(family, s)
 
 
 # -- concordance, O(n^2) pair enumeration ----------------------------------

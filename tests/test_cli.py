@@ -273,6 +273,13 @@ def test_usage_error_exit_code():
     ],
 )
 def test_non_numeric_config_field_exit_2(sim_dir, tmp_path, capsys, command, keys, value):
+    err = _config_error(sim_dir, tmp_path, capsys, command, keys, value)
+    assert keys[-1] in err and repr(value) in err
+
+
+def _config_error(sim_dir, tmp_path, capsys, command, keys, value) -> str:
+    """Run `command` with the config field at path `keys` set to value;
+    assert exit 2 and return the config error message."""
     cv = {"folds": 2, "max_rounds": 10, "checkpoint_stride": 5}
     cfg = json.loads(json.dumps(SIM_CFG if command == "simulate" else {**TRAIN_CFG, "cv": cv}))
     section = cfg
@@ -285,17 +292,55 @@ def test_non_numeric_config_field_exit_2(sim_dir, tmp_path, capsys, command, key
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and keys[-1] in err and repr(value) in err
+    assert err.startswith("config error:")
+    return err
 
 
-# SHA-256 of each file the pipeline below writes, recorded with the per-row
-# tree walk and csv-module I/O that the block-wise code replaced; any change
-# to these bytes must be deliberate.
+@pytest.mark.parametrize(
+    "command, keys, value",
+    [
+        ("simulate", ("copula",), 5),
+        ("train", ("loss",), 5),
+        ("train", ("loss", "event_baseline"), "x"),
+        ("cv", ("loss", "censor_baseline"), [0.5]),
+        ("train", ("train",), 5),
+        ("cv", ("cv",), "folds"),
+    ],
+)
+def test_config_section_not_an_object_exit_2(sim_dir, tmp_path, capsys, command, keys, value):
+    err = _config_error(sim_dir, tmp_path, capsys, command, keys, value)
+    assert "must be an object" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "study"])
+def test_config_file_not_an_object_exit_2(tmp_path, command):
+    argv = [command, "--config", _write(tmp_path / "cfg.json", [SIM_CFG])]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+
+def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
+    cv_cfg = _write(tmp_path / "cv.json", {**TRAIN_CFG, "cv": {"folds": 2, "max_rounds": 10}})
+    study_cfg = _write(tmp_path / "study.json", {"study": 1, "repetitions": 1, "seed": -1})
+    for argv in (
+        ["simulate", "--config", _write(tmp_path / "sim.json", {**SIM_CFG, "seed": -1})],
+        ["cv", "--data", str(sim_dir / "data.csv"), "--config", cv_cfg, "--seed", "-1"],
+        ["study", "--config", study_cfg],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2, argv[0]
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+# SHA-256 of each file the pipeline below writes.  data.csv dates from the
+# per-row csv-module writer; the other three were re-recorded when the loss
+# moved to log-space closed forms, which kept every tree's splits and moved
+# leaf weights by at most 6.4e-14 relative.  Any change to these bytes must
+# be deliberate.
 PINNED_SHA256 = {
     "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
-    "model.json": "10544f13d363c18c45f2bc846ff00e3ad73be7e6dcdee763224795fec2b02fb5",
-    "preds.csv": "49675cdc21b320a8df1b4004012cb0305f86c37faa5a686fddab868cdf656f10",
-    "metrics.json": "6b46c280e0e5131306e238049da9422c1c8b24a8e5cfeceae6f857f5f0911293",
+    "model.json": "6402b444edcf3f0923498bdd991cb34ed827bda0f29162448538077d0bcae561",
+    "preds.csv": "a57785377d8670036ef9ea87a6f0cf2c8264c63e3b28f08fb6cd3295e978681a",
+    "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
 }
 
 

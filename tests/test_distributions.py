@@ -97,7 +97,7 @@ def test_baseline_spec_validation():
 
 @given(st.floats(-200.0, 200.0))
 def test_extreme_family_safe_over_wide_range(x):
-    # the clamp keeps every function finite well beyond the usable range
+    # the log-space closed forms stay finite well beyond the usable range
     for fn in (cdf, pdf, pdf_grad, pdf_hess):
         assert np.isfinite(fn("extreme", x))
 

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from depaft.distributions import BaselineSpec
-from depaft.errors import ConfigError, DomainError
+from depaft.errors import ConfigError, DomainError, NumericError
 from depaft.loss import (
     HESSIAN_FLOOR,
     ClaytonAftLoss,
@@ -13,7 +14,7 @@ from depaft.loss import (
     transform,
 )
 
-from oracles import ref_clayton_loss, ref_independent_limit_loss
+from oracles import mp_clayton_loss, mp_independent_loss, ref_clayton_loss, ref_independent_limit_loss
 
 # Grids keep |s| and |r| inside the smooth region of every family: the
 # CDF clamp at 1e-12 kinks the extreme family beyond x ~ 3.3, where
@@ -247,3 +248,81 @@ def test_loss_config_rejects_non_numeric_theta(theta):
     config = ClaytonAftLoss(2.5, extreme, extreme).to_config()
     with pytest.raises(ConfigError, match="theta"):
         loss_from_config({**config, "theta": theta})
+
+
+# -- tails: arbitrary-precision oracle and far-off predictions --------------
+
+FAMILIES = ("extreme", "normal", "logistic")
+# standardized event residuals s; the censoring residual is r = s * sigma_z / sigma_v
+GRAD_S = (-50.0, -30.0, -15.0, -8.0, -3.0, -1.0, 0.0, 1.0, 3.0, 8.0, 15.0, 30.0, 50.0)
+HESS_S = (-8.0, -3.0, -1.0, 0.0, 1.0, 3.0, 8.0)
+
+
+def _check_against_mpmath(loss, reference, sigma_z, t=1.3):
+    """Gradient within 1e-10 relative of the mpmath derivative on GRAD_S,
+    Hessian within 1e-8 relative (or 1e-12 absolute) on HESS_S.
+
+    The gradient's 1e-15 absolute allowance covers the independent
+    event loss at s = 0, the density's mode, where the exact gradient is
+    only the ~1e-16 that float rounding of yhat moves s off the root.
+    """
+    for delta in (0, 1):
+        for s in GRAD_S:
+            yhat = math.log(t) - s * sigma_z
+            args = (np.array([t]), np.array([delta]), np.array([yhat]))
+            with mpmath.workdps(40):
+                fn = lambda y: reference(t, delta, y)  # noqa: E731
+                order = 2 if s in HESS_S else 1
+                want = [float(d) for d in mpmath.diffs(fn, mpmath.mpf(yhat), order)]
+            grad = float(loss.grad(*args)[0])
+            assert abs(grad - want[1]) <= 1e-10 * abs(want[1]) + 1e-15, (delta, s)
+            if order == 2:
+                hess = float(loss.hess(*args, floor=False)[0])
+                assert abs(hess - want[2]) <= 1e-8 * abs(want[2]) + 1e-12, (delta, s)
+
+
+@pytest.mark.parametrize("family_v", FAMILIES)
+@pytest.mark.parametrize("family_z", FAMILIES)
+def test_clayton_tail_derivatives_match_mpmath(family_z, family_v):
+    sigma_z, sigma_v = 1 / 3, 0.5
+    for theta in (0.1, 1.41, 8.0):
+        loss = ClaytonAftLoss(theta, BaselineSpec(family_z, sigma_z), BaselineSpec(family_v, sigma_v))
+
+        def reference(t, delta, yhat):
+            return mp_clayton_loss(theta, family_z, sigma_z, family_v, sigma_v, t, delta, yhat)
+
+        _check_against_mpmath(loss, reference, sigma_z)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_independent_tail_derivatives_match_mpmath(family):
+    sigma = 1 / 3
+    loss = IndependentAftLoss(BaselineSpec(family, sigma))
+    _check_against_mpmath(
+        loss, lambda t, delta, yhat: mp_independent_loss(family, sigma, t, delta, yhat), sigma
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_far_off_predictions_keep_a_signed_gradient(family):
+    # events at t = 1: yhat = -10 and -3 predict too early (s = 30, 9), so
+    # the gradient must push yhat up; yhat = 40 and 300 too late
+    spec = BaselineSpec(family, 1 / 3)
+    yhat = np.array([-10.0, -3.0, 40.0, 300.0])
+    t, d = np.ones(4), np.ones(4, dtype=int)
+    for loss in (ClaytonAftLoss(3.0, spec, spec), IndependentAftLoss(spec)):
+        g, h = loss.grad_hess(t, d, yhat)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+        assert np.all(g[:2] < 0.0) and np.all(g[2:] > 0.0), g
+
+
+def test_extreme_overflow_is_a_numeric_error():
+    # finite at s = 690; e^s overflows float64 past s ~ 709.78, which is
+    # a NumericError, not a zero gradient
+    spec = BaselineSpec("extreme", 1 / 3)
+    t, d = np.ones(2), np.array([0, 1])
+    for loss in (ClaytonAftLoss(3.0, spec, spec), IndependentAftLoss(spec)):
+        g, h = loss.grad_hess(t, d, np.full(2, -230.0))
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+            loss.grad_hess(t, d, np.full(2, -240.0))
