@@ -5,7 +5,7 @@ from .booster import TrainConfig, TreeEnsemble, load, save, train
 from .copula import CopulaSpec, copula_cdf, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset, read_csv, write_csv
 from .distributions import BaselineSpec
-from .loss import ClaytonAftLoss, IndependentAftLoss, transform
+from .loss import ClaytonAftLoss, IndependentAftLoss
 from .metrics import calibration, concordance, event_mae, evaluate_predictions, mae
 from .simulate import DgpConfig, SimulatedDataset, generate, h_function
 from .studies import StudyConfig, run_study
@@ -39,7 +39,6 @@ __all__ = [
     "sample_pairs",
     "save",
     "train",
-    "transform",
     "write_csv",
 ]
 

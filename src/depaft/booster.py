@@ -431,7 +431,10 @@ def load(path) -> TreeEnsemble:
         if key not in doc:
             raise PersistenceError(f"{path}: missing field {key!r}")
     loss_config = doc["loss"]
-    loss_from_config(loss_config)  # validates, including "unknown loss"
+    try:
+        loss_from_config(loss_config)  # validates, including "unknown loss"
+    except ConfigError as exc:
+        raise PersistenceError(f"{path}: field 'loss': {exc}") from exc
     if not isinstance(doc["trees"], list):
         raise PersistenceError(f"{path}: field 'trees' must be a list")
     n_features = _number(doc["n_features"], int, f"{path}: field 'n_features'")

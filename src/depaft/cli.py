@@ -7,7 +7,6 @@ numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -97,15 +96,13 @@ def cmd_evaluate(args) -> int:
     report = evaluate_predictions(data, predicted_times, n_horizons=args.horizons)
     os.makedirs(args.out, exist_ok=True)
     _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
-    cal_path = os.path.join(args.out, "calibration.csv")
-    with open(cal_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "predicted_proportion", "observed_proportion"])
-        curve = report.calibration
-        for h, p, o in zip(
-            curve.horizons, curve.predicted_proportion, curve.observed_proportion
-        ):
-            writer.writerow([repr(float(h)), repr(float(p)), repr(float(o))])
+    curve = report.calibration
+    dataset.write_rows(
+        os.path.join(args.out, "calibration.csv"),
+        ["horizon", "predicted_proportion", "observed_proportion"],
+        zip(curve.horizons.tolist(), curve.predicted_proportion.tolist(),
+            curve.observed_proportion.tolist()),
+    )
     _say(args, f"c-index {report.c_index:.4f}; metrics in {args.out}")
     return 0
 
@@ -143,10 +140,10 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _add_common(parser, *, out_required=True, out_help="output directory"):
-    parser.add_argument("--out", required=out_required, help=out_help)
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+def _add_common(parser, *, seed=True, out_help="output directory"):
+    parser.add_argument("--out", required=True, help=out_help)
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -174,14 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict log times and times for a dataset")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--data", required=True, help="dataset CSV")
-    _add_common(p, out_help="predictions CSV path")
+    _add_common(p, seed=False, out_help="predictions CSV path")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against a dataset")
     p.add_argument("--predictions", required=True, help="predictions CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--horizons", type=int, default=9, help="calibration horizons")
-    _add_common(p)
+    p.add_argument("--horizons", type=int, default=9, help="calibration horizons (>= 2)")
+    _add_common(p, seed=False)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("cv", help="k-fold grid-search cross-validation")
@@ -195,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repetitions", type=int, default=None, help="override config repetitions"
     )
+    p.add_argument("--threads", type=int, default=1, help="worker processes (>= 1)")
     _add_common(p)
     p.set_defaults(fn=cmd_study)
 

@@ -2,17 +2,18 @@
 
 Dataset CSV columns: time, event, x1..xp, and optionally the simulator's
 oracle columns true_event_time and true_censor_time.  Predictions CSV
-columns: predicted_log_time, predicted_time.  Floats are written with
-repr so re-reading is bit-exact and output bytes are deterministic.
+columns: predicted_log_time, predicted_time.  Floats are written as
+str(float), the shortest digits that read back to the same value, so
+re-reading is bit-exact and output bytes are deterministic.
 
-Both schemas share one writer and one reader core, and both work a block
-of _BLOCK_ROWS rows at a time.  _write_table formats each block column
-by column (tolist, then repr) and writes it in one call, with the bytes
-csv.writer gives.  _parse_rows tokenises with csv.reader, checks every
-row's width, converts all of a block's fields with one
-np.fromiter(map(float, ...)) and tests the event column at once.  Only
-when a block fails are its rows scanned one by one, to name the line of
-the first fault.
+_write_blocks is the package's one CSV writer: the dataset and
+prediction schemas here (through _write_table) and the study and
+calibration tables elsewhere (through write_rows) all go through it.
+Both it and the reader core work a block of _BLOCK_ROWS rows at a time.
+_parse_rows tokenises with csv.reader, checks every row's width,
+converts all of a block's fields with one np.fromiter(map(float, ...))
+and tests the event column at once.  Only when a block fails are its
+rows scanned one by one, to name the line of the first fault.
 """
 from __future__ import annotations
 
@@ -90,20 +91,37 @@ class SurvivalDataset:
 _BLOCK_ROWS = 1024
 
 
-def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write a header and equal-length columns as CSV.
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows of fields as CSV (see _write_blocks)."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+    _write_blocks(path, header, (zip(*block) for block in blocks))
 
-    Fields are repr() of each value (floats round-trip bit-exactly, ints
-    print as digits) and lines end in \r\n, the bytes csv.writer gives
-    for these fields.  Rows are formatted and written in blocks of
-    _BLOCK_ROWS, so the file never sits in memory whole.
-    """
+
+def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length array columns as CSV, turned into Python
+    scalars (tolist) one block of rows at a time."""
     n = min(len(col) for col in columns)
+    _write_blocks(path, header, (
+        [col[a:a + _BLOCK_ROWS].tolist() for col in columns]
+        for a in range(0, n, _BLOCK_ROWS)
+    ))
+
+
+def _write_blocks(path, header, blocks) -> None:
+    """The one CSV writer: a header, then each block of rows, given as
+    its columns.
+
+    Each field is str() of a Python int, float or str: floats round-trip
+    bit-exactly and ints print as digits.  Fields are not quoted and
+    lines end in \r\n, the bytes csv.writer gives for these fields.  A
+    block is formatted column by column and written in one call, so a
+    long table never sits in memory whole.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for a in range(0, n, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, n)
-            fields = [map(repr, col[a:b].tolist()) for col in columns]
+        for columns in blocks:
+            fields = [map(str, col) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

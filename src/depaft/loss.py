@@ -32,20 +32,6 @@ from .errors import ConfigError, DomainError, NumericError, number, section
 HESSIAN_FLOOR = 1e-6
 
 
-def transform(t, yhat, sigma: float):
-    """Standardize log time: (log t - yhat) / sigma.
-
-    Used for both the event transform (sigma_Z) and the censoring
-    transform (sigma_V).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
-        raise DomainError("times must be positive and finite")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    return (np.log(t) - np.asarray(yhat, dtype=float)) / sigma
-
-
 def _inputs(t, delta, yhat):
     """(log t, event mask, yhat), broadcast together and checked once."""
     t = np.asarray(t, dtype=float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def _as_vec(name, x):
@@ -141,10 +141,6 @@ class CalibrationCurve:
     observed_proportion: np.ndarray
     degenerate: bool = False
 
-    def mean_abs_deviation(self) -> float:
-        """Mean |predicted - observed| across horizons (diagonal distance)."""
-        return float(np.mean(np.abs(self.predicted_proportion - self.observed_proportion)))
-
     def to_dict(self) -> dict:
         return {
             "horizons": [float(x) for x in self.horizons],
@@ -166,7 +162,7 @@ def calibration(reference_times, predicted_times, n_horizons: int = 9) -> Calibr
     if ref.shape != pred.shape:
         raise DataError("length mismatch between reference and predictions")
     if n_horizons < 2:
-        raise DataError("n_horizons must be >= 2")
+        raise ConfigError(f"n_horizons must be >= 2, got {n_horizons}")
     if np.all(ref == ref[0]):
         horizons = np.array([ref[0]])
         degenerate = True

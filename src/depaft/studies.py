@@ -27,16 +27,17 @@ output bytes do not depend on worker count.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .booster import TrainConfig
 from .copula import CopulaSpec
+from .dataset import write_rows
 from .errors import ConfigError, number
 from .metrics import evaluate_predictions
 from .simulate import DgpConfig, generate
@@ -82,6 +83,31 @@ class StudyConfig:
             raise ConfigError("n_train and n_test must be >= 2")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"study seed must be a non-negative integer, got {self.seed}")
+        if not (isinstance(self.n_horizons, int) and self.n_horizons >= 2):
+            raise ConfigError(f"n_horizons must be an integer >= 2, got {self.n_horizons}")
+        # every task builds these two; building them here refuses a bad
+        # field before any task runs or any partial result is written
+        self.cv_config(seed=0)
+        self.train_config()
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            rounds=self.max_rounds,
+            learning_rate=self.learning_rate,
+            max_depth=self.max_depth,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+        )
+
+    def cv_config(self, seed: int) -> CvConfig:
+        """2-fold round selection; seed is the task's training-table seed."""
+        return CvConfig(
+            folds=2,
+            max_rounds=self.max_rounds,
+            checkpoint_stride=self.checkpoint_stride,
+            seed=seed,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -173,20 +199,8 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
             "event_baseline": sim_train.event_baseline,
         },
     }
-    train_cfg = TrainConfig(
-        rounds=config.max_rounds,
-        learning_rate=config.learning_rate,
-        max_depth=config.max_depth,
-        min_child_weight=config.min_child_weight,
-        reg_lambda=config.reg_lambda,
-        gamma=config.gamma,
-    )
-    cv = CvConfig(
-        folds=2,
-        max_rounds=config.max_rounds,
-        checkpoint_stride=config.checkpoint_stride,
-        seed=train_seed,
-    )
+    train_cfg = config.train_config()
+    cv = config.cv_config(seed=train_seed)
     record = {
         "grid_index": point.index,
         "grid_label": point.label,
@@ -257,12 +271,25 @@ def _task_entry(args):
     return run_task(config, point, rep)
 
 
+@contextmanager
+def _task_map(workers: int):
+    """A map over a pool of `workers` processes, or, for one worker, the
+    built-in map in this process with no pool."""
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool = False):
     """Run all grid points and repetitions, then write the result CSVs.
 
     Completed repetitions found under partial/ are reused, so an
     interrupted run resumes where it stopped.
     """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ConfigError(f"workers (--threads) must be a positive integer, got {workers!r}")
     points = grid_points(config)
     os.makedirs(os.path.join(out_dir, "partial"), exist_ok=True)
     _check_fingerprint(config, out_dir)
@@ -286,108 +313,69 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
         f"study {config.study}: {len(points)} grid points x {config.repetitions} reps; "
         f"{len(pending)} to run, {len(records)} reused"
     )
-    if pending:
-        if workers > 1:
-            args = [(config, point, rep) for point, rep in pending]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (point, rep), record in zip(pending, pool.map(_task_entry, args)):
-                    _write_atomic(
-                        _partial_path(out_dir, point.index, rep),
-                        json.dumps(record, sort_keys=True),
-                    )
-                    records[(point.index, rep)] = record
-                    note(f"  done grid={point.label} rep={rep}")
-        else:
-            for point, rep in pending:
-                record = run_task(config, point, rep)
-                _write_atomic(
-                    _partial_path(out_dir, point.index, rep),
-                    json.dumps(record, sort_keys=True),
-                )
-                records[(point.index, rep)] = record
-                note(f"  done grid={point.label} rep={rep}")
+    args = [(config, point, rep) for point, rep in pending]
+    with _task_map(workers) as task_map:
+        for (point, rep), record in zip(pending, task_map(_task_entry, args)):
+            _write_atomic(
+                _partial_path(out_dir, point.index, rep),
+                json.dumps(record, sort_keys=True),
+            )
+            records[(point.index, rep)] = record
+            note(f"  done grid={point.label} rep={rep}")
 
     _write_results(config, points, records, out_dir)
     note(f"wrote results to {out_dir}")
     return records
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _mean(dicts, key) -> float:
+    return float(np.mean([d[key] for d in dicts]))
+
+
+CURVE_FIELDS = ("horizons", "predicted_proportion", "observed_proportion")
 
 
 def _write_results(config, points, records, out_dir):
-    rows_path = os.path.join(out_dir, "results.csv")
-    with open(rows_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "study", "grid_index", "grid_label", "copula_family", "copula_theta",
-                "c", "model", "rep", "rounds", "train_censoring", "test_censoring",
-                "c_index", "mae", "event_mae",
-            ]
-        )
-        for point in points:
-            for model in MODELS:
-                for rep in range(config.repetitions):
-                    rec = records[(point.index, rep)]
-                    m = rec["models"][model]
-                    writer.writerow(
-                        [
-                            config.study, point.index, rec["grid_label"],
-                            rec["copula_family"], _fmt(rec["copula_theta"]),
-                            _fmt(rec["c"]), model, rep, m["rounds"],
-                            _fmt(rec["train_censoring"]), _fmt(rec["test_censoring"]),
-                            _fmt(m["c_index"]), _fmt(m["mae"]), _fmt(m["event_mae"]),
-                        ]
-                    )
+    """Write the three study tables from one pass over points x models.
 
-    mean_path = os.path.join(out_dir, "results_mean.csv")
-    with open(mean_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "study", "grid_index", "grid_label", "copula_family", "copula_theta",
-                "c", "model", "repetitions", "mean_test_censoring", "mean_c_index",
-                "mean_mae", "mean_event_mae",
-            ]
-        )
-        for point in points:
-            recs = [records[(point.index, rep)] for rep in range(config.repetitions)]
-            for model in MODELS:
-                vals = [r["models"][model] for r in recs]
-                writer.writerow(
-                    [
-                        config.study, point.index, recs[0]["grid_label"],
-                        recs[0]["copula_family"], _fmt(recs[0]["copula_theta"]),
-                        _fmt(recs[0]["c"]), model, config.repetitions,
-                        _fmt(np.mean([r["test_censoring"] for r in recs])),
-                        _fmt(np.mean([v["c_index"] for v in vals])),
-                        _fmt(np.mean([v["mae"] for v in vals])),
-                        _fmt(np.mean([v["event_mae"] for v in vals])),
-                    ]
-                )
+    results.csv has a row per repetition; results_mean.csv and
+    calibration_mean.csv (per horizon) average over repetitions.
+    """
+    results, means, curves = [], [], []
+    for point in points:
+        recs = [records[(point.index, rep)] for rep in range(config.repetitions)]
+        grid = [config.study, point.index, point.label]
+        setting = grid + [point.copula.family, float(point.copula.theta), float(point.c)]
+        for model in MODELS:
+            fits = [rec["models"][model] for rec in recs]
+            for rep, (rec, fit) in enumerate(zip(recs, fits)):
+                results.append(setting + [
+                    model, rep, fit["rounds"],
+                    float(rec["train_censoring"]), float(rec["test_censoring"]),
+                    float(fit["c_index"]), float(fit["mae"]), float(fit["event_mae"]),
+                ])
+            means.append(setting + [
+                model, config.repetitions, _mean(recs, "test_censoring"),
+                _mean(fits, "c_index"), _mean(fits, "mae"), _mean(fits, "event_mae"),
+            ])
+            model_curves = [fit["calibration"] for fit in fits]
+            n_h = min(len(curve["horizons"]) for curve in model_curves)
+            for j in range(n_h):
+                curves.append(grid + [model, j] + [
+                    float(np.mean([curve[field][j] for curve in model_curves]))
+                    for field in CURVE_FIELDS
+                ])
 
-    cal_path = os.path.join(out_dir, "calibration_mean.csv")
-    with open(cal_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "study", "grid_index", "grid_label", "model", "horizon_index",
-                "horizon", "predicted_proportion", "observed_proportion",
-            ]
-        )
-        for point in points:
-            recs = [records[(point.index, rep)] for rep in range(config.repetitions)]
-            for model in MODELS:
-                curves = [r["models"][model]["calibration"] for r in recs]
-                n_h = min(len(c["horizons"]) for c in curves)
-                for j in range(n_h):
-                    writer.writerow(
-                        [
-                            config.study, point.index, recs[0]["grid_label"], model, j,
-                            _fmt(np.mean([c["horizons"][j] for c in curves])),
-                            _fmt(np.mean([c["predicted_proportion"][j] for c in curves])),
-                            _fmt(np.mean([c["observed_proportion"][j] for c in curves])),
-                        ]
-                    )
+    setting_header = ["study", "grid_index", "grid_label", "copula_family", "copula_theta", "c"]
+    write_rows(os.path.join(out_dir, "results.csv"), setting_header + [
+        "model", "rep", "rounds", "train_censoring", "test_censoring",
+        "c_index", "mae", "event_mae",
+    ], results)
+    write_rows(os.path.join(out_dir, "results_mean.csv"), setting_header + [
+        "model", "repetitions", "mean_test_censoring", "mean_c_index",
+        "mean_mae", "mean_event_mae",
+    ], means)
+    write_rows(os.path.join(out_dir, "calibration_mean.csv"), [
+        "study", "grid_index", "grid_label", "model", "horizon_index",
+        "horizon", "predicted_proportion", "observed_proportion",
+    ], curves)

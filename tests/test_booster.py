@@ -304,7 +304,7 @@ def test_load_rejects_unknown_loss(tmp_path):
         "trees": [],
     }
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unknown loss"):
+    with pytest.raises(PersistenceError, match="unknown loss"):
         load(path)
 
 

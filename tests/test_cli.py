@@ -145,6 +145,15 @@ def test_evaluate_row_mismatch_exit_3(sim_dir, tmp_path):
                  "--out", str(out), "--quiet"]) == 3
 
 
+def test_evaluate_fewer_than_two_horizons_exit_2(sim_dir, tmp_path, capsys):
+    preds = tmp_path / "p.csv"
+    n = read_csv(sim_dir / "data.csv").n
+    preds.write_text("predicted_log_time,predicted_time\n" + "0.0,1.0\n" * n)
+    assert main(["evaluate", "--predictions", str(preds), "--data", str(sim_dir / "data.csv"),
+                 "--horizons", "1", "--out", str(tmp_path / "eval"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_horizons must be >= 2")
+
+
 def test_evaluate_nan_prediction_exit_3(sim_dir, tmp_path, capsys):
     data = read_csv(sim_dir / "data.csv")
     rows = ["predicted_log_time,predicted_time"] + ["0.0,1.0"] * data.n
@@ -186,6 +195,21 @@ def test_train_unknown_loss_exit_2(sim_dir, tmp_path):
     cfg = _write(tmp_path / "t.json", {"loss": {"loss": "coxph"}})
     assert main(["train", "--data", str(sim_dir / "data.csv"), "--config", cfg,
                  "--out", str(tmp_path / "m.json"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("loss_field, value", [("event_baseline", "x"), ("loss", "coxph")])
+def test_predict_malformed_model_loss_exit_3(sim_dir, tmp_path, capsys, loss_field, value):
+    model = tmp_path / "model.json"
+    main(["train", "--data", str(sim_dir / "data.csv"), "--config",
+          _write(tmp_path / "train.json", TRAIN_CFG), "--out", str(model), "--quiet"])
+    doc = json.loads(model.read_text())
+    doc["loss"][loss_field] = value
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+                 "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(model) in err and "'loss'" in err
 
 
 def test_train_corrupt_csv_exit_3(tmp_path):
@@ -263,6 +287,29 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--threads"), ("train", "--threads"), ("predict", "--threads"),
+    ("evaluate", "--threads"), ("cv", "--threads"), ("predict", "--seed"), ("evaluate", "--seed"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
+    # only study reads --threads; predict and evaluate never read --seed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert flag not in capsys.readouterr().out
+    required = {
+        "simulate": ["--config", "c.json"],
+        "train": ["--data", "d.csv", "--config", "c.json"],
+        "predict": ["--model", "m.json", "--data", "d.csv"],
+        "evaluate": ["--predictions", "p.csv", "--data", "d.csv"],
+        "cv": ["--data", "d.csv", "--config", "c.json"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--out", "out", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, keys, value",
     [
@@ -332,15 +379,18 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
 
 
 # SHA-256 of each file the pipeline below writes.  data.csv dates from the
-# per-row csv-module writer; the other three were re-recorded when the loss
-# moved to log-space closed forms, which kept every tree's splits and moved
-# leaf weights by at most 6.4e-14 relative.  Any change to these bytes must
-# be deliberate.
+# per-row csv-module writer; model.json, preds.csv and metrics.json were
+# re-recorded when the loss moved to log-space closed forms, which kept
+# every tree's splits and moved leaf weights by at most 6.4e-14 relative.
+# calibration.csv was recorded from evaluate's own csv.writer, before it
+# moved onto dataset.write_rows.  Any change to these bytes must be
+# deliberate.
 PINNED_SHA256 = {
     "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
     "model.json": "6402b444edcf3f0923498bdd991cb34ed827bda0f29162448538077d0bcae561",
     "preds.csv": "a57785377d8670036ef9ea87a6f0cf2c8264c63e3b28f08fb6cd3295e978681a",
     "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
+    "calibration.csv": "d8f8a08e7d9db215045b3018d4347f84f8e75846697cab4ac19581eb55718987",
 }
 
 
@@ -351,6 +401,7 @@ def test_pipeline_output_bytes_are_pinned(tmp_path):
     paths = {name: tmp_path / name for name in PINNED_SHA256}
     paths["data.csv"] = tmp_path / "sim" / "data.csv"
     paths["metrics.json"] = tmp_path / "eval" / "metrics.json"
+    paths["calibration.csv"] = tmp_path / "eval" / "calibration.csv"
     data = str(paths["data.csv"])
     for argv in (
         ["simulate", "--config", sim, "--out", str(tmp_path / "sim")],

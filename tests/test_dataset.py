@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from depaft.dataset import (
     read_predictions_csv,
     write_csv,
     write_predictions_csv,
+    write_rows,
 )
 from depaft.errors import DataError
 
@@ -181,6 +184,22 @@ def test_write_csv_matches_csv_module_and_round_trips(tmp_path, n, oracle):
         assert _same_bits(back.true_censor_times, d.true_censor_times)
     else:
         assert not back.has_oracle
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025])
+def test_write_rows_matches_csv_module(tmp_path, n):
+    # the study tables mix ints, labels and floats of every repr form
+    rows = [[3, i, f"theta={AWKWARD[i % 8]:g}", "clayton", AWKWARD[i % 8], -AWKWARD[(i + 3) % 8],
+             -0.0] for i in range(n)]
+    header = ["study", "grid_index", "grid_label", "copula_family", "a", "b", "c"]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    path = tmp_path / "rows.csv"
+    write_rows(path, header, iter(rows))
+    assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])

@@ -11,7 +11,6 @@ from depaft.loss import (
     ClaytonAftLoss,
     IndependentAftLoss,
     loss_from_config,
-    transform,
 )
 
 from oracles import mp_clayton_loss, mp_independent_loss, ref_clayton_loss, ref_independent_limit_loss
@@ -26,16 +25,6 @@ def _grid(rng, n, sigma_min):
     yhat = rng.uniform(-1.2, 1.2, n)
     delta = rng.integers(0, 2, n)
     return np.exp(log_t), delta, yhat
-
-
-def test_transform():
-    assert transform(1.0, 0.0, 1.0) == 0.0
-    assert transform(math.e, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert transform(math.e**2, 1.0, 0.5) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        transform(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        transform(-1.0, 0.0, 1.0)
 
 
 def test_theta_validation():

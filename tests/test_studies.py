@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -76,18 +77,26 @@ def test_run_study_outputs_and_resume(tmp_path):
     assert (out / "results.csv").read_bytes() == before
 
 
+# SHA-256 of the TINY study-3 tables, recorded before the three tables
+# moved onto dataset.write_rows; any change to these bytes must be
+# deliberate.
+TINY_STUDY3_SHA256 = {
+    "results.csv": "151508609508a8f4d05d7ef49e86f2dbe46bf4f4dba4768ca0678c2fde838d8e",
+    "results_mean.csv": "7cd27f360cde8c9897bd917741843ea170b0b363c23ec89f6841c47bd2745cce",
+    "calibration_mean.csv": "a850bb00833f571a30ecc5d99ebcdd161c3e776b98aba9d45d1893669e5a4ff7",
+}
+
+
 def test_study_determinism_across_runs_and_workers(tmp_path):
     cfg = StudyConfig(**{**TINY, "study": 3, "repetitions": 2})
-    outputs = []
     for name, workers in (("a", 1), ("b", 1), ("c", 4)):
         out = tmp_path / name
         run_study(cfg, str(out), workers=workers, quiet=True)
-        outputs.append(
-            (out / "results.csv").read_bytes()
-            + (out / "results_mean.csv").read_bytes()
-            + (out / "calibration_mean.csv").read_bytes()
-        )
-    assert outputs[0] == outputs[1] == outputs[2]
+        digests = {
+            table: hashlib.sha256((out / table).read_bytes()).hexdigest()
+            for table in TINY_STUDY3_SHA256
+        }
+        assert digests == TINY_STUDY3_SHA256, f"workers={workers}"
 
 
 def test_study_cli_surface(tmp_path):
@@ -173,3 +182,71 @@ def test_study_cli_second_seed_into_same_directory_exit_2(tmp_path, capsys):
 def test_config_rejects_non_numeric_fields(field, value):
     with pytest.raises(ConfigError, match=field):
         StudyConfig.from_dict({**TINY, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", 5), ("learning_rate", 0.0), ("max_rounds", 0), ("checkpoint_stride", 0),
+    ("max_depth", 0), ("gamma", -1.0), ("n_horizons", 1),
+])
+def test_config_refuses_bad_model_fields_up_front(field, value):
+    with pytest.raises(ConfigError, match=field):
+        StudyConfig.from_dict({**TINY, field: value})
+
+
+def test_bad_study_config_writes_nothing_and_fixed_rerun_resumes(tmp_path, capsys):
+    # a field only the train or cv config checks used to pass StudyConfig,
+    # write partial/config.json and fail inside the first task; the fixed
+    # config was then refused as "a different study config"
+    out = tmp_path / "out"
+    for field, value in (("learning_rate", 5), ("n_horizons", 1)):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1, field: value}))
+        capsys.readouterr()
+        assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "partial").exists()
+    cfg = tmp_path / "good.json"
+    cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert (out / "results.csv").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_task_builds_train_and_cv_configs_through_study_config(monkeypatch):
+    seen = []
+
+    def spy(data, loss_config, train_cfg, cv):
+        seen.append((train_cfg, cv))
+        raise _Stop
+
+    monkeypatch.setattr(studies, "grid_search", spy)
+    cfg = StudyConfig(**{**TINY, "learning_rate": 0.3, "gamma": 0.5})
+    point = grid_points(cfg)[1]
+    with pytest.raises(_Stop):
+        run_task(cfg, point, 1)
+    train_seed, _ = studies._task_seeds(cfg, point.index, 1)
+    train_cfg, cv = seen[0]
+    assert (train_cfg, cv) == (cfg.train_config(), cfg.cv_config(seed=train_seed))
+    assert (train_cfg.learning_rate, train_cfg.gamma, train_cfg.rounds) == (0.3, 0.5, 10)
+    assert (cv.folds, cv.max_rounds, cv.checkpoint_stride, cv.seed) == (2, 10, 5, train_seed)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_study_refuses_fewer_than_one_worker(tmp_path, workers):
+    with pytest.raises(ConfigError, match="positive integer"):
+        run_study(StudyConfig(**TINY), str(tmp_path / "out"), workers=workers, quiet=True)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_study_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({**TINY, "repetitions": 1}))
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--threads", threads,
+                 "--quiet"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "partial").exists()
