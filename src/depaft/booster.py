@@ -64,18 +64,6 @@ class TrainConfig:
         if self.base_score != "auto" and not np.isfinite(self.base_score):
             raise ConfigError("base_score must be finite or 'auto'")
 
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "lambda": self.reg_lambda,
-            "gamma": self.gamma,
-            "min_child_weight": self.min_child_weight,
-            "base_score": self.base_score,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         kinds = {
@@ -287,41 +275,10 @@ def train(data: SurvivalDataset, loss, config: TrainConfig) -> TreeEnsemble:
 
 # -- persistence ---------------------------------------------------------
 #
-# Model files are JSON with floats printed at 17 significant digits, which
-# round-trips float64 exactly and keeps the bytes deterministic.
-
-
-def _emit(obj, out: list) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise NumericError("cannot serialize non-finite number")
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"unserializable value of type {type(obj)!r}")
+# Model files are compact JSON from json.dumps, which writes each float as
+# its repr: the shortest string that round-trips the float64 exactly, so
+# the bytes are deterministic.  load() reads files written at 17
+# significant digits by earlier versions just the same.
 
 
 def _tree_to_nodes(tree: RegressionTree) -> list[dict]:
@@ -352,10 +309,12 @@ def save(model: TreeEnsemble, path) -> None:
         "loss": model.loss_config,
         "trees": [{"nodes": _tree_to_nodes(t)} for t in model.trees],
     }
-    pieces: list[str] = []
-    _emit(doc, pieces)
+    try:
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericError("cannot serialize non-finite number") from exc
     with open(path, "w") as fh:
-        fh.write("".join(pieces))
+        fh.write(text)
         fh.write("\n")
 
 

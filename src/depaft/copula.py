@@ -7,10 +7,11 @@ obtained there by reflecting both coordinates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import spence
 
 from .errors import ConfigError, DomainError, NumericError, number, section
 
@@ -84,26 +85,27 @@ def copula_cdf(spec: CopulaSpec, u, v):
     raise ConfigError(f"unknown copula family {spec.family!r}")
 
 
-def _debye1(theta: float) -> float:
-    """First-kind Debye function D1(theta) by adaptive quadrature."""
-
-    def integrand(t):
-        # t / (e^t - 1) extended by its limit 1 at t = 0
-        return 1.0 if t == 0.0 else t / np.expm1(t)
-
-    value, _ = quad(integrand, 0.0, theta, epsabs=1e-10, limit=200)
-    return value / theta
-
-
 def kendall_tau(spec: CopulaSpec) -> float:
-    """Theoretical Kendall's tau of the copula."""
+    """Theoretical Kendall's tau of the copula.
+
+    Frank's tau is 1 + 4/theta (D1(theta) - 1) with the Debye function
+    D1(x) = (1/x) int_0^x t/(e^t - 1) dt (Genest 1987).  That integral is
+    the dilogarithm Li2(1 - e^-x) = spence(e^-x), so tau has a closed
+    form; it is odd in theta.  Below |theta| = 0.05 the closed form loses
+    digits to cancellation (2e-12 at 1e-2), while the Taylor series
+    theta/9 - theta^3/900 + theta^5/52920 is within 3e-16 there.
+    """
     th = spec.theta
     if spec.family == "clayton":
         return th / (th + 2.0)
     if spec.family == "gumbel":
         return (th - 1.0) / th
     if spec.family == "frank":
-        return 1.0 + 4.0 / th * (_debye1(th) - 1.0)
+        x = abs(th)
+        if x < 0.05:
+            return th / 9.0 - th**3 / 900.0 + th**5 / 52920.0
+        tau = 1.0 + 4.0 / x * (float(spence(math.exp(-x))) / x - 1.0)
+        return math.copysign(tau, th)
     return 0.0
 
 
@@ -147,8 +149,13 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
     if spec.family == "frank":
         w1 = rng.uniform(size=n)
         p = rng.uniform(size=n)
-        a = np.exp(-th * w1)
-        w2 = -np.log1p((-np.expm1(-th)) * p / (p * (a - 1.0) - a)) / th
+        # the conditional inverse loses all precision for large |theta|
+        # and can leave [0, 1]; refuse rather than return broken pairs
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            a = np.exp(-th * w1)
+            w2 = -np.log1p((-np.expm1(-th)) * p / (p * (a - 1.0) - a)) / th
+        if not np.all((w2 >= 0.0) & (w2 <= 1.0)):
+            raise NumericError(f"frank sampler left [0, 1] for theta={th}")
         return w1, w2
     raise ConfigError(f"unknown copula family {spec.family!r}")
 

@@ -32,6 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -266,11 +267,6 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _task_entry(args):
-    config, point, rep = args
-    return run_task(config, point, rep)
-
-
 @contextmanager
 def _task_map(workers: int):
     """A map over a pool of `workers` processes, or, for one worker, the
@@ -313,9 +309,11 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
         f"study {config.study}: {len(points)} grid points x {config.repetitions} reps; "
         f"{len(pending)} to run, {len(records)} reused"
     )
-    args = [(config, point, rep) for point, rep in pending]
     with _task_map(workers) as task_map:
-        for (point, rep), record in zip(pending, task_map(_task_entry, args)):
+        done = task_map(
+            run_task, repeat(config), [p for p, _ in pending], [r for _, r in pending]
+        )
+        for (point, rep), record in zip(pending, done):
             _write_atomic(
                 _partial_path(out_dir, point.index, rep),
                 json.dumps(record, sort_keys=True),

@@ -38,17 +38,6 @@ class CvConfig:
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        out = {
-            "folds": self.folds,
-            "max_rounds": self.max_rounds,
-            "checkpoint_stride": self.checkpoint_stride,
-            "seed": self.seed,
-        }
-        if self.theta_grid is not None:
-            out["theta_grid"] = list(self.theta_grid)
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "CvConfig":
         known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed"}

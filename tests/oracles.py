@@ -49,6 +49,21 @@ def ref_clayton_generator_inv(theta: float, s: float) -> float:
     return (1.0 + theta * s) ** (-1.0 / theta)
 
 
+# -- Frank Kendall tau, by quadrature --------------------------------------
+
+def ref_frank_tau(theta: float) -> float:
+    """tau = 1 + 4/theta (D1(theta) - 1), D1(x) = (1/x) int_0^x t/(e^t - 1) dt.
+
+    The Debye integral is taken by mpmath quadrature at 40 digits, so the
+    cancellation near theta = 0 costs nothing; tau is odd in theta.
+    """
+    with mpmath.workdps(40):
+        x = abs(mpmath.mpf(theta))
+        d1 = mpmath.quad(lambda t: t / mpmath.expm1(t) if t else mpmath.mpf(1), [0, x]) / x
+        tau = float(1 + 4 / x * (d1 - 1))
+    return tau if theta > 0 else -tau
+
+
 # -- dependent-censoring loss, direct transcription ------------------------
 
 def ref_clayton_loss(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"boosting_rounds": 10})
     cfg = TrainConfig(rounds=7, reg_lambda=2.0)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict({"rounds": 7, "lambda": 2.0}) == cfg
 
 
 def test_single_tree_interpolates_grid_feature():
@@ -282,6 +283,35 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "model2.json"
     save(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_refuses_non_finite_leaf(tmp_path):
+    model = train(_toy_data(30), SquaredErrorLoss(), TrainConfig(rounds=2))
+    model.trees[1].value[-1] = np.nan
+    path = tmp_path / "m.json"
+    with pytest.raises(NumericError, match="non-finite"):
+        save(model, path)
+    assert not path.exists()
+
+
+def test_load_reads_17_digit_floats(tmp_path):
+    # earlier versions wrote every float at 17 significant digits, not repr
+    model = train(_toy_data(60), SquaredErrorLoss(), TrainConfig(rounds=3, max_depth=3))
+    path = tmp_path / "m.json"
+    save(model, path)
+    old = tmp_path / "old.json"
+    old.write_text(re.sub(
+        r"-?\d+(\.\d+)?e[-+]?\d+|-?\d+\.\d+",
+        lambda m: format(float(m.group()), ".17g"),
+        path.read_text(),
+    ))
+    assert old.read_bytes() != path.read_bytes()
+    back = load(old)
+    assert back.base_score == model.base_score
+    assert back.learning_rate == model.learning_rate
+    for a, b in zip(back.trees, model.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_training_determinism_bytes(tmp_path):

@@ -79,6 +79,14 @@ def test_simulate_nonfinite_theta_exit_2(tmp_path, theta):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("theta", [50.0, -1e300])
+def test_simulate_frank_sampler_breakdown_exit_4(tmp_path, theta, capsys):
+    # draws outside the unit square would silently break the rank coupling
+    cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "copula": {"family": "frank", "theta": theta}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    assert "frank sampler" in capsys.readouterr().err
+
+
 def test_train_predict_evaluate_pipeline(sim_dir, tmp_path, capsys):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
@@ -281,6 +289,23 @@ def test_cli_via_subprocess(tmp_path):
     assert (tmp_path / "out" / "data.csv").exists()
 
 
+def test_import_loads_no_scipy_solvers():
+    # the package needs scipy.special only; integrate, optimize, linalg and
+    # sparse would add their import time to every command
+    import depaft
+
+    src = os.path.dirname(os.path.dirname(depaft.__file__))
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, depaft; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required flags
@@ -379,15 +404,17 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
 
 
 # SHA-256 of each file the pipeline below writes.  data.csv dates from the
-# per-row csv-module writer; model.json, preds.csv and metrics.json were
-# re-recorded when the loss moved to log-space closed forms, which kept
-# every tree's splits and moved leaf weights by at most 6.4e-14 relative.
-# calibration.csv was recorded from evaluate's own csv.writer, before it
-# moved onto dataset.write_rows.  Any change to these bytes must be
-# deliberate.
+# per-row csv-module writer; preds.csv and metrics.json were re-recorded
+# when the loss moved to log-space closed forms, which kept every tree's
+# splits and moved leaf weights by at most 6.4e-14 relative.  model.json
+# was re-recorded again when save() moved to json.dumps: floats are now
+# written as repr instead of at 17 significant digits, and the file loads
+# back to the same bits.  calibration.csv was recorded from evaluate's own
+# csv.writer, before it moved onto dataset.write_rows.  Any change to
+# these bytes must be deliberate.
 PINNED_SHA256 = {
     "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
-    "model.json": "6402b444edcf3f0923498bdd991cb34ed827bda0f29162448538077d0bcae561",
+    "model.json": "4e50f8456b8f5ad591cd0728844277e1f40fd09d8758edd5f175081c4bd5709a",
     "preds.csv": "a57785377d8670036ef9ea87a6f0cf2c8264c63e3b28f08fb6cd3295e978681a",
     "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
     "calibration.csv": "d8f8a08e7d9db215045b3018d4347f84f8e75846697cab4ac19581eb55718987",

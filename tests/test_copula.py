@@ -12,9 +12,9 @@ from depaft.copula import (
     kendall_tau,
     sample_pairs,
 )
-from depaft.errors import ConfigError, DomainError
+from depaft.errors import ConfigError, DomainError, NumericError
 
-from oracles import ref_clayton_generator, ref_clayton_generator_inv
+from oracles import ref_clayton_generator, ref_clayton_generator_inv, ref_frank_tau
 
 STUDY_SPECS = [
     CopulaSpec("clayton", 1.0),
@@ -138,6 +138,16 @@ def test_kendall_tau_frank_debye_quadrature():
     assert kendall_tau(CopulaSpec("frank", -7.5)) == pytest.approx(-expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kendall_tau_frank_matches_mpmath(sign):
+    # the closed form and its small-theta series, across the switch at
+    # |theta| = 0.05 and out to where e^-theta underflows
+    grid = np.concatenate([np.logspace(-12, math.log10(700.0), 120), [0.0499, 0.05, 7.5]])
+    for theta in sign * grid:
+        tau = kendall_tau(CopulaSpec("frank", float(theta)))
+        assert abs(tau - ref_frank_tau(float(theta))) <= 1e-12, theta
+
+
 def test_clayton_theta_for_tau_inverts():
     for theta in (0.5, 1.0, 3.0, 8.0):
         tau = kendall_tau(CopulaSpec("clayton", theta))
@@ -167,6 +177,14 @@ def test_near_independence_clayton_sampler():
     w1, w2 = sample_pairs(CopulaSpec("clayton", 1e-10), 20_000, rng)
     assert abs(kendalltau(w1, w2).statistic) <= 0.02
     assert kstest(w1, "uniform").pvalue >= 0.01
+
+
+@pytest.mark.parametrize("theta", [50.0, 100.0, -720.0, -1e300])
+def test_frank_sampler_refuses_pairs_outside_unit_square(theta):
+    # the conditional inverse breaks down at large |theta|; the sampler
+    # raises instead of returning draws above 1 or infinite
+    with pytest.raises(NumericError, match=r"frank .*theta="):
+        sample_pairs(CopulaSpec("frank", theta), 20_000, np.random.default_rng(42))
 
 
 def test_positive_stable_laplace_transform():

@@ -16,7 +16,7 @@ def test_cv_config_validation():
     with pytest.raises(ConfigError):
         CvConfig.from_dict({"n_folds": 2})
     cfg = CvConfig(folds=3, theta_grid=(1.0, 2.0))
-    assert CvConfig.from_dict(cfg.to_dict()) == cfg
+    assert CvConfig.from_dict({"folds": 3, "theta_grid": [1.0, 2.0]}) == cfg
 
 
 def test_checkpoint_schedule():
