@@ -18,6 +18,7 @@ from .booster import TrainConfig
 from .errors import ConfigError, DataError, NumericError, section
 from .loss import loss_from_config
 from .metrics import evaluate_predictions
+from .parallel import usable_cpus
 from .simulate import DgpConfig, generate
 from .studies import StudyConfig, run_study
 from .tuning import CvConfig, grid_search
@@ -115,7 +116,7 @@ def cmd_cv(args) -> int:
     if args.seed is not None:
         cv_dict["seed"] = args.seed
     cv = CvConfig.from_dict(cv_dict)
-    result, model = grid_search(data, loss.to_config(), train_cfg, cv)
+    result, model = grid_search(data, loss.to_config(), train_cfg, cv, workers=usable_cpus())
     os.makedirs(args.out, exist_ok=True)
     _write_json(result, os.path.join(args.out, "cv_results.json"))
     booster.save(model, os.path.join(args.out, "model.json"))

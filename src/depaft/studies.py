@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -41,6 +39,7 @@ from .copula import CopulaSpec
 from .dataset import write_rows
 from .errors import ConfigError, number
 from .metrics import evaluate_predictions
+from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
 from .tuning import CvConfig, grid_search
 
@@ -214,6 +213,8 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
         "models": {},
     }
     for name in MODELS:
+        # the task is the study's unit of parallelism, so its search runs
+        # in this process (grid_search's default of one worker)
         result, model = grid_search(sim_train.data, loss_configs[name], train_cfg, cv)
         predicted = model.predict_time(sim_test.data.X)
         report = evaluate_predictions(sim_test.data, predicted, config.n_horizons)
@@ -267,25 +268,13 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-@contextmanager
-def _task_map(workers: int):
-    """A map over a pool of `workers` processes, or, for one worker, the
-    built-in map in this process with no pool."""
-    if workers == 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
 def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool = False):
     """Run all grid points and repetitions, then write the result CSVs.
 
     Completed repetitions found under partial/ are reused, so an
     interrupted run resumes where it stopped.
     """
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ConfigError(f"workers (--threads) must be a positive integer, got {workers!r}")
+    check_workers(workers, "workers (--threads)")
     points = grid_points(config)
     os.makedirs(os.path.join(out_dir, "partial"), exist_ok=True)
     _check_fingerprint(config, out_dir)
@@ -309,8 +298,8 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
         f"study {config.study}: {len(points)} grid points x {config.repetitions} reps; "
         f"{len(pending)} to run, {len(records)} reused"
     )
-    with _task_map(workers) as task_map:
-        done = task_map(
+    with task_map(workers, len(pending)) as map_tasks:
+        done = map_tasks(
             run_task, repeat(config), [p for p, _ in pending], [r for _, r in pending]
         )
         for (point, rep), record in zip(pending, done):

@@ -4,10 +4,17 @@ The search maximizes mean validation concordance across folds.  Round
 counts are searched by training once per fold to the maximum and scoring
 checkpoints along the way; an optional theta grid multiplies the search
 for the Clayton loss.  The winning configuration is refit on all data.
+
+Every (theta, fold) fit is independent of the others, so the fits are
+mapped over a process pool (depaft.parallel) when the caller grants more
+than one worker; the folds, the scoring in theta, fold, checkpoint order
+and the refit run in the calling process, so the result and the refit
+are the same for any worker count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -16,6 +23,7 @@ from .dataset import SurvivalDataset
 from .errors import ConfigError, number
 from .loss import loss_from_config
 from .metrics import concordance
+from .parallel import check_workers, task_map
 
 
 @dataclass(frozen=True)
@@ -72,13 +80,12 @@ def stratified_folds(events, folds: int, rng: np.random.Generator) -> list[np.nd
     n = events.shape[0]
     if folds > n:
         raise ConfigError(f"cannot make {folds} folds from {n} rows")
-    assignment = [[] for _ in range(folds)]
+    shuffled = []
     for cls in (1, 0):
-        idx = np.flatnonzero(events == cls)
-        idx = idx[rng.permutation(idx.shape[0])]
-        for j, row in enumerate(idx):
-            assignment[j % folds].append(row)
-    out = [np.sort(np.asarray(a, dtype=np.int64)) for a in assignment]
+        idx = np.flatnonzero(events == cls).astype(np.int64)
+        shuffled.append(idx[rng.permutation(idx.shape[0])])
+    # fold f deals every folds-th row of each class, from its f-th on
+    out = [np.sort(np.concatenate([idx[f::folds] for idx in shuffled])) for f in range(folds)]
     if any(a.shape[0] == 0 for a in out):
         raise ConfigError("fold larger than data: some fold is empty")
     return out
@@ -103,12 +110,16 @@ def grid_search(
     loss_config: dict,
     train_config: TrainConfig,
     cv: CvConfig,
+    workers: int = 1,
 ) -> tuple[dict, TreeEnsemble]:
     """Run the search and refit the best point on all rows.
 
     Returns (result, refit_model); result records per-point fold scores.
-    Ties break toward fewer rounds, then smaller theta.
+    Ties break toward fewer rounds, then smaller theta.  The (theta, fold)
+    fits run on up to `workers` processes; scoring and the refit run here,
+    and the result is the same for any worker count.
     """
+    check_workers(workers)
     if cv.theta_grid is not None and loss_config.get("loss") != "clayton":
         raise ConfigError("theta_grid applies only to the clayton loss")
     rng = np.random.default_rng(cv.seed)
@@ -117,20 +128,29 @@ def grid_search(
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
     fold_cfg = replace(train_config, rounds=cv.max_rounds)
 
-    points = []
-    best = None  # (score, rounds, theta_key, point_dict)
+    # every loss is built before any fit, so a bad theta forks nothing
+    losses = []
     for theta in thetas:
         cfg = dict(loss_config)
         if theta is not None:
             cfg["theta"] = theta
-        loss = loss_from_config(cfg)
-        fold_scores = np.zeros((cv.folds, len(checkpoints)))
-        for i, val_idx in enumerate(folds):
-            train_idx = np.sort(
-                np.concatenate([f for j, f in enumerate(folds) if j != i])
-            )
-            model = train(data.subset(train_idx), loss, fold_cfg)
-            fold_scores[i] = _checkpoint_scores(model, data.subset(val_idx), checkpoints)
+        losses.append(loss_from_config(cfg))
+    train_sets = [
+        data.subset(np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i])))
+        for i in range(cv.folds)
+    ]
+    fits = [(train_set, loss) for loss in losses for train_set in train_sets]
+    with task_map(workers, len(fits)) as fit_map:
+        models = list(fit_map(train, *zip(*fits), repeat(fold_cfg)))
+
+    val_sets = [data.subset(val_idx) for val_idx in folds]
+    points = []
+    best = None  # (key, point_dict)
+    for t, theta in enumerate(thetas):
+        fold_scores = np.array([
+            _checkpoint_scores(models[t * cv.folds + i], val, checkpoints)
+            for i, val in enumerate(val_sets)
+        ])
         means = fold_scores.mean(axis=0)
         for j, rounds in enumerate(checkpoints):
             point = {

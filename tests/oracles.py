@@ -327,3 +327,17 @@ def ref_write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) for v in row])
+
+
+# -- stratified k-fold split, one row at a time -------------------------------
+
+def ref_stratified_folds(events, folds: int, rng) -> list[list[int]]:
+    """Rows of each event class (events first, then censored rows) in the
+    order of rng.permutation, dealt to folds 0, 1, ... in turn, restarting
+    at fold 0 for each class; each fold sorted.  A fold may be empty."""
+    assignment = [[] for _ in range(folds)]
+    for cls in (1, 0):
+        rows = [i for i, e in enumerate(events) if e == cls]
+        for j, k in enumerate(rng.permutation(len(rows))):
+            assignment[j % folds].append(rows[k])
+    return [sorted(a) for a in assignment]

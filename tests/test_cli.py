@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from depaft import read_csv
+from depaft import booster, cli, parallel, read_csv, tuning
 from depaft.cli import main
 from depaft.dataset import read_predictions_csv
+from depaft.errors import NumericError
 from depaft.loss import ClaytonAftLoss, loss_from_config
 
 SIM_CFG = {
@@ -276,6 +278,44 @@ def test_cv_single_point_and_grid(sim_dir, tmp_path):
     assert (out / "model.json").exists()
 
 
+CV_CFG = {"folds": 3, "max_rounds": 20, "checkpoint_stride": 5, "theta_grid": [1.5, 3.0], "seed": 1}
+
+
+def _cv(sim_dir, tmp_path, cv=CV_CFG):
+    cfg = _write(tmp_path / "cv.json", {**TRAIN_CFG, "cv": cv})
+    return main(["cv", "--data", str(sim_dir / "data.csv"), "--config", cfg,
+                 "--out", str(tmp_path / "cv"), "--quiet"])
+
+
+def _train_fails_in_a_pool_process(data, loss, config):
+    if multiprocessing.parent_process() is not None:
+        raise NumericError("fold fit broke down")
+    return booster.train(data, loss, config)
+
+
+def test_fold_fit_numeric_error_crosses_the_pool_exit_4(sim_dir, tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(tuning, "train", _train_fails_in_a_pool_process)
+    capfd.readouterr()
+    assert _cv(sim_dir, tmp_path) == 4
+    err = capfd.readouterr().err
+    assert err == "numeric error: fold fit broke down\n"
+    assert not (tmp_path / "cv").exists()
+
+
+@pytest.mark.parametrize("bad_theta", [0.0, -1.0])
+def test_cv_bad_theta_grid_entry_exits_2_before_any_pool(sim_dir, tmp_path, monkeypatch, capsys,
+                                                        bad_theta):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    capsys.readouterr()
+    assert _cv(sim_dir, tmp_path, {**CV_CFG, "theta_grid": [2.0, bad_theta]}) == 2
+    assert "theta must be a positive finite real" in capsys.readouterr().err
+
+
 def test_cli_via_subprocess(tmp_path):
     # the installed console entry point works end to end
     cfg = tmp_path / "sim.json"
@@ -441,3 +481,22 @@ def test_pipeline_output_bytes_are_pinned(tmp_path):
         assert main(argv + ["--quiet"]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PINNED_SHA256
+
+
+# SHA-256 of the files `depaft cv` writes for a 2-value theta grid and 3
+# folds, recorded when the fold fits still ran one after another in this
+# process.  cv now maps them over a pool of up to one process per usable
+# CPU, and its bytes must not depend on that count.
+CV_PINNED_SHA256 = {
+    "cv_results.json": "e0092bbc72ac38ae37c8e7fecfd1b12c024f9ab2bfa1d1c0ab2d59653ec2e0cf",
+    "model.json": "30bce04afd8e7dd3c66b28087676e9d33659e1f0ddf7f3b2260801444ec6b884",
+}
+
+
+def test_cv_output_bytes_are_pinned(sim_dir, tmp_path):
+    assert _cv(sim_dir, tmp_path) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "cv" / name).read_bytes()).hexdigest()
+        for name in CV_PINNED_SHA256
+    }
+    assert digests == CV_PINNED_SHA256

@@ -5,7 +5,10 @@ from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate
 from depaft.booster import TrainConfig, train
 from depaft.errors import ConfigError
 from depaft.loss import IndependentAftLoss
+from depaft.parallel import pool_size, usable_cpus
 from depaft.tuning import CvConfig, checkpoint_schedule, grid_search, stratified_folds
+
+from oracles import ref_stratified_folds
 
 
 def test_cv_config_validation():
@@ -35,6 +38,30 @@ def test_stratified_folds_cover_and_balance():
         assert events[fold].sum() == 15  # events split evenly
     with pytest.raises(ConfigError):
         stratified_folds(np.array([1, 0]), 3, rng)
+
+
+@pytest.mark.parametrize("folds", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_stratified_folds_match_reference(folds, seed):
+    # unbalanced classes, one class absent, and tables small enough that
+    # some fold gets no row
+    for n_events, n_censored in ((30, 10), (7, 23), (1, 12), (0, 9), (11, 0), (3, 2), (2, 2)):
+        events = np.random.default_rng(n_events).permutation([1] * n_events + [0] * n_censored)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if folds > events.shape[0]:
+            with pytest.raises(ConfigError, match=f"cannot make {folds} folds"):
+                stratified_folds(events, folds, rng)
+            assert rng.random() == ref_rng.random()  # refused before any draw
+            continue
+        want = ref_stratified_folds(events.tolist(), folds, ref_rng)
+        if any(not fold for fold in want):
+            with pytest.raises(ConfigError, match="some fold is empty"):
+                stratified_folds(events, folds, rng)
+        else:
+            got = stratified_folds(events, folds, rng)
+            assert [fold.tolist() for fold in got] == want
+            assert all(fold.dtype == np.int64 for fold in got)
+        assert rng.random() == ref_rng.random()  # the same draws were taken
 
 
 def _sim(seed=0, n=300):
@@ -102,3 +129,50 @@ def test_theta_grid_requires_clayton():
 def test_cv_config_rejects_non_numeric_fields(field, value):
     with pytest.raises(ConfigError, match=field):
         CvConfig.from_dict({field: value})
+
+
+CLAYTON_LOSS = {
+    "loss": "clayton",
+    "theta": 3.0,
+    "event_baseline": {"family": "extreme", "sigma": 1 / 3},
+    "censor_baseline": {"family": "extreme", "sigma": 1 / 3},
+}
+
+
+@pytest.mark.parametrize("folds", [2, 3])
+def test_worker_count_changes_nothing(folds):
+    sim = _sim(seed=8)
+    train_cfg = TrainConfig(rounds=30, learning_rate=0.1, max_depth=2)
+    cv = CvConfig(folds=folds, max_rounds=30, checkpoint_stride=10, seed=2, theta_grid=(1.5, 3.0))
+    serial, serial_model = grid_search(sim.data, CLAYTON_LOSS, train_cfg, cv, workers=1)
+    pooled, pooled_model = grid_search(sim.data, CLAYTON_LOSS, train_cfg, cv, workers=2)
+    assert pooled == serial
+    assert pooled_model.base_score == serial_model.base_score
+    assert pooled_model.loss_config == serial_model.loss_config
+    assert len(pooled_model.trees) == len(serial_model.trees) == serial["best"]["rounds"]
+    for a, b in zip(pooled_model.trees, serial_model.trees):
+        for field in type(a).__slots__:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_grid_search_refuses_fewer_than_one_worker(workers):
+    cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=10)
+    with pytest.raises(ConfigError, match=f"workers must be a positive integer, got {workers}"):
+        grid_search(_sim(n=50).data, CLAYTON_LOSS, TrainConfig(rounds=10), cv, workers=workers)
+
+
+def test_pool_size_never_exceeds_the_jobs():
+    assert (pool_size(2, 4), pool_size(8, 4), pool_size(10**6, 6), pool_size(4, 0)) == (2, 4, 6, 0)
+    for workers in range(1, 40):
+        for jobs in range(40):
+            size = pool_size(workers, jobs)
+            assert size <= workers and size <= jobs and (size >= 1 or jobs == 0)
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3, 5})
+    assert usable_cpus() == 3
+    monkeypatch.delattr("os.sched_getaffinity")
+    monkeypatch.setattr("os.cpu_count", lambda: 7)
+    assert usable_cpus() == 7
