@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,10 +29,20 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return section(json.load(fh), f"{path}: config")
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+
+
+@contextmanager
+def _writing(out):
+    """Turn an OSError raised while writing the --out path into a config
+    error naming it: the argument, not the data, is at fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from exc
 
 
 def _write_json(obj, path) -> None:
@@ -51,9 +62,10 @@ def cmd_simulate(args) -> int:
         cfg_dict["seed"] = args.seed
     config = DgpConfig.from_dict(cfg_dict)
     sim = generate(config)
-    os.makedirs(args.out, exist_ok=True)
-    dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
-    _write_json(sim.metadata(), os.path.join(args.out, "metadata.json"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
+        _write_json(sim.metadata(), os.path.join(args.out, "metadata.json"))
     _say(args, f"wrote {sim.data.n} rows; censoring fraction {sim.censoring_fraction:.4f}")
     return 0
 
@@ -72,7 +84,8 @@ def cmd_train(args) -> int:
     data = dataset.read_csv(args.data)
     loss, train_cfg = _train_configs(_load_json(args.config), args.seed)
     model = booster.train(data, loss, train_cfg)
-    booster.save(model, args.out)
+    with _writing(args.out):
+        booster.save(model, args.out)
     final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")
     return 0
@@ -82,7 +95,8 @@ def cmd_predict(args) -> int:
     model = booster.load(args.model)
     data = dataset.read_csv(args.data)
     log_times = model.predict(data.X)
-    dataset.write_predictions_csv(log_times, np.exp(log_times), args.out)
+    with _writing(args.out):
+        dataset.write_predictions_csv(log_times, np.exp(log_times), args.out)
     _say(args, f"wrote {data.n} predictions to {args.out}")
     return 0
 
@@ -95,15 +109,16 @@ def cmd_evaluate(args) -> int:
             f"row mismatch: {predicted_times.shape[0]} predictions vs {data.n} data rows"
         )
     report = evaluate_predictions(data, predicted_times, n_horizons=args.horizons)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
     curve = report.calibration
-    dataset.write_rows(
-        os.path.join(args.out, "calibration.csv"),
-        ["horizon", "predicted_proportion", "observed_proportion"],
-        zip(curve.horizons.tolist(), curve.predicted_proportion.tolist(),
-            curve.observed_proportion.tolist()),
-    )
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
+        dataset.write_rows(
+            os.path.join(args.out, "calibration.csv"),
+            ["horizon", "predicted_proportion", "observed_proportion"],
+            zip(curve.horizons.tolist(), curve.predicted_proportion.tolist(),
+                curve.observed_proportion.tolist()),
+        )
     _say(args, f"c-index {report.c_index:.4f}; metrics in {args.out}")
     return 0
 
@@ -117,9 +132,10 @@ def cmd_cv(args) -> int:
         cv_dict["seed"] = args.seed
     cv = CvConfig.from_dict(cv_dict)
     result, model = grid_search(data, loss.to_config(), train_cfg, cv, workers=usable_cpus())
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(result, os.path.join(args.out, "cv_results.json"))
-    booster.save(model, os.path.join(args.out, "model.json"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(result, os.path.join(args.out, "cv_results.json"))
+        booster.save(model, os.path.join(args.out, "model.json"))
     best = result["best"]
     _say(
         args,
@@ -136,7 +152,8 @@ def cmd_study(args) -> int:
     if args.repetitions is not None:
         cfg_dict["repetitions"] = args.repetitions
     config = StudyConfig.from_dict(cfg_dict)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     run_study(config, args.out, workers=args.threads, quiet=args.quiet)
     return 0
 

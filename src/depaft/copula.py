@@ -4,6 +4,9 @@ samplers for the four supported families.
 Samplers draw from the CDF-orientation copula (uniform marginals, joint
 law C_theta).  The survival orientation used by the data simulator is
 obtained there by reflecting both coordinates.
+
+scipy.special (spence) is imported on the first Frank tau, never at
+import: the other families need numpy alone.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import ConfigError, DomainError, NumericError, number, section
 
@@ -104,6 +106,8 @@ def kendall_tau(spec: CopulaSpec) -> float:
         x = abs(th)
         if x < 0.05:
             return th / 9.0 - th**3 / 900.0 + th**5 / 52920.0
+        from scipy.special import spence
+
         tau = 1.0 + 4.0 / x * (float(spence(math.exp(-x))) / x - 1.0)
         return math.copysign(tau, th)
     return 0.0

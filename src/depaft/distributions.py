@@ -14,6 +14,9 @@ is, i.e. for x below ~709.78; the other two for every finite x.
 
 cdf, survival, pdf, pdf_grad and pdf_hess are views on the table that
 accept scalars or numpy arrays and refuse non-finite arguments.
+
+scipy.special (log_ndtr, expit) is imported on the first use of a normal
+or logistic row, never at import: extreme-margin runs load no scipy.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .errors import ConfigError, DomainError, number, section
 
@@ -47,6 +49,8 @@ def _extreme(x) -> Margin:
 
 
 def _normal(x) -> Margin:
+    from scipy.special import log_ndtr
+
     log_s = log_ndtr(-x)
     log_f = -0.5 * x * x - _LOG_SQRT_2PI
     haz = np.exp(log_f - log_s)
@@ -54,6 +58,8 @@ def _normal(x) -> Margin:
 
 
 def _logistic(x) -> Margin:
+    from scipy.special import expit
+
     log_s = -np.logaddexp(0.0, x)
     p, q = expit(x), expit(-x)
     return Margin(log_s, log_s - np.logaddexp(0.0, -x), p, p * q, q - p, -2.0 * p * q)

@@ -201,6 +201,52 @@ def test_missing_input_file_exit_3(sim_dir, tmp_path, capsys, command):
     assert err.startswith("data error: cannot read") and missing in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "train", "predict", "evaluate", "cv", "study"])
+def test_unwritable_out_exit_2(sim_dir, tmp_path, monkeypatch, capsys, command):
+    # a file path under a missing directory, or a directory under a file
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    data = str(sim_dir / "data.csv")
+    train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
+    model, preds = str(tmp_path / "model.json"), str(tmp_path / "p.csv")
+    assert main(["train", "--data", data, "--config", train_cfg, "--out", model, "--quiet"]) == 0
+    assert main(["predict", "--model", model, "--data", data, "--out", preds, "--quiet"]) == 0
+    (tmp_path / "afile").write_text("")
+    under_file = str(tmp_path / "afile" / "sub")
+    argv, out = {
+        "simulate": (["--config", _write(tmp_path / "sim.json", SIM_CFG)], under_file),
+        "train": (["--data", data, "--config", train_cfg], str(tmp_path / "nodir" / "m.json")),
+        "predict": (["--model", model, "--data", data], str(tmp_path / "nodir" / "p.csv")),
+        "evaluate": (["--predictions", preds, "--data", data], under_file),
+        "cv": (["--data", data, "--config",
+                _write(tmp_path / "cv.json", {**TRAIN_CFG, "cv": CV_CFG})], under_file),
+        "study": (["--config", _write(tmp_path / "study.json", {"study": 1, "repetitions": 1})],
+                  under_file),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "cv", "study"])
+def test_config_that_is_a_directory_exit_2(sim_dir, tmp_path, capsys, command):
+    data = ["--data", str(sim_dir / "data.csv")] if command in ("train", "cv") else []
+    capsys.readouterr()
+    argv = [command, *data, "--config", str(tmp_path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config file {tmp_path}: Is a directory\n"
+    )
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: malformed JSON: ") and err.count("\n") == 1
+
+
 def test_train_unknown_loss_exit_2(sim_dir, tmp_path):
     cfg = _write(tmp_path / "t.json", {"loss": {"loss": "coxph"}})
     assert main(["train", "--data", str(sim_dir / "data.csv"), "--config", cfg,
@@ -329,21 +375,83 @@ def test_cli_via_subprocess(tmp_path):
     assert (tmp_path / "out" / "data.csv").exists()
 
 
-def test_import_loads_no_scipy_solvers():
-    # the package needs scipy.special only; integrate, optimize, linalg and
-    # sparse would add their import time to every command
-    import depaft
-
-    src = os.path.dirname(os.path.dirname(depaft.__file__))
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+def _fresh(code: str, *args: str) -> str:
+    """Standard output of `code` run in a new interpreter that imports
+    depaft from the same source tree as this process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, depaft; print([m for m in {heavy!r} if m in sys.modules])"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy_solvers():
+    # integrate, optimize, linalg and sparse would add their import time
+    # to every command
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    assert _fresh(f"import sys, depaft; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special loads on the first normal or logistic margin or Frank
+    # tau, never at import
+    assert _fresh("import sys, depaft; " + SCIPY_LOADED) == "[]"
+
+
+def test_extreme_clayton_pipeline_never_loads_scipy(tmp_path):
+    cv = {"folds": 2, "max_rounds": 10, "checkpoint_stride": 5, "theta_grid": [1.5, 3.0]}
+    sim = _write(tmp_path / "sim.json", {**SIM_CFG, "n": 200})
+    train = _write(tmp_path / "train.json",
+                   {**TRAIN_CFG, "train": {**TRAIN_CFG["train"], "rounds": 10}, "cv": cv})
+    d = str(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "from depaft.cli import main",
+        "sim, train, d = sys.argv[1:]",
+        "for argv in (",
+        "    ['simulate', '--config', sim, '--out', d + '/sim'],",
+        "    ['train', '--data', d + '/sim/data.csv', '--config', train, '--out', d + '/m.json'],",
+        "    ['predict', '--model', d + '/m.json', '--data', d + '/sim/data.csv',",
+        "     '--out', d + '/p.csv'],",
+        "    ['evaluate', '--predictions', d + '/p.csv', '--data', d + '/sim/data.csv',",
+        "     '--out', d + '/eval'],",
+        "    ['cv', '--data', d + '/sim/data.csv', '--config', train, '--out', d + '/cv'],",
+        "):",
+        "    assert main(argv + ['--quiet']) == 0, argv[0]",
+        SCIPY_LOADED,
+    ])
+    assert _fresh(script, sim, train, d) == "[]"
+    assert (tmp_path / "cv" / "model.json").exists()
+
+
+def test_lazily_loaded_scipy_gives_the_same_bits():
+    # Frank tau and a normal-margin grad/Hessian from a new interpreter,
+    # where scipy.special loads on this first use, against this process
+    from depaft import CopulaSpec, kendall_tau
+
+    loss_cfg = {**TRAIN_CFG["loss"], "event_baseline": {"family": "normal", "sigma": 0.5},
+                "censor_baseline": {"family": "normal", "sigma": 0.8}}
+    script = "\n".join([
+        "import numpy as np",
+        "from depaft import CopulaSpec, kendall_tau",
+        "from depaft.loss import loss_from_config",
+        "print(kendall_tau(CopulaSpec('frank', 7.5)).hex())",
+        f"loss = loss_from_config({loss_cfg!r})",
+        "t = np.linspace(0.2, 3.0, 7); d = np.array([1, 0, 1, 1, 0, 0, 1])",
+        "g, h = loss.grad_hess(t, d, np.linspace(-2.0, 2.0, 7))",
+        "print(g.tobytes().hex(), h.tobytes().hex())",
+    ])
+    tau_hex, grads = _fresh(script).split("\n")
+    assert tau_hex == kendall_tau(CopulaSpec("frank", 7.5)).hex()
+    loss = loss_from_config(loss_cfg)
+    t = np.linspace(0.2, 3.0, 7)
+    g, h = loss.grad_hess(t, np.array([1, 0, 1, 1, 0, 0, 1]), np.linspace(-2.0, 2.0, 7))
+    assert grads == f"{g.tobytes().hex()} {h.tobytes().hex()}"
 
 
 def test_usage_error_exit_code():
