@@ -30,7 +30,7 @@ lowest threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Raw (unshrunk) leaf weight for every row of X.
@@ -242,26 +238,40 @@ def _grow_tree(X, g, h, order, cfg: TrainConfig):
     return RegressionTree(feature, threshold, left, right, value), row_leaf
 
 
-def train(data: SurvivalDataset, loss, config: TrainConfig) -> TreeEnsemble:
+def train(data: SurvivalDataset, loss, config: TrainConfig,
+          init_model: TreeEnsemble | None = None) -> TreeEnsemble:
     """Fit a boosted ensemble by iterating loss -> statistics -> tree.
 
     base_score "auto" initializes at the mean log observed time.  Raises
     NumericError naming the round and row if the loss produces a
     non-finite statistic.
+
+    Given init_model, a fit of the same data, loss and learning rate,
+    training resumes from it and grows trees until the ensemble holds
+    config.rounds; init_model itself is left as it was.  Its training
+    prediction is rebuilt by init_model.predict, which sums the same
+    leaf weights in the same order as the loop below, so a fit resumed
+    any number of times is the same bits as one run straight through.
     """
     X, t, delta = data.X, data.times, data.events
     if X.shape[1] == 0:
         raise ConfigError("training requires at least one feature")
-    base = float(np.mean(np.log(t))) if config.base_score == "auto" else float(config.base_score)
-    model = TreeEnsemble(
-        base_score=base,
-        learning_rate=config.learning_rate,
-        n_features=X.shape[1],
-        loss_config=loss.to_config(),
-    )
-    pred = np.full(data.n, base)
+    if init_model is None:
+        base = float(np.mean(np.log(t))) if config.base_score == "auto" else float(config.base_score)
+        model = TreeEnsemble(
+            base_score=base,
+            learning_rate=config.learning_rate,
+            n_features=X.shape[1],
+            loss_config=loss.to_config(),
+        )
+        pred = np.full(data.n, base)
+    else:
+        if (init_model.learning_rate, init_model.loss_config) != (config.learning_rate, loss.to_config()):
+            raise ConfigError("init_model was fit with another learning rate or loss")
+        model = replace(init_model, trees=list(init_model.trees))
+        pred = model.predict(X)
     order = np.argsort(X.T, axis=1, kind="stable")
-    for k in range(config.rounds):
+    for k in range(model.n_rounds, config.rounds):
         g, h = loss.grad_hess(t, delta, pred)
         bad = ~(np.isfinite(g) & np.isfinite(h))
         if np.any(bad):
@@ -377,7 +387,7 @@ def load(path) -> TreeEnsemble:
             doc = json.load(fh)
     except OSError as exc:
         raise PersistenceError(f"cannot read model file {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PersistenceError(f"{path}: malformed model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise PersistenceError(f"{path}: model file must hold a JSON object")

@@ -146,7 +146,8 @@ def _csv_rows(path):
     """The stripped header and an iterator over the token rows after it.
 
     A file the csv module cannot tokenise (a field over its size limit,
-    say) is a DataError naming the line, here or in the caller's body.
+    say) is a DataError naming the line, here or in the caller's body;
+    so is one that does not decode as text.
     """
     with _open_for_reading(path) as fh:
         rows = csv.reader(fh)
@@ -157,6 +158,8 @@ def _csv_rows(path):
             yield [h.strip() for h in header], rows
         except csv.Error as exc:
             raise DataError(f"{path}: line {rows.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _parse_rows(path, rows, width: int, event_col: int | None = None,

@@ -32,11 +32,11 @@ def number(value, kind, what: str, error: type[Exception] = ConfigError):
 
     kind is float or int.  The value must equal its conversion, so
     strings, fractional counts, NaN and infinities are refused rather
-    than coerced.
+    than coerced; so are booleans, which JSON does not count as numbers.
     """
     try:
         out = kind(value)
-        ok = out == value and (
+        ok = not isinstance(value, bool) and out == value and (
             math.isfinite(out) if kind is float else -(2**63) <= out < 2**63
         )
     except (TypeError, ValueError, OverflowError):

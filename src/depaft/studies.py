@@ -41,7 +41,7 @@ from .errors import ConfigError, number
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
-from .tuning import CvConfig, grid_search
+from .tuning import CvConfig, grid_search, patience_field
 
 STUDY1_THETAS = (1e-10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 STUDY1_C = 1.49
@@ -67,6 +67,7 @@ class StudyConfig:
     seed: int = 29
     max_rounds: int = 400
     checkpoint_stride: int = 25
+    patience: int | None = 8  # CV stop rule, in checkpoints; None grows every fit to max_rounds
     learning_rate: float = 0.1
     max_depth: int = 3
     min_child_weight: float = 1.0
@@ -107,6 +108,7 @@ class StudyConfig:
             max_rounds=self.max_rounds,
             checkpoint_stride=self.checkpoint_stride,
             seed=seed,
+            patience=self.patience,
         )
 
     def to_dict(self) -> dict:
@@ -118,6 +120,7 @@ class StudyConfig:
             "seed": self.seed,
             "max_rounds": self.max_rounds,
             "checkpoint_stride": self.checkpoint_stride,
+            "patience": self.patience,
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "min_child_weight": self.min_child_weight,
@@ -132,7 +135,7 @@ class StudyConfig:
             "study": int, "repetitions": int, "n_train": int, "n_test": int, "seed": int,
             "max_rounds": int, "checkpoint_stride": int, "learning_rate": float,
             "max_depth": int, "min_child_weight": float, "lambda": float, "gamma": float,
-            "n_horizons": int,
+            "n_horizons": int, "patience": int,
         }
         extra = set(d) - set(kinds)
         if extra:
@@ -141,8 +144,10 @@ class StudyConfig:
             raise ConfigError("study config requires field 'study'")
         kwargs = {
             name: number(value, kinds[name], f"study config field {name!r}")
-            for name, value in d.items()
+            for name, value in d.items() if name != "patience"
         }
+        if "patience" in d:
+            kwargs["patience"] = patience_field(d["patience"], "study config field 'patience'")
         if "lambda" in kwargs:
             kwargs["reg_lambda"] = kwargs.pop("lambda")
         return cls(**kwargs)
@@ -276,7 +281,11 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     """
     check_workers(workers, "workers (--threads)")
     points = grid_points(config)
-    os.makedirs(os.path.join(out_dir, "partial"), exist_ok=True)
+    partial = os.path.join(out_dir, "partial")
+    try:
+        os.makedirs(partial, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {partial}: {exc.strerror}") from exc
     _check_fingerprint(config, out_dir)
     tasks = [(point, rep) for point in points for rep in range(config.repetitions)]
 

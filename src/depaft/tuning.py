@@ -1,20 +1,29 @@
 """K-fold grid-search cross-validation for the boosted models.
 
 The search maximizes mean validation concordance across folds.  Round
-counts are searched by training once per fold to the maximum and scoring
-checkpoints along the way; an optional theta grid multiplies the search
-for the Clayton loss.  The winning configuration is refit on all data.
+counts are searched by scoring checkpoints (every checkpoint_stride
+rounds) along each fold fit; an optional theta grid multiplies the
+search for the Clayton loss.  The winning configuration is refit on all
+data.
 
-Every (theta, fold) fit is independent of the others, so the fits are
-mapped over a process pool (depaft.parallel) when the caller grants more
-than one worker; the folds, the scoring in theta, fold, checkpoint order
-and the refit run in the calling process, so the result and the refit
-are the same for any worker count.
+With patience P, a theta stops growing once its best mean score was
+first reached P or more checkpoints ago (early stopping on a validation
+curve, Prechelt 1998).  Boosting is sequential, so a fit stopped at R
+rounds holds exactly the first R trees of the full fit: the stopped
+search scores a prefix of the full search's checkpoints.  The fits grow
+in legs, each to the first checkpoint at which the rule could stop its
+theta, and resume from their own trees (booster.train's init_model).
+Without patience there is one leg, to max_rounds.
+
+Every (theta, fold) fit of a leg is independent of the others, so the
+fits are mapped over a process pool (depaft.parallel) when the caller
+grants more than one worker; the folds, the scoring in theta, fold,
+checkpoint order and the refit run in the calling process, so the result
+and the refit are the same for any worker count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +42,7 @@ class CvConfig:
     checkpoint_stride: int = 50
     theta_grid: tuple[float, ...] | None = None
     seed: int = 0
+    patience: int | None = None  # checkpoints; None grows every fit to max_rounds
 
     def __post_init__(self):
         if not (isinstance(self.folds, int) and self.folds >= 2):
@@ -45,17 +55,24 @@ class CvConfig:
             raise ConfigError("theta_grid must be non-empty when given")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
+        if self.patience is not None and not (
+            isinstance(self.patience, int) and not isinstance(self.patience, bool)
+            and self.patience >= 1
+        ):
+            raise ConfigError(f"patience must be a positive integer or null, got {self.patience!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CvConfig":
-        known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed"}
+        known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed", "patience"}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown cv config fields: {sorted(extra)}")
         kwargs = {
             name: number(value, int, f"cv config field {name!r}")
-            for name, value in d.items() if name != "theta_grid"
+            for name, value in d.items() if name not in ("theta_grid", "patience")
         }
+        if "patience" in d:
+            kwargs["patience"] = patience_field(d["patience"], "cv config field 'patience'")
         grid = d.get("theta_grid")
         if grid is not None:
             if not isinstance(grid, list):
@@ -64,6 +81,12 @@ class CvConfig:
                 number(x, float, "cv config field 'theta_grid' entry") for x in grid
             )
         return cls(**kwargs)
+
+
+def patience_field(value, what: str) -> int | None:
+    """A config file's patience: null, or a whole number (a positive one,
+    which CvConfig checks)."""
+    return None if value is None else number(value, int, what)
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:
@@ -91,17 +114,18 @@ def stratified_folds(events, folds: int, rng: np.random.Generator) -> list[np.nd
     return out
 
 
-def _checkpoint_scores(model: TreeEnsemble, val: SurvivalDataset, checkpoints) -> list[float]:
-    """Validation c-index at each round checkpoint, one tree pass total."""
+def _checkpoint_scores(model: TreeEnsemble, val: SurvivalDataset, pred, start: int,
+                       checkpoints) -> list[float]:
+    """Validation c-index at each of `checkpoints`, a run of round counts
+    above `start`.  pred is the running validation prediction of the
+    model's first `start` trees; each later tree is added to it once."""
     X = np.asfortranarray(val.X)  # one column-major copy serves every tree
-    pred = np.full(val.n, model.base_score)
     scores = []
-    next_i = 0
-    for k, tree in enumerate(model.trees, start=1):
-        pred += model.learning_rate * tree.predict(X)
-        if next_i < len(checkpoints) and k == checkpoints[next_i]:
-            scores.append(concordance(val.times, val.events, np.exp(pred)))
-            next_i += 1
+    for stop in checkpoints:
+        for tree in model.trees[start:stop]:
+            pred += model.learning_rate * tree.predict(X)
+        start = stop
+        scores.append(concordance(val.times, val.events, np.exp(pred)))
     return scores
 
 
@@ -114,10 +138,11 @@ def grid_search(
 ) -> tuple[dict, TreeEnsemble]:
     """Run the search and refit the best point on all rows.
 
-    Returns (result, refit_model); result records per-point fold scores.
-    Ties break toward fewer rounds, then smaller theta.  The (theta, fold)
-    fits run on up to `workers` processes; scoring and the refit run here,
-    and the result is the same for any worker count.
+    Returns (result, refit_model); result records per-point fold scores
+    for every checkpoint that was scored.  Ties break toward fewer
+    rounds, then smaller theta.  The (theta, fold) fits run on up to
+    `workers` processes; scoring and the refit run here, and the result
+    is the same for any worker count.
     """
     check_workers(workers)
     if cv.theta_grid is not None and loss_config.get("loss") != "clayton":
@@ -125,8 +150,8 @@ def grid_search(
     rng = np.random.default_rng(cv.seed)
     folds = stratified_folds(data.events, cv.folds, rng)
     checkpoints = checkpoint_schedule(cv.max_rounds, cv.checkpoint_stride)
+    last = len(checkpoints) - 1
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
-    fold_cfg = replace(train_config, rounds=cv.max_rounds)
 
     # every loss is built before any fit, so a bad theta forks nothing
     losses = []
@@ -139,20 +164,51 @@ def grid_search(
         data.subset(np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i])))
         for i in range(cv.folds)
     ]
-    fits = [(train_set, loss) for loss in losses for train_set in train_sets]
-    with task_map(workers, len(fits)) as fit_map:
-        models = list(fit_map(train, *zip(*fits), repeat(fold_cfg)))
-
     val_sets = [data.subset(val_idx) for val_idx in folds]
+
+    # per theta and fold: the model, its running validation prediction
+    # and its scores at the checkpoints scored so far; per theta, the
+    # checkpoint at which the mean score first reached its best
+    models = [[None] * cv.folds for _ in thetas]
+    preds = [[None] * cv.folds for _ in thetas]
+    scores = [[[] for _ in range(cv.folds)] for _ in thetas]
+    best_at = [0] * len(thetas)
+    live = list(range(len(thetas)))
+    with task_map(workers, len(thetas) * cv.folds) as fit_map:
+        while live:
+            # one leg: every live fit grows to the first checkpoint at
+            # which the stop rule could end its theta
+            ends = {t: last if cv.patience is None else min(best_at[t] + cv.patience, last)
+                    for t in live}
+            fits = [
+                (train_sets[i], losses[t], replace(train_config, rounds=checkpoints[ends[t]]))
+                + ((models[t][i],) if models[t][i] is not None else ())
+                for t in live for i in range(cv.folds)
+            ]
+            grown = iter(list(fit_map(train, *zip(*fits))))
+            for t in live:
+                done = len(scores[t][0])
+                leg = checkpoints[done:ends[t] + 1]
+                start = checkpoints[done - 1] if done else 0
+                for i, val in enumerate(val_sets):
+                    models[t][i] = model = next(grown)
+                    if preds[t][i] is None:
+                        preds[t][i] = np.full(val.n, model.base_score)
+                    scores[t][i] += _checkpoint_scores(model, val, preds[t][i], start, leg)
+                means = np.array(scores[t]).mean(axis=0)
+                for j in range(done, ends[t] + 1):
+                    if means[j] > means[best_at[t]]:
+                        best_at[t] = j
+            # a theta stops at max_rounds, or once its best is a whole
+            # patience of checkpoints old
+            live = [t for t in live if ends[t] < last and ends[t] - best_at[t] < cv.patience]
+
     points = []
     best = None  # (key, point_dict)
     for t, theta in enumerate(thetas):
-        fold_scores = np.array([
-            _checkpoint_scores(models[t * cv.folds + i], val, checkpoints)
-            for i, val in enumerate(val_sets)
-        ])
+        fold_scores = np.array(scores[t])  # (folds, scored checkpoints)
         means = fold_scores.mean(axis=0)
-        for j, rounds in enumerate(checkpoints):
+        for j, rounds in enumerate(checkpoints[:len(means)]):
             point = {
                 "theta": theta,
                 "rounds": rounds,

@@ -276,6 +276,25 @@ def test_train_corrupt_csv_exit_3(tmp_path):
                  "--out", str(tmp_path / "m.json"), "--quiet"]) == 3
 
 
+def test_train_csv_that_is_not_utf8_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"time,event,x1\n1.0,1,0.5\n2.0,0,0.\xff\n")
+    cfg = _write(tmp_path / "t.json", TRAIN_CFG)
+    assert main(["train", "--data", str(bad), "--config", cfg,
+                 "--out", str(tmp_path / "m.json"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1
+
+
+def test_predict_model_that_is_not_utf8_exit_3(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xff\xfe{}")
+    assert main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+                 "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {model}: malformed model file: ") and err.count("\n") == 1
+
+
 def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
@@ -360,6 +379,14 @@ def test_cv_bad_theta_grid_entry_exits_2_before_any_pool(sim_dir, tmp_path, monk
     capsys.readouterr()
     assert _cv(sim_dir, tmp_path, {**CV_CFG, "theta_grid": [2.0, bad_theta]}) == 2
     assert "theta must be a positive finite real" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patience", [0, -1, 1.5, "8", True])
+def test_cv_bad_patience_exit_2(sim_dir, tmp_path, capsys, patience):
+    capsys.readouterr()
+    assert _cv(sim_dir, tmp_path, {**CV_CFG, "patience": patience}) == 2
+    assert "patience" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
 
 
 def test_cli_via_subprocess(tmp_path):

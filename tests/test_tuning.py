@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate
+from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, tuning
 from depaft.booster import TrainConfig, train
 from depaft.errors import ConfigError
-from depaft.loss import IndependentAftLoss
+from depaft.loss import IndependentAftLoss, loss_from_config
 from depaft.parallel import pool_size, usable_cpus
 from depaft.tuning import CvConfig, checkpoint_schedule, grid_search, stratified_folds
 
@@ -176,3 +178,119 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
     monkeypatch.delattr("os.sched_getaffinity")
     monkeypatch.setattr("os.cpu_count", lambda: 7)
     assert usable_cpus() == 7
+
+
+def _same_trees(a, b):
+    assert a.base_score == b.base_score and len(a.trees) == len(b.trees)
+    for x, y in zip(a.trees, b.trees):
+        for field in type(x).__slots__:
+            assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
+
+
+@pytest.mark.parametrize("legs", [(13, 40), (1, 22, 40), (20, 20, 40)])
+def test_fit_resumed_in_legs_equals_one_straight_run(legs):
+    sim = _sim(seed=3)
+    loss = loss_from_config(CLAYTON_LOSS)
+    cfg = TrainConfig(rounds=40, learning_rate=0.3, max_depth=3)
+    straight = train(sim.data, loss, cfg)
+    model = None
+    for rounds in legs:
+        previous = [] if model is None else list(model.trees)
+        resumed = train(sim.data, loss, replace(cfg, rounds=rounds), *([model] if model else []))
+        if model is not None:
+            assert model.trees == previous  # the model resumed from is left as it was
+        model = resumed
+        assert model.n_rounds == rounds
+    _same_trees(model, straight)
+
+
+def test_resume_refuses_another_learning_rate_or_loss():
+    sim = _sim(seed=3, n=80)
+    loss = loss_from_config(CLAYTON_LOSS)
+    model = train(sim.data, loss, TrainConfig(rounds=5, learning_rate=0.3))
+    with pytest.raises(ConfigError, match="init_model"):
+        train(sim.data, loss, TrainConfig(rounds=10, learning_rate=0.1), model)
+    other = loss_from_config({**CLAYTON_LOSS, "theta": 2.0})
+    with pytest.raises(ConfigError, match="init_model"):
+        train(sim.data, other, TrainConfig(rounds=10, learning_rate=0.3), model)
+
+
+# a small table and a large learning rate: the mean validation c-index
+# peaks within the first 20 rounds and falls after
+EARLY_PEAK = dict(train=TrainConfig(rounds=120, learning_rate=0.3, max_depth=3),
+                  cv=CvConfig(folds=2, max_rounds=120, checkpoint_stride=5, seed=1))
+
+
+def test_patience_scores_a_prefix_and_keeps_the_best():
+    data = _sim(seed=0, n=200).data
+    full, full_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], EARLY_PEAK["cv"])
+    stopped, stopped_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"],
+                                         replace(EARLY_PEAK["cv"], patience=3))
+    assert full["best"]["rounds"] == 20
+    assert len(full["points"]) == 24
+    # best first reached at round 20 (checkpoint 4), stopped 3 checkpoints on
+    assert [p["rounds"] for p in stopped["points"]] == [5, 10, 15, 20, 25, 30, 35]
+    assert stopped["points"] == full["points"][:7]
+    assert stopped["best"] == full["best"]
+    assert stopped["checkpoints"] == full["checkpoints"]
+    _same_trees(stopped_model, full_model)
+
+
+def test_patience_past_the_schedule_changes_nothing():
+    data = _sim(seed=0, n=200).data
+    cv = replace(EARLY_PEAK["cv"], max_rounds=30)
+    full, _ = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv)
+    stopped, _ = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], replace(cv, patience=6))
+    assert stopped == full
+
+
+@pytest.mark.parametrize("folds", [2, 3])
+def test_worker_count_changes_nothing_with_patience(folds):
+    data = _sim(seed=0, n=200).data
+    cv = replace(EARLY_PEAK["cv"], folds=folds, patience=2, theta_grid=(0.5, 1.5, 3.0))
+    serial, serial_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=1)
+    pooled, pooled_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=2)
+    assert pooled == serial
+    assert len(serial["points"]) < 3 * 24  # the rule stopped some theta early
+    assert pooled_model.loss_config == serial_model.loss_config
+    _same_trees(pooled_model, serial_model)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_full_search_scores_every_checkpoint_in_theta_fold_checkpoint_order(monkeypatch, workers):
+    # without patience, every fit is scored in this process at every
+    # checkpoint, theta by theta, fold by fold, checkpoint by checkpoint
+    calls = []
+    concordance = tuning.concordance
+
+    def capture(*args):
+        calls.append(concordance(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(tuning, "concordance", capture)
+    thetas, folds = (2.0, 3.0), 2
+    cv = CvConfig(folds=folds, max_rounds=30, checkpoint_stride=5, theta_grid=thetas, seed=4)
+    result, _ = grid_search(_sim(seed=6, n=200).data, CLAYTON_LOSS,
+                            TrainConfig(rounds=30, max_depth=2), cv, workers=workers)
+    schedule = result["checkpoints"]
+    assert len(calls) == len(thetas) * folds * len(schedule)
+    for ti, theta in enumerate(thetas):
+        points = [p for p in result["points"] if p["theta"] == theta]
+        assert [p["rounds"] for p in points] == schedule
+        for fi in range(folds):
+            for j, point in enumerate(points):
+                assert calls[(ti * folds + fi) * len(schedule) + j] == point["fold_scores"][fi]
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.5, "8", True, [8]])
+def test_cv_config_refuses_a_bad_patience(value):
+    with pytest.raises(ConfigError, match="patience"):
+        CvConfig.from_dict({"patience": value})
+
+
+def test_cv_config_patience_is_null_by_default():
+    assert CvConfig().patience is None
+    assert CvConfig.from_dict({"patience": None}) == CvConfig()
+    assert CvConfig.from_dict({"patience": 8}).patience == 8
+    with pytest.raises(ConfigError, match="patience"):
+        CvConfig(patience=True)
