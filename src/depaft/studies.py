@@ -41,7 +41,7 @@ from .errors import ConfigError, number
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
-from .tuning import CvConfig, grid_search, patience_field
+from .tuning import CvConfig, grid_search
 
 STUDY1_THETAS = (1e-10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 STUDY1_C = 1.49
@@ -57,6 +57,9 @@ STUDY3_COPULAS = (
 
 MODELS = ("clayton", "independent")
 
+# CV stop rule of every study's round selection, in checkpoints
+STUDY_PATIENCE = 8
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -67,7 +70,6 @@ class StudyConfig:
     seed: int = 29
     max_rounds: int = 400
     checkpoint_stride: int = 25
-    patience: int | None = 8  # CV stop rule, in checkpoints; None grows every fit to max_rounds
     learning_rate: float = 0.1
     max_depth: int = 3
     min_child_weight: float = 1.0
@@ -108,7 +110,7 @@ class StudyConfig:
             max_rounds=self.max_rounds,
             checkpoint_stride=self.checkpoint_stride,
             seed=seed,
-            patience=self.patience,
+            patience=STUDY_PATIENCE,
         )
 
     def to_dict(self) -> dict:
@@ -120,7 +122,6 @@ class StudyConfig:
             "seed": self.seed,
             "max_rounds": self.max_rounds,
             "checkpoint_stride": self.checkpoint_stride,
-            "patience": self.patience,
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "min_child_weight": self.min_child_weight,
@@ -135,7 +136,7 @@ class StudyConfig:
             "study": int, "repetitions": int, "n_train": int, "n_test": int, "seed": int,
             "max_rounds": int, "checkpoint_stride": int, "learning_rate": float,
             "max_depth": int, "min_child_weight": float, "lambda": float, "gamma": float,
-            "n_horizons": int, "patience": int,
+            "n_horizons": int,
         }
         extra = set(d) - set(kinds)
         if extra:
@@ -144,10 +145,8 @@ class StudyConfig:
             raise ConfigError("study config requires field 'study'")
         kwargs = {
             name: number(value, kinds[name], f"study config field {name!r}")
-            for name, value in d.items() if name != "patience"
+            for name, value in d.items()
         }
-        if "patience" in d:
-            kwargs["patience"] = patience_field(d["patience"], "study config field 'patience'")
         if "lambda" in kwargs:
             kwargs["reg_lambda"] = kwargs.pop("lambda")
         return cls(**kwargs)
@@ -238,10 +237,17 @@ def _partial_path(out_dir: str, grid_index: int, rep: int) -> str:
     return os.path.join(out_dir, "partial", f"task_g{grid_index:03d}_r{rep:04d}.json")
 
 
+def _fingerprint(config: StudyConfig) -> dict:
+    """What partial results are resumed under: the config and the CV stop
+    rule, which is not a config field."""
+    return {**config.to_dict(), "patience": STUDY_PATIENCE}
+
+
 def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
     """Refuse to resume partial results written under another config.
 
-    partial/config.json holds the config the task files were run with;
+    partial/config.json holds the fingerprint of the config the task
+    files were run with;
     a directory with task files but no such file is refused too.
     """
     partial = os.path.join(out_dir, "partial")
@@ -252,7 +258,7 @@ def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
                 saved = json.load(fh)
             except json.JSONDecodeError:
                 saved = None
-        if saved != config.to_dict():
+        if saved != _fingerprint(config):
             raise ConfigError(
                 f"{out_dir} holds partial results of a different study config "
                 f"({path}); use a new output directory"
@@ -263,7 +269,7 @@ def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
             f"{partial} holds task files but no config fingerprint; "
             "use a new output directory"
         )
-    _write_atomic(path, json.dumps(config.to_dict(), sort_keys=True))
+    _write_atomic(path, json.dumps(_fingerprint(config), sort_keys=True))
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -55,24 +55,19 @@ class CvConfig:
             raise ConfigError("theta_grid must be non-empty when given")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
-        if self.patience is not None and not (
-            isinstance(self.patience, int) and not isinstance(self.patience, bool)
-            and self.patience >= 1
-        ):
-            raise ConfigError(f"patience must be a positive integer or null, got {self.patience!r}")
+        if self.patience is not None and not (isinstance(self.patience, int) and self.patience >= 1):
+            raise ConfigError(f"patience must be a positive integer or None, got {self.patience!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CvConfig":
-        known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed", "patience"}
+        known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed"}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown cv config fields: {sorted(extra)}")
         kwargs = {
             name: number(value, int, f"cv config field {name!r}")
-            for name, value in d.items() if name not in ("theta_grid", "patience")
+            for name, value in d.items() if name != "theta_grid"
         }
-        if "patience" in d:
-            kwargs["patience"] = patience_field(d["patience"], "cv config field 'patience'")
         grid = d.get("theta_grid")
         if grid is not None:
             if not isinstance(grid, list):
@@ -81,12 +76,6 @@ class CvConfig:
                 number(x, float, "cv config field 'theta_grid' entry") for x in grid
             )
         return cls(**kwargs)
-
-
-def patience_field(value, what: str) -> int | None:
-    """A config file's patience: null, or a whole number (a positive one,
-    which CvConfig checks)."""
-    return None if value is None else number(value, int, what)
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:

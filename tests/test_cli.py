@@ -381,14 +381,6 @@ def test_cv_bad_theta_grid_entry_exits_2_before_any_pool(sim_dir, tmp_path, monk
     assert "theta must be a positive finite real" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("patience", [0, -1, 1.5, "8", True])
-def test_cv_bad_patience_exit_2(sim_dir, tmp_path, capsys, patience):
-    capsys.readouterr()
-    assert _cv(sim_dir, tmp_path, {**CV_CFG, "patience": patience}) == 2
-    assert "patience" in capsys.readouterr().err
-    assert not (tmp_path / "cv").exists()
-
-
 def test_cli_via_subprocess(tmp_path):
     # the installed console entry point works end to end
     cfg = tmp_path / "sim.json"

@@ -237,7 +237,7 @@ def test_generate_deterministic():
 
 @pytest.mark.parametrize("field, value", [
     ("n", "abc"), ("n", "300"), ("n", 300.5), ("c", "x"), ("c", None),
-    ("weibull_shape", [3.0]), ("seed", "7"),
+    ("weibull_shape", [3.0]), ("seed", "7"), ("n", True), ("c", False),
 ])
 def test_config_rejects_non_numeric_fields(field, value):
     d = {"n": 100, "c": 1.49, "copula": {"family": "clayton", "theta": 3.0}, field: value}

@@ -146,7 +146,7 @@ def test_resume_refuses_a_different_config(tmp_path):
     cfg = StudyConfig(**{**TINY, "study": 2, "repetitions": 1})
     run_study(cfg, str(out), workers=1, quiet=True)
     fingerprint = json.loads((out / "partial" / "config.json").read_text())
-    assert fingerprint == cfg.to_dict()
+    assert fingerprint == {**cfg.to_dict(), "patience": studies.STUDY_PATIENCE}
     before = (out / "results.csv").read_bytes()
     with pytest.raises(ConfigError, match="different study config"):
         run_study(StudyConfig(**{**TINY, "study": 2, "repetitions": 1, "seed": 6}), str(out),
@@ -232,7 +232,7 @@ def test_task_builds_train_and_cv_configs_through_study_config(monkeypatch):
     assert (train_cfg, cv) == (cfg.train_config(), cfg.cv_config(seed=train_seed))
     assert (train_cfg.learning_rate, train_cfg.gamma, train_cfg.rounds) == (0.3, 0.5, 10)
     assert (cv.folds, cv.max_rounds, cv.checkpoint_stride, cv.seed) == (2, 10, 5, train_seed)
-    assert cv.patience == cfg.patience == 8
+    assert cv.patience == studies.STUDY_PATIENCE == 8
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -253,40 +253,22 @@ def test_study_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not (out / "partial").exists()
 
 
-def test_patience_defaults_to_8_and_round_trips():
-    cfg = StudyConfig(**TINY)
-    assert cfg.patience == 8 and cfg.to_dict()["patience"] == 8
-    unbounded = StudyConfig.from_dict({**TINY, "patience": None})
-    assert unbounded.patience is None and unbounded.cv_config(seed=0).patience is None
-    assert StudyConfig.from_dict(unbounded.to_dict()) == unbounded
-
-
-@pytest.mark.parametrize("value", [0, -1, 1.5, "8", True])
-def test_config_refuses_a_bad_patience(value):
-    with pytest.raises(ConfigError, match="patience"):
-        StudyConfig.from_dict({**TINY, "patience": value})
-
-
-@pytest.mark.parametrize("value", [0, "8", True])
-def test_study_cli_bad_patience_exit_2(tmp_path, capsys, value):
-    cfg = tmp_path / "study.json"
-    cfg.write_text(json.dumps({**TINY, "patience": value}))
-    assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert "patience" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "partial").exists()
-
-
 def test_study_cli_resume_under_another_patience_exit_2(tmp_path, capsys):
-    out = str(tmp_path / "out")
+    # partial results written under another stop rule (here, by a run
+    # that grew every fold fit to max_rounds) are not resumed
+    out = tmp_path / "out"
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
-    assert main(["study", "--config", str(cfg), "--out", out, "--quiet"]) == 0
-    before = (tmp_path / "out" / "results.csv").read_bytes()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    before = (out / "results.csv").read_bytes()
+    fingerprint = out / "partial" / "config.json"
+    saved = json.loads(fingerprint.read_text())
+    assert saved["patience"] == studies.STUDY_PATIENCE == 8
+    fingerprint.write_text(json.dumps({**saved, "patience": None}))
     capsys.readouterr()
-    cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1, "patience": None}))
-    assert main(["study", "--config", str(cfg), "--out", out, "--quiet"]) == 2
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "different study config" in capsys.readouterr().err
-    assert (tmp_path / "out" / "results.csv").read_bytes() == before
+    assert (out / "results.csv").read_bytes() == before
 
 
 def test_study_cli_partial_that_is_a_file_exit_2(tmp_path, capsys):

@@ -127,6 +127,7 @@ def test_theta_grid_requires_clayton():
 @pytest.mark.parametrize("field, value", [
     ("folds", "2"), ("max_rounds", "abc"), ("checkpoint_stride", 2.5), ("seed", None),
     ("theta_grid", ["x"]), ("theta_grid", "1.5"), ("theta_grid", 1.5),
+    ("max_rounds", True), ("theta_grid", [True]),
 ])
 def test_cv_config_rejects_non_numeric_fields(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -280,17 +281,3 @@ def test_full_search_scores_every_checkpoint_in_theta_fold_checkpoint_order(monk
         for fi in range(folds):
             for j, point in enumerate(points):
                 assert calls[(ti * folds + fi) * len(schedule) + j] == point["fold_scores"][fi]
-
-
-@pytest.mark.parametrize("value", [0, -1, 1.5, "8", True, [8]])
-def test_cv_config_refuses_a_bad_patience(value):
-    with pytest.raises(ConfigError, match="patience"):
-        CvConfig.from_dict({"patience": value})
-
-
-def test_cv_config_patience_is_null_by_default():
-    assert CvConfig().patience is None
-    assert CvConfig.from_dict({"patience": None}) == CvConfig()
-    assert CvConfig.from_dict({"patience": 8}).patience == 8
-    with pytest.raises(ConfigError, match="patience"):
-        CvConfig(patience=True)
