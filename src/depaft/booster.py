@@ -11,10 +11,16 @@ at prediction time.
 
 Split search runs on pre-sorted columns (the exact greedy algorithm of
 Chen & Guestrin 2016, section 4.1).  train() argsorts every feature once,
-stably, into a (p, n) order matrix.  Each node keeps its own (p, m) order
-matrix; a split partitions it stably with the go-left mask, so children
-inherit sorted rows and no node sorts again.  One cumsum along the rows
-of that matrix scores every (feature, threshold) cut at once.
+stably, into a (p, n) order matrix and gathers the sorted values beside
+it, as XGBoost's column blocks keep each row index with its value.  Each
+node keeps its own (p, m) order and value matrices; a split partitions
+both stably with one go-left mask, so children inherit sorted rows and
+values and no node sorts or gathers X again.  Children at max_depth are
+leaves and read neither matrix, so only their row lists are partitioned.
+One complex cumsum (g real, h imaginary) along the rows of the order
+matrix scores every (feature, threshold) cut at once.  A cut is usable
+when its midpoint lies in (lo, hi]; the root holds every row in every
+round, so its midpoints and usable mask are computed once per fit.
 
 The node totals G and H (parent score, leaf weight) are summed over the
 node's rows in ascending row order, not in any feature's sorted order.
@@ -159,45 +165,87 @@ class TreeEnsemble:
         return len(self.trees)
 
 
-def _best_split(X, g, h, rows, order, cfg: TrainConfig):
-    """Best (feature, threshold, gain) over a node, or None.
+def _pack(g, h):
+    """g and h as one complex array, assigned part by part: g + 1j*h would
+    turn a -0.0 in g into +0.0."""
+    gh = np.empty(g.shape[0], dtype=complex)
+    gh.real = g
+    gh.imag = h
+    return gh
+
+
+def _cuts(xs):
+    """Midpoint thresholds between sorted neighbours, and which are usable.
+
+    xs is a (p, m) matrix of sorted values.  A cut is usable when its
+    midpoint lies in (lo, hi]: strictly above the left value, so rounding
+    has not collapsed it onto lo (this also implies lo < hi), and not above
+    the right value, which is what fails when lo + hi overflows to inf.
+    """
+    lo, hi = xs[:, :-1], xs[:, 1:]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return mid, (mid > lo) & (mid <= hi)
+
+
+def _best_split(X, g, h, rows, order, cfg: TrainConfig, *, gh=None, xs=None, cuts=None):
+    """Best (gain, feature, threshold) over a node, or None.
 
     rows holds the node's row indices in ascending order; order is the
     (p, m) matrix whose row f lists the same rows sorted stably by feature
     f.  All features are scored in one pass, and a row-major argmax over
     the (feature, threshold) gains realizes the
     lowest-feature-then-lowest-threshold tie-break.
+
+    The carried arrays are derived here when absent: gh packs g and h as
+    the real and imaginary parts of one complex array, xs holds X's values
+    in the order of `order`, and cuts is _cuts(xs).
     """
+    if gh is None:
+        gh = _pack(g, h)
+    if xs is None:
+        xs = np.take_along_axis(X.T, order, axis=1)
+    mid, usable = _cuts(xs) if cuts is None else cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
     lam = cfg.reg_lambda
     parent_score = g_total * g_total / (h_total + lam)
-    xs = np.take_along_axis(X.T, order, axis=1)
-    gl = np.cumsum(g[order], axis=1)[:, :-1]
-    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    # complex addition is componentwise, so both prefix sums come out
+    # with the bits of separate cumsums of g and h
+    left = np.cumsum(gh[order], axis=1)[:, :-1]
+    gl, hl = left.real, left.imag
     hr = h_total - hl
-    lo, hi = xs[:, :-1], xs[:, 1:]
-    mid = 0.5 * (lo + hi)
-    # valid cut: between distinct values, midpoint strictly above the
-    # left value (guards against rounding collapsing the cut), and both
-    # children above the Hessian-mass floor
-    valid = (lo < hi) & (mid > lo) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+    # usable threshold, and both children above the Hessian-mass floor
+    valid = usable & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
     if not valid.any():
         return None
-    gl, hl, hr = gl[valid], hl[valid], hr[valid]
-    gr = g_total - gl
-    gains = np.full(mid.shape, -np.inf)
-    gains[valid] = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score) - cfg.gamma
+    # 1/2 [gl^2/(hl+lam) + gr^2/(hr+lam) - parent_score] - gamma, scored
+    # densely and in place (fewer large temporaries); invalid cuts may
+    # divide by zero and are dropped after
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = np.square(gl)
+        gains /= hl + lam
+        gr2 = np.square(g_total - gl)
+        hr += lam
+        gr2 /= hr
+        gains += gr2
+        gains -= parent_score
+        gains *= 0.5
+        gains -= cfg.gamma
+    gains[~valid] = -np.inf
     f, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
     return float(gains[f, k]), int(f), float(mid[f, k])
 
 
-def _grow_tree(X, g, h, order, cfg: TrainConfig):
+def _grow_tree(X, g, h, order, xs, cuts, cfg: TrainConfig):
     """Grow one tree; returns (tree, leaf_index_per_row).
 
-    order is the (p, n) stable argsort of every feature column.  A split
-    partitions each node's order matrix stably with the go-left mask, so
-    every child inherits its rows already sorted and no node sorts again.
+    order is the (p, n) stable argsort of every feature column, xs the
+    sorted values and cuts the root's _cuts(xs), all computed once per
+    fit.  A split partitions the node's order and value matrices stably
+    with one go-left mask, so every child inherits its rows and values
+    already sorted and no node sorts or gathers X again.  Children at
+    max_depth are leaves: only their rows are partitioned.
     """
     n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
@@ -213,23 +261,32 @@ def _grow_tree(X, g, h, order, cfg: TrainConfig):
 
     lam = cfg.reg_lambda
     p = order.shape[0]
-    stack = [(new_node(), np.arange(n), order, 0)]
+    gh = _pack(g, h)
+    stack = [(new_node(), np.arange(n), order, xs, 0)]
     while stack:
-        node, rows, node_order, depth = stack.pop()
-        split = _best_split(X, g, h, rows, node_order, cfg) if depth < cfg.max_depth else None
+        node, rows, node_order, node_xs, depth = stack.pop()
+        split = None
+        if depth < cfg.max_depth:
+            split = _best_split(X, g, h, rows, node_order, cfg, gh=gh, xs=node_xs,
+                                cuts=cuts if depth == 0 else None)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
-            rows_left, order_left = go_left[rows], go_left[node_order]
+            rows_left = go_left[rows]
+            if depth + 1 < cfg.max_depth:
+                # flat positions of each side, shared by both matrices
+                in_left = go_left[node_order].ravel()
+                children = [(node_order.take(at).reshape(p, -1), node_xs.take(at).reshape(p, -1))
+                            for at in (np.flatnonzero(in_left), np.flatnonzero(~in_left))]
+            else:
+                children = [(None, None)] * 2
             feature[node] = f
             threshold[node] = thr
             left[node] = new_node()
             right[node] = new_node()
             # push right first so nodes are numbered in left-first order
-            stack.append((right[node], rows[~rows_left],
-                          node_order[~order_left].reshape(p, -1), depth + 1))
-            stack.append((left[node], rows[rows_left],
-                          node_order[order_left].reshape(p, -1), depth + 1))
+            stack.append((right[node], rows[~rows_left], *children[1], depth + 1))
+            stack.append((left[node], rows[rows_left], *children[0], depth + 1))
         else:
             # summed in row order, like the totals in _best_split
             w = -g[rows].sum() / (h[rows].sum() + lam)
@@ -243,7 +300,7 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
     """Fit a boosted ensemble by iterating loss -> statistics -> tree.
 
     base_score "auto" initializes at the mean log observed time.  Raises
-    NumericError naming the round and row if the loss produces a
+    NumericError naming the round, and the row if the loss returned a
     non-finite statistic.
 
     Given init_model, a fit of the same data, loss and learning rate,
@@ -270,14 +327,20 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
             raise ConfigError("init_model was fit with another learning rate or loss")
         model = replace(init_model, trees=list(init_model.trees))
         pred = model.predict(X)
+    # every root holds every row, so its sort, values and cuts serve each round
     order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    cuts = _cuts(xs)
     for k in range(model.n_rounds, config.rounds):
-        g, h = loss.grad_hess(t, delta, pred)
+        try:
+            g, h = loss.grad_hess(t, delta, pred)
+        except NumericError as exc:
+            raise NumericError(f"round {k}: {exc}") from exc
         bad = ~(np.isfinite(g) & np.isfinite(h))
         if np.any(bad):
             row = int(np.argmax(bad))
             raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
-        tree, row_leaf = _grow_tree(X, g, h, order, config)
+        tree, row_leaf = _grow_tree(X, g, h, order, xs, cuts, config)
         model.trees.append(tree)
         pred += config.learning_rate * tree.value[row_leaf]
     return model

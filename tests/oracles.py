@@ -251,11 +251,11 @@ def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_w
     """One second-order tree as lists (feature, threshold, left, right, value).
 
     Every node sorts its rows by each feature afresh (ties by row index)
-    and scans the cuts between distinct neighbours left to right.  A cut
-    replaces the incumbent only on strictly larger gain, so the lowest
-    feature, then the lowest threshold, wins a tie.  Node totals are
-    summed in row order.  Nodes are numbered depth-first, left child
-    first; a leaf has feature -1.
+    and scans the cuts between neighbours left to right.  A cut counts
+    when its midpoint lies in (lo, hi], and replaces the incumbent only on
+    strictly larger gain, so the lowest feature, then the lowest
+    threshold, wins a tie.  Node totals are summed in row order.  Nodes
+    are numbered depth-first, left child first; a leaf has feature -1.
     """
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -282,7 +282,7 @@ def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_w
                     lo, hi = X[a][f], X[b][f]
                     mid = 0.5 * (lo + hi)
                     gr, hr = g_total - gl, h_total - hl
-                    if not (lo < hi and lo < mid):
+                    if not (lo < mid <= hi):  # lo + hi overflows to inf past ~9e307
                         continue
                     if hl < min_child_weight or hr < min_child_weight:
                         continue

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from depaft import BaselineSpec, ClaytonAftLoss, CopulaSpec, DgpConfig, generate
+from depaft import BaselineSpec, ClaytonAftLoss, CopulaSpec, DgpConfig, booster, generate
 from depaft.booster import (
     RegressionTree,
     TrainConfig,
@@ -132,6 +133,24 @@ class FixedStatsLoss(SquaredErrorLoss):
         return self.g.copy(), self.h.copy()
 
 
+def _assert_oracle_tree(tree, X, g, h, cfg):
+    feature, threshold, left, right, value = ref_grow_tree(
+        X.tolist(), g.tolist(), h.tolist(), cfg.max_depth, cfg.reg_lambda, cfg.gamma,
+        cfg.min_child_weight,
+    )
+    assert tree.feature.tolist() == feature
+    assert tree.threshold.tolist() == threshold
+    assert tree.left.tolist() == left and tree.right.tolist() == right
+    assert np.allclose(tree.value, value, rtol=0.0, atol=1e-12)
+
+
+def _fit_one_tree(X, g, h, **cfg):
+    n = X.shape[0]
+    data = SurvivalDataset(np.ones(n), np.ones(n, dtype=int), X)
+    cfg = TrainConfig(rounds=1, base_score=0.0, **cfg)
+    return train(data, FixedStatsLoss(g, h), cfg).trees[0], cfg
+
+
 @pytest.mark.parametrize(
     "lam, gamma, mcw",
     [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.75, 0.0), (1.0, 0.0, 6.0), (0.0, 0.5, 4.0)],
@@ -152,20 +171,94 @@ def test_trees_match_exact_greedy_oracle_on_ties(lam, gamma, mcw, dyadic):
         else:
             g = rng.normal(size=n)
             h = rng.uniform(0.3, 2.0, size=n)
-        data = SurvivalDataset(np.ones(n), np.ones(n, dtype=int), X)
-        cfg = TrainConfig(rounds=1, max_depth=4, reg_lambda=lam, gamma=gamma,
-                          min_child_weight=mcw, base_score=0.0)
-        tree = train(data, FixedStatsLoss(g, h), cfg).trees[0]
-        feature, threshold, left, right, value = ref_grow_tree(
-            X.tolist(), g.tolist(), h.tolist(), 4, lam, gamma, mcw
-        )
-        assert tree.feature.tolist() == feature
-        assert tree.threshold.tolist() == threshold
-        assert tree.left.tolist() == left and tree.right.tolist() == right
-        assert np.allclose(tree.value, value, rtol=0.0, atol=1e-12)
+        tree, cfg = _fit_one_tree(X, g, h, max_depth=4, reg_lambda=lam, gamma=gamma,
+                                  min_child_weight=mcw)
+        _assert_oracle_tree(tree, X, g, h, cfg)
+        feature = tree.feature.tolist()
         assert 3 not in feature and 4 not in feature  # constant column; copy loses ties
         twin_used |= 0 in feature
     assert twin_used
+
+
+@pytest.mark.parametrize("max_depth", [1, 2])
+def test_shallow_trees_match_exact_greedy_oracle(max_depth):
+    # children at max_depth are leaves, so their order matrices are never
+    # partitioned; at depth 1 that is both children of the root
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        n = int(rng.integers(5, 80))
+        X = np.column_stack([rng.integers(0, 5, size=(n, 2)).astype(float), rng.uniform(size=n)])
+        g = rng.normal(size=n)
+        h = rng.uniform(0.3, 2.0, size=n)
+        tree, cfg = _fit_one_tree(X, g, h, max_depth=max_depth, min_child_weight=float(trial % 3))
+        _assert_oracle_tree(tree, X, g, h, cfg)
+        assert tree.n_nodes <= 2 ** (max_depth + 1) - 1
+
+
+def test_trees_match_oracle_on_adjacent_doubles():
+    # columns of v, nextafter(v) and the double after that: the midpoint
+    # of two neighbouring doubles rounds onto one of them, so some cuts
+    # collapse onto lo (unusable) and others land on hi (usable)
+    rng = np.random.default_rng(23)
+    on_hi = 0
+    for trial in range(12):
+        n = int(rng.integers(8, 60))
+        steps = rng.integers(0, 3, size=(n, 3))
+        X = rng.choice([0.1, 1.0, 1.0 + 2.0**-52, 2.5, -7.0], size=(n, 3))
+        for k in (1, 2):
+            X = np.where(steps >= k, np.nextafter(X, np.inf), X)
+        g = steps.sum(axis=1) - 3.0 + 0.1 * rng.normal(size=n)
+        h = rng.uniform(0.3, 2.0, size=n)
+        tree, cfg = _fit_one_tree(X, g, h, max_depth=3)
+        _assert_oracle_tree(tree, X, g, h, cfg)
+        on_hi += sum(thr in X[:, f] for f, thr in zip(tree.feature, tree.threshold) if f >= 0)
+    assert on_hi > 0
+
+
+def test_huge_valued_columns_never_split_at_inf(tmp_path):
+    # past ~9e307, lo + hi overflows and the midpoint is inf; such a cut
+    # must be unusable, not a threshold that sends every row left.  Column
+    # 2 separates the same rows with values of both signs, whose midpoint
+    # is 0.0, and column 0's lower index no longer wins the tie.
+    rng = np.random.default_rng(31)
+    n = 40
+    up = rng.uniform(size=n) < 0.5
+    big = np.where(up, 1.7e308, 1.6e308)
+    X = np.column_stack([big, -big, np.where(up, 1.7e308, -1.7e308), rng.uniform(size=n)])
+    g = np.where(up, 1.0, -1.0) + 0.1 * rng.normal(size=n)
+    h = np.ones(n)
+    tree, cfg = _fit_one_tree(X, g, h, max_depth=3)
+    _assert_oracle_tree(tree, X, g, h, cfg)
+    assert (tree.feature[0], tree.threshold[0]) == (2, 0.0)
+    assert not {0, 1} & set(tree.feature.tolist())
+    assert np.all(np.isfinite(tree.threshold))
+    leaves = np.flatnonzero(tree.feature < 0)
+    assert set(np.unique(tree.predict(X))) == set(tree.value[leaves])
+    model = TreeEnsemble(0.0, 0.1, 4, SquaredErrorLoss().to_config(), [tree])
+    save(model, tmp_path / "m.json")  # refuses non-finite numbers
+    assert load(tmp_path / "m.json").trees[0].threshold.tolist() == tree.threshold.tolist()
+
+
+def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
+    # every node of a real fit: _best_split on the values, cuts and packed
+    # statistics the grower carries returns the tuple it returns when it
+    # derives them itself
+    calls = []
+    best_split = booster._best_split
+
+    def spy(X, g, h, rows, order, cfg, **carried):
+        assert set(carried) == {"gh", "xs", "cuts"}
+        assert np.array_equal(carried["xs"], np.take_along_axis(X.T, order, axis=1))
+        got = best_split(X, g, h, rows, order, cfg, **carried)
+        calls.append((repr(got), repr(best_split(X, g, h, rows, order, cfg))))
+        return got
+
+    monkeypatch.setattr(booster, "_best_split", spy)
+    sim = generate(DgpConfig(n=300, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=5))
+    loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
+    train(sim.data, loss, TrainConfig(rounds=6, max_depth=4, min_child_weight=2.0, gamma=0.01))
+    assert len(calls) > 40
+    assert all(got == derived for got, derived in calls)
 
 
 def test_leaf_weight_optimality():
@@ -271,6 +364,20 @@ def test_nonfinite_gradient_aborts_with_location():
         train(_toy_data(10), BadLoss(), TrainConfig(rounds=1))
 
 
+def test_loss_numeric_error_names_the_round():
+    class FailsInRoundTwo(SquaredErrorLoss):
+        calls = 0
+
+        def grad_hess(self, t, delta, yhat):
+            self.calls += 1
+            if self.calls == 3:
+                raise NumericError("non-finite loss value or derivative")
+            return super().grad_hess(t, delta, yhat)
+
+    with pytest.raises(NumericError, match=r"^round 2: non-finite loss value or derivative$"):
+        train(_toy_data(20), FailsInRoundTwo(), TrainConfig(rounds=4))
+
+
 def test_save_load_round_trip(tmp_path):
     sim = generate(DgpConfig(n=200, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=2))
     loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
@@ -321,6 +428,19 @@ def test_training_determinism_bytes(tmp_path):
     for i in range(2):
         save(train(sim.data, loss, cfg), tmp_path / f"m{i}.json")
     assert (tmp_path / "m0.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
+
+
+# SHA-256 of model.json for a 4000-row Clayton fit, recorded before split
+# search carried sorted values and a per-fit root cut table; its nodes are
+# ten times larger than those of the CLI pins.
+LARGE_FIT_SHA256 = "a5cb693ee4a68c7b690cade27dcc545671dc8cbb48ee50062583f5a44bd45c6f"
+
+
+def test_large_fit_model_bytes_are_pinned(tmp_path):
+    sim = generate(DgpConfig(n=4000, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=41))
+    loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
+    save(train(sim.data, loss, TrainConfig(rounds=20, max_depth=3)), tmp_path / "model.json")
+    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == LARGE_FIT_SHA256
 
 
 def test_load_rejects_unknown_loss(tmp_path):
