@@ -21,6 +21,9 @@ One complex cumsum (g real, h imaginary) along the rows of the order
 matrix scores every (feature, threshold) cut at once.  A cut is usable
 when its midpoint lies in (lo, hi]; the root holds every row in every
 round, so its midpoints and usable mask are computed once per fit.
+Every node works in buffers allocated once per fit (_Scratch), and
+children's matrices go into one arena per depth; of node size, a split
+allocates only the flat positions it partitions by.
 
 The node totals G and H (parent score, leaf weight) are summed over the
 node's rows in ascending row order, not in any feature's sorted order.
@@ -174,21 +177,63 @@ def _pack(g, h):
     return gh
 
 
-def _cuts(xs):
+class _Scratch:
+    """Buffers of one fit, reused by every node of every tree.
+
+    A node of m rows scores its cuts in the first p*m cells of each
+    buffer, viewed as a (p, m) matrix.  Its children's order and value
+    matrices go into the arena of the next depth, in the cells the node's
+    own matrices take in its depth; the nodes of one depth hold disjoint
+    rows, so they never overlap.  Of node size, a split then allocates
+    only the flat positions it partitions by.  Whether the allocator
+    hands a freed array that large back to the system depends on what
+    the process ran before, so with every per-node array allocated anew a
+    fit paid page faults at every node or at none, and its speed was set
+    by earlier work.
+    """
+
+    def __init__(self, p: int, n: int, levels: int = 0):
+        self.p = p
+        self.stats = np.empty(p * n, dtype=complex)  # gathered (g, h), then their prefix sums
+        self.mid = np.empty(p * n)
+        self.hr = np.empty(p * n)
+        self.gains = np.empty(p * n)
+        self.tmp = np.empty(p * n)
+        self.usable = np.empty(p * n, dtype=bool)
+        self.valid = np.empty(p * n, dtype=bool)
+        self.mask = np.empty(p * n, dtype=bool)
+        # arenas of depths 1..levels: the nodes of one depth hold disjoint rows
+        self.order = [np.empty(p * n, dtype=np.int64) for _ in range(levels)]
+        self.xs = [np.empty(p * n) for _ in range(levels)]
+
+    def view(self, buf, m):
+        return buf[: self.p * m].reshape(self.p, m)
+
+
+def _cuts(xs, out=None):
     """Midpoint thresholds between sorted neighbours, and which are usable.
 
-    xs is a (p, m) matrix of sorted values.  A cut is usable when its
-    midpoint lies in (lo, hi]: strictly above the left value, so rounding
-    has not collapsed it onto lo (this also implies lo < hi), and not above
-    the right value, which is what fails when lo + hi overflows to inf.
+    xs is a (p, m) matrix of sorted values; out, when given, is three
+    (p, m - 1) buffers: midpoints, usable mask and a mask to work in.  A
+    cut is usable when its midpoint lies in (lo, hi]: strictly above the
+    left value, so rounding has not collapsed it onto lo (this also
+    implies lo < hi), and not above the right value, which is what fails
+    when lo + hi overflows to inf.
     """
     lo, hi = xs[:, :-1], xs[:, 1:]
+    if out is None:
+        out = np.empty(lo.shape), np.empty(lo.shape, dtype=bool), np.empty(lo.shape, dtype=bool)
+    mid, usable, below = out
     with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
-    return mid, (mid > lo) & (mid <= hi)
+        np.add(lo, hi, out=mid)
+    mid *= 0.5
+    np.greater(mid, lo, out=usable)
+    usable &= np.less_equal(mid, hi, out=below)
+    return mid, usable
 
 
-def _best_split(X, g, h, rows, order, cfg: TrainConfig, *, gh=None, xs=None, cuts=None):
+def _best_split(X, g, h, rows, order, cfg: TrainConfig, *,
+                gh=None, xs=None, cuts=None, scratch=None):
     """Best (gain, feature, threshold) over a node, or None.
 
     rows holds the node's row indices in ascending order; order is the
@@ -199,53 +244,86 @@ def _best_split(X, g, h, rows, order, cfg: TrainConfig, *, gh=None, xs=None, cut
 
     The carried arrays are derived here when absent: gh packs g and h as
     the real and imaginary parts of one complex array, xs holds X's values
-    in the order of `order`, and cuts is _cuts(xs).
+    in the order of `order`, cuts is _cuts(xs), and scratch is a _Scratch
+    with room for the node.
     """
+    p, m = order.shape
+    if scratch is None:
+        scratch = _Scratch(p, m)
+    view = scratch.view
     if gh is None:
         gh = _pack(g, h)
     if xs is None:
         xs = np.take_along_axis(X.T, order, axis=1)
-    mid, usable = _cuts(xs) if cuts is None else cuts
+    if cuts is None:
+        out = view(scratch.mid, m - 1), view(scratch.usable, m - 1), view(scratch.valid, m - 1)
+        cuts = _cuts(xs, out)
+    mid, usable = cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
     lam = cfg.reg_lambda
     parent_score = g_total * g_total / (h_total + lam)
     # complex addition is componentwise, so both prefix sums come out
-    # with the bits of separate cumsums of g and h
-    left = np.cumsum(gh[order], axis=1)[:, :-1]
+    # with the bits of separate cumsums of g and h; order holds only
+    # valid rows, so mode="clip" clips nothing (and needs no buffer)
+    left = np.take(gh, order, out=view(scratch.stats, m), mode="clip")
+    left = np.cumsum(left, axis=1, out=left)[:, :-1]
     gl, hl = left.real, left.imag
-    hr = h_total - hl
+    hr = np.subtract(h_total, hl, out=view(scratch.hr, m - 1))
     # usable threshold, and both children above the Hessian-mass floor
-    valid = usable & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+    mask = view(scratch.mask, m - 1)
+    valid = np.greater_equal(hl, cfg.min_child_weight, out=view(scratch.valid, m - 1))
+    valid &= np.greater_equal(hr, cfg.min_child_weight, out=mask)
+    valid &= usable
     if not valid.any():
         return None
     # 1/2 [gl^2/(hl+lam) + gr^2/(hr+lam) - parent_score] - gamma, scored
-    # densely and in place (fewer large temporaries); invalid cuts may
-    # divide by zero and are dropped after
+    # densely; invalid cuts may divide by zero and are dropped after
+    gains, tmp = view(scratch.gains, m - 1), view(scratch.tmp, m - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = np.square(gl)
-        gains /= hl + lam
-        gr2 = np.square(g_total - gl)
+        np.square(gl, out=gains)
+        gains /= np.add(hl, lam, out=tmp)
+        np.subtract(g_total, gl, out=tmp)
+        np.square(tmp, out=tmp)
         hr += lam
-        gr2 /= hr
-        gains += gr2
+        tmp /= hr
+        gains += tmp
         gains -= parent_score
         gains *= 0.5
         gains -= cfg.gamma
-    gains[~valid] = -np.inf
+    gains[np.logical_not(valid, out=mask)] = -np.inf
     f, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
     return float(gains[f, k]), int(f), float(mid[f, k])
 
 
-def _grow_tree(X, g, h, order, xs, cuts, cfg: TrainConfig):
+def _partition(go_left, order, xs, scratch, order_out, xs_out):
+    """Stably partition a node's (p, m) order and value matrices by row.
+
+    Entries whose row goes left fill the first cells of the flat order_out
+    and xs_out and the others the cells after, each feature's entries in
+    their sorted order: the children's (p, m_left) and (p, m - m_left)
+    matrices, row-major.  Order holds only valid rows and the positions
+    only valid cells, so mode="clip" clips nothing (and needs no buffer).
+    """
+    order, xs = order.ravel(), xs.ravel()
+    in_left = np.take(go_left, order, out=scratch.mask[:order.size], mode="clip")
+    at_left = np.flatnonzero(in_left)
+    at_right = np.flatnonzero(np.logical_not(in_left, out=in_left))
+    for at, cells in ((at_left, slice(0, at_left.size)), (at_right, slice(at_left.size, None))):
+        np.take(order, at, out=order_out[cells], mode="clip")
+        np.take(xs, at, out=xs_out[cells], mode="clip")
+
+
+def _grow_tree(X, g, h, order, xs, cuts, scratch, cfg: TrainConfig):
     """Grow one tree; returns (tree, leaf_index_per_row).
 
     order is the (p, n) stable argsort of every feature column, xs the
-    sorted values and cuts the root's _cuts(xs), all computed once per
-    fit.  A split partitions the node's order and value matrices stably
-    with one go-left mask, so every child inherits its rows and values
-    already sorted and no node sorts or gathers X again.  Children at
-    max_depth are leaves: only their rows are partitioned.
+    sorted values, cuts the root's _cuts(xs) and scratch a _Scratch with
+    max_depth - 1 levels, all made once per fit.  A split partitions the
+    node's order and value matrices stably with one go-left mask, so
+    every child inherits its rows and values already sorted and no node
+    sorts or gathers X again.  Children at max_depth are leaves: only
+    their rows are partitioned.
     """
     n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
@@ -261,32 +339,35 @@ def _grow_tree(X, g, h, order, xs, cuts, cfg: TrainConfig):
 
     lam = cfg.reg_lambda
     p = order.shape[0]
+    # per depth, the flat order and value matrices of its nodes
+    orders, values = [order.ravel(), *scratch.order], [xs.ravel(), *scratch.xs]
     gh = _pack(g, h)
-    stack = [(new_node(), np.arange(n), order, xs, 0)]
+    # a node is (index, rows, depth, first cell of its matrices in its depth)
+    stack = [(new_node(), np.arange(n), 0, 0)]
     while stack:
-        node, rows, node_order, node_xs, depth = stack.pop()
+        node, rows, depth, at = stack.pop()
         split = None
         if depth < cfg.max_depth:
+            end = at + p * len(rows)
+            node_order = orders[depth][at:end].reshape(p, -1)
+            node_xs = values[depth][at:end].reshape(p, -1)
             split = _best_split(X, g, h, rows, node_order, cfg, gh=gh, xs=node_xs,
-                                cuts=cuts if depth == 0 else None)
+                                cuts=cuts if depth == 0 else None, scratch=scratch)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
             rows_left = go_left[rows]
+            rows_l, rows_r = rows[rows_left], rows[~rows_left]
             if depth + 1 < cfg.max_depth:
-                # flat positions of each side, shared by both matrices
-                in_left = go_left[node_order].ravel()
-                children = [(node_order.take(at).reshape(p, -1), node_xs.take(at).reshape(p, -1))
-                            for at in (np.flatnonzero(in_left), np.flatnonzero(~in_left))]
-            else:
-                children = [(None, None)] * 2
+                _partition(go_left, node_order, node_xs, scratch,
+                           orders[depth + 1][at:end], values[depth + 1][at:end])
             feature[node] = f
             threshold[node] = thr
             left[node] = new_node()
             right[node] = new_node()
             # push right first so nodes are numbered in left-first order
-            stack.append((right[node], rows[~rows_left], *children[1], depth + 1))
-            stack.append((left[node], rows[rows_left], *children[0], depth + 1))
+            stack.append((right[node], rows_r, depth + 1, at + p * len(rows_l)))
+            stack.append((left[node], rows_l, depth + 1, at))
         else:
             # summed in row order, like the totals in _best_split
             w = -g[rows].sum() / (h[rows].sum() + lam)
@@ -331,6 +412,7 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
     order = np.argsort(X.T, axis=1, kind="stable")
     xs = np.take_along_axis(X.T, order, axis=1)
     cuts = _cuts(xs)
+    scratch = _Scratch(X.shape[1], data.n, max(config.max_depth - 1, 0))
     for k in range(model.n_rounds, config.rounds):
         try:
             g, h = loss.grad_hess(t, delta, pred)
@@ -340,7 +422,7 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
         if np.any(bad):
             row = int(np.argmax(bad))
             raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
-        tree, row_leaf = _grow_tree(X, g, h, order, xs, cuts, config)
+        tree, row_leaf = _grow_tree(X, g, h, order, xs, cuts, scratch, config)
         model.trees.append(tree)
         pred += config.learning_rate * tree.value[row_leaf]
     return model

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
     best_split = booster._best_split
 
     def spy(X, g, h, rows, order, cfg, **carried):
-        assert set(carried) == {"gh", "xs", "cuts"}
+        assert set(carried) == {"gh", "xs", "cuts", "scratch"}
         assert np.array_equal(carried["xs"], np.take_along_axis(X.T, order, axis=1))
         got = best_split(X, g, h, rows, order, cfg, **carried)
         calls.append((repr(got), repr(best_split(X, g, h, rows, order, cfg))))
@@ -259,6 +260,29 @@ def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
     train(sim.data, loss, TrainConfig(rounds=6, max_depth=4, min_child_weight=2.0, gamma=0.01))
     assert len(calls) > 40
     assert all(got == derived for got, derived in calls)
+
+
+def test_tree_growth_allocates_only_split_positions_of_node_size():
+    # a fit's node work runs in its _Scratch; of node size, a split
+    # allocates only the flat positions it partitions by (8 bytes per
+    # entry of the node's (p, m) order matrix), and the rest is per-row
+    n, p = 4000, 10
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(n, p))
+    g, h = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n)
+    cfg = TrainConfig(max_depth=4)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    cuts = booster._cuts(xs)
+    scratch = booster._Scratch(p, n, cfg.max_depth - 1)
+    tracemalloc.start()
+    try:
+        tree, _ = booster._grow_tree(X, g, h, order, xs, cuts, scratch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_nodes == 31
+    assert peak <= 8 * p * n + 80 * n
 
 
 def test_leaf_weight_optimality():
