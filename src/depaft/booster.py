@@ -266,8 +266,8 @@ def _best_split(X, g, h, rows, order, cfg: TrainConfig, *,
     # complex addition is componentwise, so both prefix sums come out
     # with the bits of separate cumsums of g and h; order holds only
     # valid rows, so mode="clip" clips nothing (and needs no buffer)
-    left = np.take(gh, order, out=view(scratch.stats, m), mode="clip")
-    left = np.cumsum(left, axis=1, out=left)[:, :-1]
+    left = gh.take(order, out=view(scratch.stats, m), mode="clip")
+    left = np.add.accumulate(left, axis=1, out=left)[:, :-1]
     gl, hl = left.real, left.imag
     hr = np.subtract(h_total, hl, out=view(scratch.hr, m - 1))
     # usable threshold, and both children above the Hessian-mass floor
@@ -292,7 +292,7 @@ def _best_split(X, g, h, rows, order, cfg: TrainConfig, *,
         gains *= 0.5
         gains -= cfg.gamma
     gains[np.logical_not(valid, out=mask)] = -np.inf
-    f, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    f, k = np.unravel_index(int(gains.argmax()), gains.shape)
     return float(gains[f, k]), int(f), float(mid[f, k])
 
 
@@ -306,12 +306,12 @@ def _partition(go_left, order, xs, scratch, order_out, xs_out):
     only valid cells, so mode="clip" clips nothing (and needs no buffer).
     """
     order, xs = order.ravel(), xs.ravel()
-    in_left = np.take(go_left, order, out=scratch.mask[:order.size], mode="clip")
-    at_left = np.flatnonzero(in_left)
-    at_right = np.flatnonzero(np.logical_not(in_left, out=in_left))
+    in_left = go_left.take(order, out=scratch.mask[:order.size], mode="clip")
+    at_left = in_left.nonzero()[0]
+    at_right = np.logical_not(in_left, out=in_left).nonzero()[0]
     for at, cells in ((at_left, slice(0, at_left.size)), (at_right, slice(at_left.size, None))):
-        np.take(order, at, out=order_out[cells], mode="clip")
-        np.take(xs, at, out=xs_out[cells], mode="clip")
+        order.take(at, out=order_out[cells], mode="clip")
+        xs.take(at, out=xs_out[cells], mode="clip")
 
 
 def _grow_tree(X, g, h, order, xs, cuts, scratch, cfg: TrainConfig):
