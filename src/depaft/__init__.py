@@ -2,7 +2,7 @@
 with a copula-based data simulator and evaluation metrics."""
 
 from .booster import TrainConfig, TreeEnsemble, load, save, train
-from .copula import CopulaSpec, copula_cdf, kendall_tau, sample_pairs
+from .copula import CopulaSpec, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset, read_csv, write_csv
 from .distributions import BaselineSpec
 from .loss import ClaytonAftLoss, IndependentAftLoss
@@ -25,7 +25,6 @@ __all__ = [
     "TreeEnsemble",
     "calibration",
     "concordance",
-    "copula_cdf",
     "evaluate_predictions",
     "event_mae",
     "generate",

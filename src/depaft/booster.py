@@ -44,22 +44,27 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import ConfigError, DataError, NumericError, PersistenceError, number
+from .errors import PARSE, ConfigError, DataError, NumericError, PersistenceError, Record, number
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
 
 
+def _base_score(value):
+    return value if value == "auto" else number(value, float, "train config field 'base_score'")
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
+    what = "train config"
+
     rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
     reg_lambda: float = 1.0  # L2 on leaf weights ("lambda" in config files)
     gamma: float = 0.0  # per-leaf penalty
     min_child_weight: float = 0.0  # minimum Hessian sum per child
-    base_score: float | str = "auto"
-    seed: int = 0
+    base_score: float | str = field(default="auto", metadata={PARSE: _base_score})
 
     def __post_init__(self):
         if not (isinstance(self.rounds, int) and self.rounds >= 1):
@@ -72,24 +77,6 @@ class TrainConfig:
             raise ConfigError("lambda, gamma, min_child_weight must be >= 0")
         if self.base_score != "auto" and not np.isfinite(self.base_score):
             raise ConfigError("base_score must be finite or 'auto'")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        kinds = {
-            "rounds": int, "learning_rate": float, "max_depth": int, "lambda": float,
-            "gamma": float, "min_child_weight": float, "base_score": float, "seed": int,
-        }
-        extra = set(d) - set(kinds)
-        if extra:
-            raise ConfigError(f"unknown train config fields: {sorted(extra)}")
-        kwargs = {
-            name: value if name == "base_score" and value == "auto"
-            else number(value, kinds[name], f"train config field {name!r}")
-            for name, value in d.items()
-        }
-        if "lambda" in kwargs:
-            kwargs["reg_lambda"] = kwargs.pop("lambda")
-        return cls(**kwargs)
 
 
 class RegressionTree:

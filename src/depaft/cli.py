@@ -70,19 +70,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _train_configs(cfg_dict: dict, seed_override):
+def _train_configs(cfg_dict: dict):
     if "loss" not in cfg_dict:
         raise ConfigError("train config requires a 'loss' section")
     loss = loss_from_config(cfg_dict["loss"])
-    train_dict = dict(section(cfg_dict.get("train", {}), "config section 'train'"))
-    if seed_override is not None:
-        train_dict["seed"] = seed_override
-    return loss, TrainConfig.from_dict(train_dict)
+    return loss, TrainConfig.from_dict(cfg_dict.get("train", {}))
 
 
 def cmd_train(args) -> int:
     data = dataset.read_csv(args.data)
-    loss, train_cfg = _train_configs(_load_json(args.config), args.seed)
+    loss, train_cfg = _train_configs(_load_json(args.config))
     model = booster.train(data, loss, train_cfg)
     with _writing(args.out):
         booster.save(model, args.out)
@@ -126,7 +123,7 @@ def cmd_evaluate(args) -> int:
 def cmd_cv(args) -> int:
     data = dataset.read_csv(args.data)
     cfg_dict = _load_json(args.config)
-    loss, train_cfg = _train_configs(cfg_dict, args.seed)
+    loss, train_cfg = _train_configs(cfg_dict)
     cv_dict = dict(section(cfg_dict.get("cv", {}), "config section 'cv'"))
     if args.seed is not None:
         cv_dict["seed"] = args.seed
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a boosted model on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", required=True, help="loss + train config JSON")
-    _add_common(p, out_help="model JSON path")
+    _add_common(p, seed=False, out_help="model JSON path")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("predict", help="predict log times and times for a dataset")

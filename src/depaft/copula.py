@@ -1,5 +1,5 @@
-"""Bivariate Archimedean copulas: CDF evaluation, Kendall's tau, and
-samplers for the four supported families.
+"""Bivariate Archimedean copulas: Kendall's tau and samplers for the four
+supported families.
 
 Samplers draw from the CDF-orientation copula (uniform marginals, joint
 law C_theta).  The survival orientation used by the data simulator is
@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, number, section
+from .errors import ConfigError, DomainError, NumericError, Record
 
 FAMILIES = ("clayton", "gumbel", "frank", "independent")
 
 
 @dataclass(frozen=True)
-class CopulaSpec:
+class CopulaSpec(Record):
     """Copula family tag plus dependency-strength parameter theta."""
+
+    what = "copula spec"
 
     family: str
     theta: float = 0.0
@@ -41,50 +43,6 @@ class CopulaSpec:
             raise ConfigError("gumbel copula requires theta >= 1")
         if self.family == "frank" and th == 0:
             raise ConfigError("frank copula requires theta != 0")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "theta": float(self.theta)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CopulaSpec":
-        d = section(d, "copula spec")
-        try:
-            theta = number(d.get("theta", 0.0), float, "copula field 'theta'")
-            return cls(family=d["family"], theta=theta)
-        except KeyError as exc:
-            raise ConfigError(f"copula spec missing field {exc}") from exc
-
-
-def copula_cdf(spec: CopulaSpec, u, v):
-    """Evaluate C_theta(u, v) on the unit square."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any((u < 0) | (u > 1)) or np.any((v < 0) | (v > 1)):
-        raise DomainError("copula arguments must lie in [0, 1]")
-    th = spec.theta
-    if spec.family == "independent":
-        return u * v
-    if spec.family == "clayton":
-        # boundary C(0, b) = C(a, 0) = 0 taken directly; the formula would
-        # need 0^-theta there.
-        inner = np.zeros(np.broadcast(u, v).shape)
-        ok = (u > 0) & (v > 0)
-        us, vs = np.broadcast_arrays(u, v)
-        bracket = us[ok] ** -th + vs[ok] ** -th - 1.0
-        inner[ok] = bracket ** (-1.0 / th)
-        return inner if inner.ndim else float(inner)
-    if spec.family == "gumbel":
-        out = np.zeros(np.broadcast(u, v).shape)
-        us, vs = np.broadcast_arrays(u, v)
-        ok = (us > 0) & (vs > 0)
-        out[ok] = np.exp(
-            -(((-np.log(us[ok])) ** th + (-np.log(vs[ok])) ** th) ** (1.0 / th))
-        )
-        return out if out.ndim else float(out)
-    if spec.family == "frank":
-        num = np.expm1(-th * u) * np.expm1(-th * v)
-        return -np.log1p(num / np.expm1(-th)) / th
-    raise ConfigError(f"unknown copula family {spec.family!r}")
 
 
 def kendall_tau(spec: CopulaSpec) -> float:

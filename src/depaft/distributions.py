@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, number, section
+from .errors import ConfigError, DomainError, Record
 
 FAMILIES = ("extreme", "normal", "logistic")
 
@@ -77,8 +77,10 @@ def margin(family: str, x) -> Margin:
 
 
 @dataclass(frozen=True)
-class BaselineSpec:
+class BaselineSpec(Record):
     """A baseline family tag plus the AFT scale sigma (> 0)."""
+
+    what = "baseline spec"
 
     family: str
     sigma: float
@@ -90,18 +92,6 @@ class BaselineSpec:
             )
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"sigma must be a positive finite real, got {self.sigma}")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "sigma": float(self.sigma)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BaselineSpec":
-        d = section(d, "baseline spec")
-        try:
-            sigma = number(d["sigma"], float, "baseline field 'sigma'")
-            return cls(family=d["family"], sigma=sigma)
-        except KeyError as exc:
-            raise ConfigError(f"baseline spec missing field {exc}") from exc
 
 
 def _row(family: str, x) -> Margin:

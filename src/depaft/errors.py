@@ -1,10 +1,21 @@
-"""Exception types shared across the package, and the numeric-field and
-section checks that config and model-file readers share.
+"""Exception types shared across the package, the numeric-field and
+section checks that config and model-file readers share, and the base
+class of every config record.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
 import math
+from dataclasses import MISSING, fields
+
+# A record field's metadata may hold a parser of its file value
+# (PARSE: value -> field value), or FILE: False to keep the field out of
+# config files.  Other fields annotated int or float go through number();
+# the annotations are strings (from __future__ import annotations).
+PARSE, FILE = "parse", "file"
+_KINDS = {"int": int, "float": float}
+# a file key is its field's name, but "lambda" is a Python keyword
+_FILE_KEYS = {"reg_lambda": "lambda"}
 
 
 class ConfigError(ValueError):
@@ -52,3 +63,59 @@ def section(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object, got {value!r}")
     return value
+
+
+def _file_fields(cls):
+    """(file key, field) of each field of dataclass cls that files hold."""
+    return [(_FILE_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.metadata.get(FILE, True)]
+
+
+class Record:
+    """Base of the frozen dataclasses that JSON config objects describe.
+
+    A subclass names itself in `what` ("train config"); error messages
+    name the record and the file key.  Its fields are the file's keys.
+    """
+
+    what: str
+
+    @classmethod
+    def from_dict(cls, d):
+        """The record a JSON object describes, else ConfigError.
+
+        A key that names no field, a missing field without a default
+        and a field value of the wrong kind are refused; the dataclass's
+        own checks then judge the values.
+        """
+        d = section(d, cls.what)
+        keyed = _file_fields(cls)
+        extra = set(d) - {key for key, _ in keyed}
+        if extra:
+            raise ConfigError(f"unknown {cls.what} fields: {sorted(extra)}")
+        missing = [key for key, f in keyed
+                   if key not in d and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{cls.what} missing fields: {missing}")
+        kwargs = {}
+        for key, f in keyed:
+            if key not in d:
+                continue
+            if PARSE in f.metadata:
+                kwargs[f.name] = f.metadata[PARSE](d[key])
+            elif f.type in _KINDS:
+                kwargs[f.name] = number(d[key], _KINDS[f.type], f"{cls.what} field {key!r}")
+            else:
+                kwargs[f.name] = d[key]
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict:
+        """The JSON object from_dict reads back to an equal record."""
+        out = {}
+        for key, f in _file_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Record):
+                value = value.to_dict()
+            elif f.type == "float":
+                value = float(value)
+            out[key] = value
+        return out

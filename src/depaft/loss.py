@@ -21,13 +21,13 @@ weights need H > 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import distributions as dist
 from .distributions import BaselineSpec
-from .errors import ConfigError, DomainError, NumericError, number, section
+from .errors import PARSE, ConfigError, DomainError, NumericError, Record, section
 
 HESSIAN_FLOOR = 1e-6
 
@@ -78,7 +78,7 @@ def _log_bracket(theta: float, z: dist.Margin, v: dist.Margin):
 
 
 @dataclass(frozen=True)
-class ClaytonAftLoss:
+class ClaytonAftLoss(Record):
     """Dependent-censoring AFT loss with Clayton-copula linkage.
 
     For s = (log t - yhat)/sigma_Z and r = (log t - yhat)/sigma_V the
@@ -99,9 +99,11 @@ class ClaytonAftLoss:
     exactly instead of through two large terms.
     """
 
+    tag, what = "clayton", "clayton loss config"
+
     theta: float
-    event_baseline: BaselineSpec
-    censor_baseline: BaselineSpec
+    event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
+    censor_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
     def __post_init__(self):
         if not (np.isfinite(self.theta) and self.theta > 0):
@@ -160,21 +162,18 @@ class ClaytonAftLoss:
         return grad, hess
 
     def to_config(self) -> dict:
-        return {
-            "loss": "clayton",
-            "theta": float(self.theta),
-            "event_baseline": self.event_baseline.to_dict(),
-            "censor_baseline": self.censor_baseline.to_dict(),
-        }
+        return {"loss": self.tag, **self.to_dict()}
 
 
 @dataclass(frozen=True)
-class IndependentAftLoss:
+class IndependentAftLoss(Record):
     """Right-censored AFT negative log-likelihood under independent
     censoring: -log(f_Z(s)/(sigma_Z t)) for events, -log S_Z(s) for
     censored rows."""
 
-    event_baseline: BaselineSpec
+    tag, what = "independent", "independent loss config"
+
+    event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
     def loss(self, t, delta, yhat) -> np.ndarray:
         ez = self.event_baseline
@@ -207,7 +206,7 @@ class IndependentAftLoss:
         return grad, hess
 
     def to_config(self) -> dict:
-        return {"loss": "independent", "event_baseline": self.event_baseline.to_dict()}
+        return {"loss": self.tag, **self.to_dict()}
 
 
 def loss_from_config(config: dict):
@@ -216,20 +215,7 @@ def loss_from_config(config: dict):
     if "loss" not in config:
         raise ConfigError("loss config must carry a 'loss' tag")
     tag = config["loss"]
-    if tag == "clayton":
-        try:
-            return ClaytonAftLoss(
-                theta=number(config["theta"], float, "clayton loss config field 'theta'"),
-                event_baseline=BaselineSpec.from_dict(config["event_baseline"]),
-                censor_baseline=BaselineSpec.from_dict(config["censor_baseline"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"clayton loss config missing field {exc}") from exc
-    if tag == "independent":
-        try:
-            return IndependentAftLoss(
-                event_baseline=BaselineSpec.from_dict(config["event_baseline"])
-            )
-        except KeyError as exc:
-            raise ConfigError(f"independent loss config missing field {exc}") from exc
+    for cls in (ClaytonAftLoss, IndependentAftLoss):
+        if tag == cls.tag:
+            return cls.from_dict({key: value for key, value in config.items() if key != "loss"})
     raise ConfigError(f"unknown loss {tag!r}")

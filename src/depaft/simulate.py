@@ -22,25 +22,27 @@ has Kendall tau 0.60 but the (T / h(X), C) pair about 0.41.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset
-from .errors import ConfigError, DataError, number
+from .errors import PARSE, ConfigError, DataError, Record
 from .metrics import count_larger_before
 
 N_FEATURES = 10
 
 
 @dataclass(frozen=True)
-class DgpConfig:
+class DgpConfig(Record):
     """Full data-generating configuration."""
+
+    what = "simulate config"
 
     n: int
     c: float  # censoring-scale constant; lower c censors more
-    copula: CopulaSpec
+    copula: CopulaSpec = field(metadata={PARSE: CopulaSpec.from_dict})
     weibull_shape: float = 3.0
     weibull_scale: float = 1.0
     n_features: int = N_FEATURES
@@ -57,33 +59,6 @@ class DgpConfig:
             raise ConfigError(f"n_features is fixed at {N_FEATURES}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"simulate seed must be a non-negative integer, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "copula": self.copula.to_dict(),
-            "weibull_shape": self.weibull_shape,
-            "weibull_scale": self.weibull_scale,
-            "n_features": self.n_features,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DgpConfig":
-        known = {"n", "c", "copula", "weibull_shape", "weibull_scale", "n_features", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown simulate config fields: {sorted(extra)}")
-        if "n" not in d or "c" not in d or "copula" not in d:
-            raise ConfigError("simulate config requires fields n, c, copula")
-        kinds = {"n": int, "c": float, "weibull_shape": float, "weibull_scale": float,
-                 "n_features": int, "seed": int}
-        kwargs = {
-            name: number(d[name], kind, f"simulate config field {name!r}")
-            for name, kind in kinds.items() if name in d
-        }
-        return cls(copula=CopulaSpec.from_dict(d["copula"]), **kwargs)
 
 
 @dataclass

@@ -37,7 +37,7 @@ import numpy as np
 from .booster import TrainConfig
 from .copula import CopulaSpec
 from .dataset import write_rows
-from .errors import ConfigError, number
+from .errors import ConfigError, DataError, Record, number
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
@@ -62,7 +62,9 @@ STUDY_PATIENCE = 8
 
 
 @dataclass(frozen=True)
-class StudyConfig:
+class StudyConfig(Record):
+    what = "study config"
+
     study: int
     repetitions: int = 20
     n_train: int = 1000
@@ -73,7 +75,7 @@ class StudyConfig:
     learning_rate: float = 0.1
     max_depth: int = 3
     min_child_weight: float = 1.0
-    reg_lambda: float = 1.0
+    reg_lambda: float = 1.0  # "lambda" in config files
     gamma: float = 0.0
     n_horizons: int = 9
 
@@ -112,44 +114,6 @@ class StudyConfig:
             seed=seed,
             patience=STUDY_PATIENCE,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "study": self.study,
-            "repetitions": self.repetitions,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seed": self.seed,
-            "max_rounds": self.max_rounds,
-            "checkpoint_stride": self.checkpoint_stride,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_child_weight": self.min_child_weight,
-            "lambda": self.reg_lambda,
-            "gamma": self.gamma,
-            "n_horizons": self.n_horizons,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudyConfig":
-        kinds = {
-            "study": int, "repetitions": int, "n_train": int, "n_test": int, "seed": int,
-            "max_rounds": int, "checkpoint_stride": int, "learning_rate": float,
-            "max_depth": int, "min_child_weight": float, "lambda": float, "gamma": float,
-            "n_horizons": int,
-        }
-        extra = set(d) - set(kinds)
-        if extra:
-            raise ConfigError(f"unknown study config fields: {sorted(extra)}")
-        if "study" not in d:
-            raise ConfigError("study config requires field 'study'")
-        kwargs = {
-            name: number(value, kinds[name], f"study config field {name!r}")
-            for name, value in d.items()
-        }
-        if "lambda" in kwargs:
-            kwargs["reg_lambda"] = kwargs.pop("lambda")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -256,7 +220,7 @@ def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
         with open(path) as fh:
             try:
                 saved = json.load(fh)
-            except json.JSONDecodeError:
+            except ValueError:  # malformed JSON, or not UTF-8 text
                 saved = None
         if saved != _fingerprint(config):
             raise ConfigError(
@@ -270,6 +234,38 @@ def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
             "use a new output directory"
         )
     _write_atomic(path, json.dumps(_fingerprint(config), sort_keys=True))
+
+
+def _read_task(path: str) -> dict:
+    """The record of a finished task from its partial file.
+
+    A file that is not JSON, or that lacks a field _write_results reads
+    or holds one of the wrong kind, is a DataError naming the file, so
+    it is refused before any table is written.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        for key in ("train_censoring", "test_censoring"):
+            number(record[key], float, key, DataError)
+        for model in MODELS:
+            fit = record["models"][model]
+            number(fit["rounds"], int, f"{model} rounds", DataError)
+            for key in ("c_index", "mae", "event_mae"):
+                number(fit[key], float, f"{model} {key}", DataError)
+            curves = [fit["calibration"][name] for name in CURVE_FIELDS]
+            if len({len(curve) for curve in curves}) != 1:
+                raise DataError(f"{model} calibration curves differ in length")
+            for curve in curves:
+                for x in curve:
+                    number(x, float, f"{model} calibration entry", DataError)
+    except OSError as exc:
+        raise DataError(f"cannot read task file {path}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: task file misses field {exc}") from exc
+    except (ValueError, TypeError) as exc:  # JSON, UTF-8 and field errors
+        raise DataError(f"{path}: malformed task file: {exc}") from exc
+    return record
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -300,8 +296,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     for point, rep in tasks:
         path = _partial_path(out_dir, point.index, rep)
         if os.path.exists(path):
-            with open(path) as fh:
-                records[(point.index, rep)] = json.load(fh)
+            records[(point.index, rep)] = _read_task(path)
         else:
             pending.append((point, rep))
 

@@ -23,26 +23,38 @@ and the refit are the same for any worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .booster import TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
-from .errors import ConfigError, number
+from .errors import FILE, PARSE, ConfigError, Record, number
 from .loss import loss_from_config
 from .metrics import concordance
 from .parallel import check_workers, task_map
 
 
+def _theta_grid(grid):
+    if grid is None:
+        return None
+    if not isinstance(grid, list):
+        raise ConfigError(f"cv config field 'theta_grid' must be a list, got {grid!r}")
+    return tuple(number(x, float, "cv config field 'theta_grid' entry") for x in grid)
+
+
 @dataclass(frozen=True)
-class CvConfig:
+class CvConfig(Record):
+    what = "cv config"
+
     folds: int = 2
     max_rounds: int = 500
     checkpoint_stride: int = 50
-    theta_grid: tuple[float, ...] | None = None
+    theta_grid: tuple[float, ...] | None = field(default=None, metadata={PARSE: _theta_grid})
     seed: int = 0
-    patience: int | None = None  # checkpoints; None grows every fit to max_rounds
+    # checkpoints; None grows every fit to max_rounds.  The studies set it
+    # in code (studies.STUDY_PATIENCE), so config files do not hold it.
+    patience: int | None = field(default=None, metadata={FILE: False})
 
     def __post_init__(self):
         if not (isinstance(self.folds, int) and self.folds >= 2):
@@ -57,25 +69,6 @@ class CvConfig:
             raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
         if self.patience is not None and not (isinstance(self.patience, int) and self.patience >= 1):
             raise ConfigError(f"patience must be a positive integer or None, got {self.patience!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CvConfig":
-        known = {"folds", "max_rounds", "checkpoint_stride", "theta_grid", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown cv config fields: {sorted(extra)}")
-        kwargs = {
-            name: number(value, int, f"cv config field {name!r}")
-            for name, value in d.items() if name != "theta_grid"
-        }
-        grid = d.get("theta_grid")
-        if grid is not None:
-            if not isinstance(grid, list):
-                raise ConfigError(f"cv config field 'theta_grid' must be a list, got {grid!r}")
-            kwargs["theta_grid"] = tuple(
-                number(x, float, "cv config field 'theta_grid' entry") for x in grid
-            )
-        return cls(**kwargs)
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:

@@ -49,6 +49,30 @@ def ref_clayton_generator_inv(theta: float, s: float) -> float:
     return (1.0 + theta * s) ** (-1.0 / theta)
 
 
+# -- copula CDFs, closed forms ---------------------------------------------
+
+def ref_copula_cdf(family: str, theta: float, u, v):
+    """C_theta(u, v) on the unit square, broadcast over u and v.
+
+    Clayton (u^-theta + v^-theta - 1)^(-1/theta), Gumbel
+    exp(-((-log u)^theta + (-log v)^theta)^(1/theta)), Frank
+    -log(1 + (e^(-theta u) - 1)(e^(-theta v) - 1)/(e^-theta - 1))/theta,
+    and u v.  At u = 0 or v = 0 the Clayton and Gumbel forms pass
+    through infinity to the boundary value 0.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore"):
+        if family == "clayton":
+            return (u ** -theta + v ** -theta - 1.0) ** (-1.0 / theta)
+        if family == "gumbel":
+            return np.exp(-(((-np.log(u)) ** theta + (-np.log(v)) ** theta) ** (1.0 / theta)))
+    if family == "frank":
+        return -np.log1p(np.expm1(-theta * u) * np.expm1(-theta * v) / np.expm1(-theta)) / theta
+    if family == "independent":
+        return u * v
+    raise ValueError(family)
+
+
 # -- Frank Kendall tau, by quadrature --------------------------------------
 
 def ref_frank_tau(theta: float) -> float:

@@ -28,7 +28,7 @@ TRAIN_CFG = {
         "event_baseline": {"family": "extreme", "sigma": 1 / 3},
         "censor_baseline": {"family": "extreme", "sigma": 1 / 3},
     },
-    "train": {"rounds": 20, "learning_rate": 0.1, "max_depth": 2, "seed": 0},
+    "train": {"rounds": 20, "learning_rate": 0.1, "max_depth": 2},
 }
 
 
@@ -481,10 +481,11 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("command, flag", [
     ("simulate", "--threads"), ("train", "--threads"), ("predict", "--threads"),
-    ("evaluate", "--threads"), ("cv", "--threads"), ("predict", "--seed"), ("evaluate", "--seed"),
+    ("evaluate", "--threads"), ("cv", "--threads"), ("train", "--seed"), ("predict", "--seed"),
+    ("evaluate", "--seed"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
-    # only study reads --threads; predict and evaluate never read --seed
+    # only study reads --threads; train, predict and evaluate never read --seed
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kendalltau, kstest
 
-from depaft.copula import (
-    CopulaSpec,
-    clayton_theta_for_tau,
-    copula_cdf,
-    kendall_tau,
-    sample_pairs,
-)
-from depaft.errors import ConfigError, DomainError, NumericError
+from depaft.copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
+from depaft.errors import ConfigError, NumericError
+from depaft.studies import STUDY3_COPULAS
 
-from oracles import ref_clayton_generator, ref_clayton_generator_inv, ref_frank_tau
+from oracles import (
+    ref_clayton_generator,
+    ref_clayton_generator_inv,
+    ref_copula_cdf,
+    ref_frank_tau,
+)
 
 STUDY_SPECS = [
     CopulaSpec("clayton", 1.0),
@@ -48,7 +48,7 @@ def test_spec_rejects_nonfinite_theta(family, theta):
 
 
 # The generator tests pin the reference generator algebra that the CDF
-# composition test below checks copula_cdf against.
+# composition test below checks the closed-form ref_copula_cdf against.
 
 
 def test_generator_hand_values():
@@ -80,10 +80,9 @@ def test_generator_round_trip_property(theta, t):
 
 @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
 def test_clayton_cdf_is_generator_composition(theta):
-    spec = CopulaSpec("clayton", theta)
     u = np.linspace(0.05, 0.95, 10)
     v = np.linspace(0.9, 0.1, 10)
-    direct = copula_cdf(spec, u, v)
+    direct = ref_copula_cdf("clayton", theta, u, v)
     composed = ref_clayton_generator_inv(
         theta, ref_clayton_generator(theta, u) + ref_clayton_generator(theta, v)
     )
@@ -91,27 +90,35 @@ def test_clayton_cdf_is_generator_composition(theta):
 
 
 def test_cdf_boundaries_and_product():
-    assert copula_cdf(CopulaSpec("clayton", 3.0), 0.7, 1.0) == pytest.approx(0.7, rel=1e-12)
+    assert ref_copula_cdf("clayton", 3.0, 0.7, 1.0) == pytest.approx(0.7, rel=1e-12)
     for spec in STUDY_SPECS:
-        assert copula_cdf(spec, 0.4, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert copula_cdf(spec, 0.0, 0.4) == pytest.approx(0.0, abs=1e-15)
-        assert copula_cdf(spec, 1.0, 0.6) == pytest.approx(0.6, rel=1e-9)
-    assert copula_cdf(CopulaSpec("independent"), 0.5, 0.5) == pytest.approx(0.25)
-
-
-def test_cdf_domain_error():
-    with pytest.raises(DomainError):
-        copula_cdf(CopulaSpec("independent"), 1.2, 0.5)
-    with pytest.raises(DomainError):
-        copula_cdf(CopulaSpec("independent"), 0.5, -0.1)
+        assert ref_copula_cdf(spec.family, spec.theta, 0.4, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert ref_copula_cdf(spec.family, spec.theta, 0.0, 0.4) == pytest.approx(0.0, abs=1e-15)
+        assert ref_copula_cdf(spec.family, spec.theta, 1.0, 0.6) == pytest.approx(0.6, rel=1e-9)
+    assert ref_copula_cdf("independent", 0.0, 0.5, 0.5) == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("spec", STUDY_SPECS)
 def test_two_increasing(spec):
     grid = np.linspace(0.0, 1.0, 11)
-    c = copula_cdf(spec, grid[:, None], grid[None, :])
+    c = ref_copula_cdf(spec.family, spec.theta, grid[:, None], grid[None, :])
     rect = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
     assert np.all(rect >= -1e-12)
+
+
+@pytest.mark.parametrize("spec", STUDY3_COPULAS, ids=lambda spec: spec.family)
+def test_sampler_joint_cdf_matches_the_copula(spec):
+    # the bivariate DKW inequality (Naaman 2021) bounds the chance that
+    # the empirical CDF of n pairs strays anywhere by more than eps by
+    # 2 (n + 1) exp(-2 n eps^2); eps is set for a chance of 1e-6
+    n = 50_000
+    w1, w2 = sample_pairs(spec, n, np.random.default_rng(3))
+    grid = np.linspace(0.05, 0.95, 19)
+    below1, below2 = (w1[:, None] <= grid).astype(float), (w2[:, None] <= grid).astype(float)
+    empirical = below1.T @ below2 / n  # [i, j]: share of pairs with w1 <= grid[i], w2 <= grid[j]
+    eps = math.sqrt(math.log(2 * (n + 1) / 1e-6) / (2 * n))
+    exact = ref_copula_cdf(spec.family, spec.theta, grid[:, None], grid[None, :])
+    assert np.max(np.abs(empirical - exact)) <= eps
 
 
 def test_kendall_tau_table_values():

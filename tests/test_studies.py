@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -280,3 +281,55 @@ def test_study_cli_partial_that_is_a_file_exit_2(tmp_path, capsys):
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create {out / 'partial'}: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def finished_study(tmp_path_factory):
+    """A finished study-2 run (one repetition) and its config file."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = root / "study.json"
+    cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
+    assert main(["study", "--config", str(cfg), "--out", str(root / "out"), "--quiet"]) == 0
+    return cfg, root / "out"
+
+
+def _drop_calibration_field(record):
+    del record["models"]["independent"]["calibration"]["observed_proportion"]
+
+
+def _round_count_as_text(record):
+    record["models"]["clayton"]["rounds"] = str(record["models"]["clayton"]["rounds"])
+
+
+@pytest.mark.parametrize("corrupt", [
+    b'{"grid_index": 0', b"{}", b"\xff\xfe{}", _drop_calibration_field, _round_count_as_text,
+], ids=["truncated", "empty-object", "not-utf8", "missing-curve", "text-rounds"])
+def test_study_cli_malformed_task_file_exit_3_before_any_table(finished_study, tmp_path, capsys,
+                                                                corrupt):
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"):
+        (out / name).unlink()
+    task = out / "partial" / "task_g002_r0000.json"
+    if callable(corrupt):
+        record = json.loads(task.read_text())
+        corrupt(record)
+        task.write_text(json.dumps(record))
+    else:
+        task.write_bytes(corrupt)
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {task}: ") and err.count("\n") == 1
+    assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv"))
+
+
+def test_study_cli_fingerprint_that_is_not_utf8_exit_2(finished_study, tmp_path, capsys):
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    (out / "partial" / "config.json").write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "different study config" in capsys.readouterr().err
