@@ -21,9 +21,11 @@ One complex cumsum (g real, h imaginary) along the rows of the order
 matrix scores every (feature, threshold) cut at once.  A cut is usable
 when its midpoint lies in (lo, hi]; the root holds every row in every
 round, so its midpoints and usable mask are computed once per fit.
-Every node works in buffers allocated once per fit (_Scratch), and
-children's matrices go into one arena per depth; of node size, a split
-allocates only the flat positions it partitions by.
+Every node works in buffers allocated once per fit (_Fit), and
+children's matrices go into one of two arenas, by the parity of their
+depth.  Two are enough for any depth: a node's cells lie inside its
+parent's, and the parent is done with them once it splits.  Of node
+size, a split allocates only the flat positions it partitions by.
 
 The node totals G and H (parent score, leaf weight) are summed over the
 node's rows in ascending row order, not in any feature's sorted order.
@@ -132,7 +134,7 @@ class TreeEnsemble:
     loss_config: dict
     trees: list[RegressionTree] = field(default_factory=list)
 
-    def predict(self, X, num_trees: int | None = None) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
         """Predicted log event time per row."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -141,14 +143,13 @@ class TreeEnsemble:
             )
         X = np.asfortranarray(X)  # one column-major copy serves every tree
         out = np.full(X.shape[0], self.base_score)
-        use = self.trees if num_trees is None else self.trees[:num_trees]
-        for tree in use:
+        for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
         return out
 
-    def predict_time(self, X, num_trees: int | None = None) -> np.ndarray:
+    def predict_time(self, X) -> np.ndarray:
         """Predicted event time per row (exp of the log-scale prediction)."""
-        return np.exp(self.predict(X, num_trees=num_trees))
+        return np.exp(self.predict(X))
 
     @property
     def n_rounds(self) -> int:
@@ -164,23 +165,32 @@ def _pack(g, h):
     return gh
 
 
-class _Scratch:
-    """Buffers of one fit, reused by every node of every tree.
+class _Fit:
+    """Sorted columns and node buffers of one fit, shared by every tree.
 
-    A node of m rows scores its cuts in the first p*m cells of each
-    buffer, viewed as a (p, m) matrix.  Its children's order and value
-    matrices go into the arena of the next depth, in the cells the node's
-    own matrices take in its depth; the nodes of one depth hold disjoint
-    rows, so they never overlap.  Of node size, a split then allocates
-    only the flat positions it partitions by.  Whether the allocator
-    hands a freed array that large back to the system depends on what
-    the process ran before, so with every per-node array allocated anew a
-    fit paid page faults at every node or at none, and its speed was set
-    by earlier work.
+    order is the (p, n) stable argsort of every column of X, xs the sorted
+    values and cuts the root's _cuts(xs): the root holds every row in
+    every round, so they serve each round.  A node of m rows scores its
+    cuts in the first p*m cells of each buffer, viewed as a (p, m) matrix.
+    A split writes its children's order and value matrices into the arena
+    of the children's depth parity, in the cells the node's own matrices
+    take in its depth.  Two arenas serve every depth: a node's cells lie
+    inside its parent's, and the parent is done with them once it splits,
+    while every node still to be grown is a right sibling of the node or
+    of one of its ancestors, with cells outside the node's.  So children
+    may overwrite what their grandparent read.  Of node size, a split then
+    allocates only the flat positions it partitions by.  Whether the
+    allocator hands a freed array that large back to the system depends on
+    what the process ran before, so with every per-node array allocated
+    anew a fit paid page faults at every node or at none, and its speed
+    was set by earlier work.
     """
 
-    def __init__(self, p: int, n: int, levels: int = 0):
+    def __init__(self, X):
+        n, p = X.shape
         self.p = p
+        self.order = np.argsort(X.T, axis=1, kind="stable")
+        self.xs = np.take_along_axis(X.T, self.order, axis=1)
         self.stats = np.empty(p * n, dtype=complex)  # gathered (g, h), then their prefix sums
         self.mid = np.empty(p * n)
         self.hr = np.empty(p * n)
@@ -189,18 +199,19 @@ class _Scratch:
         self.usable = np.empty(p * n, dtype=bool)
         self.valid = np.empty(p * n, dtype=bool)
         self.mask = np.empty(p * n, dtype=bool)
-        # arenas of depths 1..levels: the nodes of one depth hold disjoint rows
-        self.order = [np.empty(p * n, dtype=np.int64) for _ in range(levels)]
-        self.xs = [np.empty(p * n) for _ in range(levels)]
+        # flat (order, values) of the even depths below the root, then the odd
+        self.arenas = [(np.empty(p * n, dtype=np.int64), np.empty(p * n)) for _ in range(2)]
+        self.cuts = _cuts(self.xs, np.empty((p, n - 1)), np.empty((p, n - 1), dtype=bool),
+                          self.view(self.valid, n - 1))
 
     def view(self, buf, m):
         return buf[: self.p * m].reshape(self.p, m)
 
 
-def _cuts(xs, out=None):
+def _cuts(xs, mid, usable, below):
     """Midpoint thresholds between sorted neighbours, and which are usable.
 
-    xs is a (p, m) matrix of sorted values; out, when given, is three
+    xs is a (p, m) matrix of sorted values; mid, usable and below are
     (p, m - 1) buffers: midpoints, usable mask and a mask to work in.  A
     cut is usable when its midpoint lies in (lo, hi]: strictly above the
     left value, so rounding has not collapsed it onto lo (this also
@@ -208,43 +219,26 @@ def _cuts(xs, out=None):
     when lo + hi overflows to inf.
     """
     lo, hi = xs[:, :-1], xs[:, 1:]
-    if out is None:
-        out = np.empty(lo.shape), np.empty(lo.shape, dtype=bool), np.empty(lo.shape, dtype=bool)
-    mid, usable, below = out
-    with np.errstate(over="ignore"):
-        np.add(lo, hi, out=mid)
+    np.add(lo, hi, out=mid)
     mid *= 0.5
     np.greater(mid, lo, out=usable)
     usable &= np.less_equal(mid, hi, out=below)
     return mid, usable
 
 
-def _best_split(X, g, h, rows, order, cfg: TrainConfig, *,
-                gh=None, xs=None, cuts=None, scratch=None):
+def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     """Best (gain, feature, threshold) over a node, or None.
 
     rows holds the node's row indices in ascending order; order is the
     (p, m) matrix whose row f lists the same rows sorted stably by feature
-    f.  All features are scored in one pass, and a row-major argmax over
-    the (feature, threshold) gains realizes the
-    lowest-feature-then-lowest-threshold tie-break.
-
-    The carried arrays are derived here when absent: gh packs g and h as
-    the real and imaginary parts of one complex array, xs holds X's values
-    in the order of `order`, cuts is _cuts(xs), and scratch is a _Scratch
-    with room for the node.
+    f, and cuts is _cuts of their sorted values.  gh packs g and h as the
+    real and imaginary parts of one complex array (_pack), and the node
+    works in the buffers of fit.  All features are scored in one pass,
+    and a row-major argmax over the (feature, threshold) gains realizes
+    the lowest-feature-then-lowest-threshold tie-break.
     """
-    p, m = order.shape
-    if scratch is None:
-        scratch = _Scratch(p, m)
-    view = scratch.view
-    if gh is None:
-        gh = _pack(g, h)
-    if xs is None:
-        xs = np.take_along_axis(X.T, order, axis=1)
-    if cuts is None:
-        out = view(scratch.mid, m - 1), view(scratch.usable, m - 1), view(scratch.valid, m - 1)
-        cuts = _cuts(xs, out)
+    m = order.shape[1]
+    view = fit.view
     mid, usable = cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
@@ -253,37 +247,36 @@ def _best_split(X, g, h, rows, order, cfg: TrainConfig, *,
     # complex addition is componentwise, so both prefix sums come out
     # with the bits of separate cumsums of g and h; order holds only
     # valid rows, so mode="clip" clips nothing (and needs no buffer)
-    left = gh.take(order, out=view(scratch.stats, m), mode="clip")
+    left = gh.take(order, out=view(fit.stats, m), mode="clip")
     left = np.add.accumulate(left, axis=1, out=left)[:, :-1]
     gl, hl = left.real, left.imag
-    hr = np.subtract(h_total, hl, out=view(scratch.hr, m - 1))
+    hr = np.subtract(h_total, hl, out=view(fit.hr, m - 1))
     # usable threshold, and both children above the Hessian-mass floor
-    mask = view(scratch.mask, m - 1)
-    valid = np.greater_equal(hl, cfg.min_child_weight, out=view(scratch.valid, m - 1))
+    mask = view(fit.mask, m - 1)
+    valid = np.greater_equal(hl, cfg.min_child_weight, out=view(fit.valid, m - 1))
     valid &= np.greater_equal(hr, cfg.min_child_weight, out=mask)
     valid &= usable
     if not valid.any():
         return None
     # 1/2 [gl^2/(hl+lam) + gr^2/(hr+lam) - parent_score] - gamma, scored
     # densely; invalid cuts may divide by zero and are dropped after
-    gains, tmp = view(scratch.gains, m - 1), view(scratch.tmp, m - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.square(gl, out=gains)
-        gains /= np.add(hl, lam, out=tmp)
-        np.subtract(g_total, gl, out=tmp)
-        np.square(tmp, out=tmp)
-        hr += lam
-        tmp /= hr
-        gains += tmp
-        gains -= parent_score
-        gains *= 0.5
-        gains -= cfg.gamma
+    gains, tmp = view(fit.gains, m - 1), view(fit.tmp, m - 1)
+    np.square(gl, out=gains)
+    gains /= np.add(hl, lam, out=tmp)
+    np.subtract(g_total, gl, out=tmp)
+    np.square(tmp, out=tmp)
+    hr += lam
+    tmp /= hr
+    gains += tmp
+    gains -= parent_score
+    gains *= 0.5
+    gains -= cfg.gamma
     gains[np.logical_not(valid, out=mask)] = -np.inf
     f, k = np.unravel_index(int(gains.argmax()), gains.shape)
     return float(gains[f, k]), int(f), float(mid[f, k])
 
 
-def _partition(go_left, order, xs, scratch, order_out, xs_out):
+def _partition(go_left, order, xs, fit, order_out, xs_out):
     """Stably partition a node's (p, m) order and value matrices by row.
 
     Entries whose row goes left fill the first cells of the flat order_out
@@ -293,7 +286,7 @@ def _partition(go_left, order, xs, scratch, order_out, xs_out):
     only valid cells, so mode="clip" clips nothing (and needs no buffer).
     """
     order, xs = order.ravel(), xs.ravel()
-    in_left = go_left.take(order, out=scratch.mask[:order.size], mode="clip")
+    in_left = go_left.take(order, out=fit.mask[:order.size], mode="clip")
     at_left = in_left.nonzero()[0]
     at_right = np.logical_not(in_left, out=in_left).nonzero()[0]
     for at, cells in ((at_left, slice(0, at_left.size)), (at_right, slice(at_left.size, None))):
@@ -301,68 +294,64 @@ def _partition(go_left, order, xs, scratch, order_out, xs_out):
         xs.take(at, out=xs_out[cells], mode="clip")
 
 
-def _grow_tree(X, g, h, order, xs, cuts, scratch, cfg: TrainConfig):
+def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
     """Grow one tree; returns (tree, leaf_index_per_row).
 
-    order is the (p, n) stable argsort of every feature column, xs the
-    sorted values, cuts the root's _cuts(xs) and scratch a _Scratch with
-    max_depth - 1 levels, all made once per fit.  A split partitions the
-    node's order and value matrices stably with one go-left mask, so
-    every child inherits its rows and values already sorted and no node
-    sorts or gathers X again.  Children at max_depth are leaves: only
-    their rows are partitioned.
+    fit is the _Fit of X.  A split partitions the node's order and value
+    matrices stably with one go-left mask, so every child inherits its
+    rows and values already sorted and no node sorts or gathers X again.
+    Children at max_depth are leaves: only their rows are partitioned.
     """
     n = X.shape[0]
-    feature, threshold, left, right, value = [], [], [], [], []
+    leaf = [-1, 0.0, -1, -1, 0.0]  # feature, threshold, left, right, value
+    nodes = [leaf.copy()]
     row_leaf = np.empty(n, dtype=np.int64)
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    lam = cfg.reg_lambda
-    p = order.shape[0]
-    # per depth, the flat order and value matrices of its nodes
-    orders, values = [order.ravel(), *scratch.order], [xs.ravel(), *scratch.xs]
+    p = fit.p
+    view = fit.view
+    root = fit.order.ravel(), fit.xs.ravel()
     gh = _pack(g, h)
     # a node is (index, rows, depth, first cell of its matrices in its depth)
-    stack = [(new_node(), np.arange(n), 0, 0)]
+    stack = [(0, np.arange(n), 0, 0)]
     while stack:
         node, rows, depth, at = stack.pop()
         split = None
         if depth < cfg.max_depth:
-            end = at + p * len(rows)
-            node_order = orders[depth][at:end].reshape(p, -1)
-            node_xs = values[depth][at:end].reshape(p, -1)
-            split = _best_split(X, g, h, rows, node_order, cfg, gh=gh, xs=node_xs,
-                                cuts=cuts if depth == 0 else None, scratch=scratch)
+            m = len(rows)
+            orders, values = fit.arenas[depth % 2] if depth else root
+            node_order = orders[at:at + p * m].reshape(p, m)
+            node_xs = values[at:at + p * m].reshape(p, m)
+            cuts = _cuts(node_xs, view(fit.mid, m - 1), view(fit.usable, m - 1),
+                         view(fit.valid, m - 1)) if depth else fit.cuts
+            split = _best_split(g, h, rows, node_order, cuts, gh, fit, cfg)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
             rows_left = go_left[rows]
             rows_l, rows_r = rows[rows_left], rows[~rows_left]
             if depth + 1 < cfg.max_depth:
-                _partition(go_left, node_order, node_xs, scratch,
-                           orders[depth + 1][at:end], values[depth + 1][at:end])
-            feature[node] = f
-            threshold[node] = thr
-            left[node] = new_node()
-            right[node] = new_node()
+                orders, values = fit.arenas[(depth + 1) % 2]
+                _partition(go_left, node_order, node_xs, fit,
+                           orders[at:at + p * m], values[at:at + p * m])
+            left = len(nodes)
+            nodes[node][:4] = f, thr, left, left + 1
+            nodes += leaf.copy(), leaf.copy()
             # push right first so nodes are numbered in left-first order
-            stack.append((right[node], rows_r, depth + 1, at + p * len(rows_l)))
-            stack.append((left[node], rows_l, depth + 1, at))
+            stack.append((left + 1, rows_r, depth + 1, at + p * len(rows_l)))
+            stack.append((left, rows_l, depth + 1, at))
         else:
             # summed in row order, like the totals in _best_split
-            w = -g[rows].sum() / (h[rows].sum() + lam)
-            value[node] = float(w)
+            w = -g[rows].sum() / (h[rows].sum() + cfg.reg_lambda)
+            nodes[node][4] = float(w)
             row_leaf[rows] = node
-    return RegressionTree(feature, threshold, left, right, value), row_leaf
+    return RegressionTree(*zip(*nodes)), row_leaf
 
 
+# Training runs without numpy's warnings: a cut whose lo + hi overflows
+# is unusable (_cuts), an invalid cut may divide by zero and is dropped
+# (_best_split), and statistics past ~1e154 may overflow a gain to nan,
+# which never splits, or to inf.  A prediction that such statistics make
+# non-finite is a NumericError.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: SurvivalDataset, loss, config: TrainConfig,
           init_model: TreeEnsemble | None = None) -> TreeEnsemble:
     """Fit a boosted ensemble by iterating loss -> statistics -> tree.
@@ -395,11 +384,7 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
             raise ConfigError("init_model was fit with another learning rate or loss")
         model = replace(init_model, trees=list(init_model.trees))
         pred = model.predict(X)
-    # every root holds every row, so its sort, values and cuts serve each round
-    order = np.argsort(X.T, axis=1, kind="stable")
-    xs = np.take_along_axis(X.T, order, axis=1)
-    cuts = _cuts(xs)
-    scratch = _Scratch(X.shape[1], data.n, max(config.max_depth - 1, 0))
+    fit = _Fit(X)
     for k in range(model.n_rounds, config.rounds):
         try:
             g, h = loss.grad_hess(t, delta, pred)
@@ -409,9 +394,11 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
         if np.any(bad):
             row = int(np.argmax(bad))
             raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
-        tree, row_leaf = _grow_tree(X, g, h, order, xs, cuts, scratch, config)
+        tree, row_leaf = _grow_tree(X, g, h, fit, config)
         model.trees.append(tree)
         pred += config.learning_rate * tree.value[row_leaf]
+        if not np.isfinite(pred).all():
+            raise NumericError(f"non-finite prediction at round {k}")
     return model
 
 
@@ -484,8 +471,8 @@ def _nodes_to_tree(nodes, n_features: int) -> RegressionTree:
     right = np.full(n, -1, dtype=np.int64)
     value = np.zeros(n)
     try:
-        ids = [int(node["id"]) for node in nodes]
-    except (KeyError, TypeError, ValueError) as exc:
+        ids = [_number(node["id"], int, "tree node field 'id'") for node in nodes]
+    except (KeyError, TypeError) as exc:
         raise PersistenceError("tree node missing field 'id'") from exc
     if sorted(ids) != list(range(n)):
         raise PersistenceError(f"tree node ids must be 0..{n - 1}, each once")

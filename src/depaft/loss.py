@@ -14,10 +14,10 @@ margin core: each call checks its inputs and takes log t once, then reads
 each baseline's row of the family table in distributions.py.  Nothing
 but the Hessian is floored, so derivatives stay exact and non-zero in
 both tails; the extreme family is finite until e^s overflows (s near
-709), where a call raises NumericError instead of returning a silent
-zero.  The Hessian is floored at HESSIAN_FLOOR by default because the
-exact curvature can be non-positive far from the optimum while leaf
-weights need H > 0.
+709), where a call raises NumericError, without numpy's overflow
+warnings, instead of returning a silent zero.  The Hessian is floored at
+HESSIAN_FLOOR by default because the exact curvature can be non-positive
+far from the optimum while leaf weights need H > 0.
 """
 from __future__ import annotations
 
@@ -30,6 +30,10 @@ from .distributions import BaselineSpec
 from .errors import PARSE, ConfigError, DomainError, NumericError, Record, section
 
 HESSIAN_FLOOR = 1e-6
+
+# decorates each call that ends in _finite: an overflow or invalid value
+# there is a NumericError, so numpy's warnings would only repeat it
+_judged = np.errstate(over="ignore", invalid="ignore")
 
 
 def _inputs(t, delta, yhat):
@@ -109,6 +113,7 @@ class ClaytonAftLoss(Record):
         if not (np.isfinite(self.theta) and self.theta > 0):
             raise ConfigError(f"theta must be a positive finite real, got {self.theta}")
 
+    @_judged
     def loss(self, t, delta, yhat) -> np.ndarray:
         """Loss value per observation."""
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
@@ -137,6 +142,7 @@ class ClaytonAftLoss(Record):
         g, h = self._grad_hess_raw(t, delta, yhat)
         return g, np.maximum(h, HESSIAN_FLOOR)
 
+    @_judged
     def _grad_hess_raw(self, t, delta, yhat):
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
         log_t, delta, yhat = _inputs(t, delta, yhat)
@@ -175,6 +181,7 @@ class IndependentAftLoss(Record):
 
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
+    @_judged
     def loss(self, t, delta, yhat) -> np.ndarray:
         ez = self.event_baseline
         log_t, delta, yhat = _inputs(t, delta, yhat)
@@ -195,6 +202,7 @@ class IndependentAftLoss(Record):
         g, h = self._grad_hess_raw(t, delta, yhat)
         return g, np.maximum(h, HESSIAN_FLOOR)
 
+    @_judged
     def _grad_hess_raw(self, t, delta, yhat):
         ez = self.event_baseline
         log_t, delta, yhat = _inputs(t, delta, yhat)

@@ -22,7 +22,7 @@ from depaft import (
     concordance,
     generate,
 )
-from depaft.booster import TrainConfig, _best_split
+from depaft.booster import TrainConfig, _best_split, _Fit, _pack
 from depaft.cli import main as cli_main
 from depaft.studies import StudyConfig, run_study
 
@@ -191,8 +191,8 @@ def test_criterion_6_split_gain_and_leaf_weights():
         lam = float(rng.uniform(0.0, 2.0))
         gamma = float(rng.uniform(0.0, 0.3))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
-        order = np.argsort(X.T, axis=1, kind="stable")
-        found = _best_split(X, g, h, np.arange(n), order, cfg)
+        fit = _Fit(X)
+        found = _best_split(g, h, np.arange(n), fit.order, fit.cuts, _pack(g, h), fit, cfg)
         if found is None:
             continue
         gain, f, thr = found

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,8 +108,8 @@ def test_split_gain_matches_bruteforce_objective():
         lam = float(rng.uniform(0.0, 2.0))
         gamma = float(rng.uniform(0.0, 0.5))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
-        order = np.argsort(X.T, axis=1, kind="stable")
-        found = _best_split(X, g, h, np.arange(n), order, cfg)
+        fit = booster._Fit(X)
+        found = _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg)
         if found is None:
             continue
         gain, f, thr = found
@@ -156,10 +157,15 @@ def _fit_one_tree(X, g, h, **cfg):
     "lam, gamma, mcw",
     [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.75, 0.0), (1.0, 0.0, 6.0), (0.0, 0.5, 4.0)],
 )
-@pytest.mark.parametrize("dyadic", [True, False])
-def test_trees_match_exact_greedy_oracle_on_ties(lam, gamma, mcw, dyadic):
+@pytest.mark.parametrize(
+    "dyadic, max_depth",
+    [pytest.param(dyadic, depth, id=f"{dyadic}" + ("" if depth == 4 else f"-depth{depth}"))
+     for depth in (4, 7) for dyadic in (True, False)],
+)
+def test_trees_match_exact_greedy_oracle_on_ties(lam, gamma, mcw, dyadic, max_depth):
     # integer-valued columns, a constant column and a copy of column 0;
-    # dyadic statistics make every sum exact, so distinct cuts tie exactly
+    # dyadic statistics make every sum exact, so distinct cuts tie exactly.
+    # From depth 3 on, children overwrite cells their grandparents held.
     rng = np.random.default_rng(11)
     twin_used = False
     for trial in range(15):
@@ -172,7 +178,7 @@ def test_trees_match_exact_greedy_oracle_on_ties(lam, gamma, mcw, dyadic):
         else:
             g = rng.normal(size=n)
             h = rng.uniform(0.3, 2.0, size=n)
-        tree, cfg = _fit_one_tree(X, g, h, max_depth=4, reg_lambda=lam, gamma=gamma,
+        tree, cfg = _fit_one_tree(X, g, h, max_depth=max_depth, reg_lambda=lam, gamma=gamma,
                                   min_child_weight=mcw)
         _assert_oracle_tree(tree, X, g, h, cfg)
         feature = tree.feature.tolist()
@@ -241,29 +247,40 @@ def test_huge_valued_columns_never_split_at_inf(tmp_path):
 
 
 def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
-    # every node of a real fit: _best_split on the values, cuts and packed
-    # statistics the grower carries returns the tuple it returns when it
-    # derives them itself
+    # every node of a real fit: _best_split on the order matrix and cuts
+    # the grower carries returns the tuple it returns at the root of a
+    # fresh _Fit over the node's rows, with their g and h
     calls = []
     best_split = booster._best_split
+    sim = generate(DgpConfig(n=300, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=5))
 
-    def spy(X, g, h, rows, order, cfg, **carried):
-        assert set(carried) == {"gh", "xs", "cuts", "scratch"}
-        assert np.array_equal(carried["xs"], np.take_along_axis(X.T, order, axis=1))
-        got = best_split(X, g, h, rows, order, cfg, **carried)
-        calls.append((repr(got), repr(best_split(X, g, h, rows, order, cfg))))
+    def spy(g, h, rows, order, cuts, gh, fit, cfg):
+        got = best_split(g, h, rows, order, cuts, gh, fit, cfg)
+        gn, hn = g[rows], h[rows]
+        fresh = booster._Fit(sim.data.X[rows])
+        derived = best_split(gn, hn, np.arange(rows.size), fresh.order, fresh.cuts,
+                             booster._pack(gn, hn), fresh, cfg)
+        calls.append((repr(got), repr(derived)))
         return got
 
     monkeypatch.setattr(booster, "_best_split", spy)
-    sim = generate(DgpConfig(n=300, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=5))
     loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))
-    train(sim.data, loss, TrainConfig(rounds=6, max_depth=4, min_child_weight=2.0, gamma=0.01))
+    train(sim.data, loss, TrainConfig(rounds=6, max_depth=6, min_child_weight=2.0, gamma=0.01))
     assert len(calls) > 40
     assert all(got == derived for got, derived in calls)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_tree_growth_allocates_only_split_positions_of_node_size():
-    # a fit's node work runs in its _Scratch; of node size, a split
+    # a fit's node work runs in its _Fit; of node size, a split
     # allocates only the flat positions it partitions by (8 bytes per
     # entry of the node's (p, m) order matrix), and the rest is per-row
     n, p = 4000, 10
@@ -271,18 +288,18 @@ def test_tree_growth_allocates_only_split_positions_of_node_size():
     X = rng.normal(size=(n, p))
     g, h = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n)
     cfg = TrainConfig(max_depth=4)
-    order = np.argsort(X.T, axis=1, kind="stable")
-    xs = np.take_along_axis(X.T, order, axis=1)
-    cuts = booster._cuts(xs)
-    scratch = booster._Scratch(p, n, cfg.max_depth - 1)
-    tracemalloc.start()
-    try:
-        tree, _ = booster._grow_tree(X, g, h, order, xs, cuts, scratch, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fit = booster._Fit(X)
+    (tree, _), peak = _traced_peak(lambda: booster._grow_tree(X, g, h, fit, cfg))
     assert tree.n_nodes == 31
     assert peak <= 8 * p * n + 80 * n
+    # and a whole fit holds two arenas at any depth, not one per depth
+    data = SurvivalDataset(np.ones(n), np.ones(n, dtype=int), X)
+    peaks = {}
+    for depth in (4, 64):
+        cfg = TrainConfig(rounds=1, max_depth=depth, base_score=0.0)
+        model, peaks[depth] = _traced_peak(lambda: train(data, FixedStatsLoss(g, h), cfg))
+    assert model.trees[0].n_nodes > 1000
+    assert peaks[64] <= peaks[4] + 2**20
 
 
 def test_leaf_weight_optimality():
@@ -348,7 +365,7 @@ def test_training_loss_non_increasing_on_study_data():
     model = train(sim.data, loss, TrainConfig(rounds=60, learning_rate=0.1, max_depth=3))
     data = sim.data
     hist = np.array([
-        np.mean(loss.loss(data.times, data.events, model.predict(data.X, num_trees=k)))
+        np.mean(loss.loss(data.times, data.events, replace(model, trees=model.trees[:k]).predict(data.X)))
         for k in range(1, model.n_rounds + 1)
     ])
     assert np.all(np.diff(hist) <= 1e-12)
@@ -386,6 +403,11 @@ def test_nonfinite_gradient_aborts_with_location():
 
     with pytest.raises(NumericError, match=r"round 0, row 3"):
         train(_toy_data(10), BadLoss(), TrainConfig(rounds=1))
+    # finite statistics whose leaf weight overflows: a NumericError, not
+    # a numpy warning or an infinite prediction
+    g, h = np.full(10, 1e300), np.full(10, 1e-10)
+    with pytest.raises(NumericError, match=r"^non-finite prediction at round 0$"):
+        train(_toy_data(10), FixedStatsLoss(g, h), TrainConfig(rounds=1, reg_lambda=0.0))
 
 
 def test_loss_numeric_error_names_the_round():
@@ -504,6 +526,11 @@ def _leaf(i):
         # predict indexes X by split feature, so it must be a column of the model
         ([{**_split(0, 1, 2), "split_feature": 1}, _leaf(1), _leaf(2)], "split_feature"),
         ([{**_split(0, 1, 2), "split_feature": -1}, _leaf(1), _leaf(2)], "split_feature"),
+        # ids are integers, like every other integer field; int() took these
+        ([_split(0.9, 1, 2), _leaf(1), _leaf(2)], "'id' must be an integer"),
+        ([_split(0, 1, 2), _leaf("1"), _leaf(2)], "'id' must be an integer"),
+        ([_split(0, 1, 2), _leaf(1), _leaf("2 ")], "'id' must be an integer"),
+        ([_split(0, 1, 2), _leaf(True), _leaf(2)], "'id' must be an integer"),
     ],
 )
 def test_load_rejects_malformed_tree(tmp_path, nodes, match):
@@ -716,5 +743,5 @@ def test_ensemble_predict_matches_row_walk(order, n):
             nodes = (tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
                      tree.right.tolist(), tree.value.tolist())
             expect += model.learning_rate * np.array(ref_tree_predict(*nodes, X.tolist()), dtype=float)
-        assert model.predict(X, num_trees=k).tolist() == expect.tolist()
-    assert model.predict(X).tolist() == model.predict(X, num_trees=len(model.trees)).tolist()
+        assert replace(model, trees=model.trees[:k]).predict(X).tolist() == expect.tolist()
+    assert model.predict(X).tolist() == expect.tolist()  # k was every tree

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -7,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from depaft import booster, cli, parallel, read_csv, tuning
 from depaft.cli import main
@@ -628,3 +631,72 @@ def test_cv_output_bytes_are_pinned(sim_dir, tmp_path):
         for name in CV_PINNED_SHA256
     }
     assert digests == CV_PINNED_SHA256
+
+
+# -- fuzz of the train section -------------------------------------------------
+
+_JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=5).filter(lambda s: s != "auto"),
+                  st.lists(st.integers(), max_size=2))
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_FRACTION = st.floats(-1e3, 1e3).map(lambda x: x + 0.5 if x.is_integer() else x)
+_BAD_COUNT = st.one_of(_JUNK, _NON_FINITE, _FRACTION, st.integers(max_value=0),
+                       st.integers(min_value=2**63))
+_BAD_PENALTY = st.one_of(_JUNK, _NON_FINITE, st.floats(min_value=5e-324).map(lambda x: -x))
+_PENALTY = st.floats(0.0, 1e3)
+
+# (valid values, invalid values) of each train field; rounds stays small,
+# and max_depth reaches far past any depth 30 rows can grow to
+_TRAIN_FIELDS = {
+    "rounds": (st.integers(1, 3), _BAD_COUNT),
+    "max_depth": (st.integers(1, 2**62), _BAD_COUNT),
+    "learning_rate": (st.floats(0.0, 1.0, exclude_min=True),
+                      st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=0.0),
+                                st.floats(min_value=1.0, exclude_min=True))),
+    "lambda": (_PENALTY, _BAD_PENALTY),
+    "gamma": (_PENALTY, _BAD_PENALTY),
+    "min_child_weight": (_PENALTY, _BAD_PENALTY),
+    "base_score": (st.one_of(st.just("auto"), st.floats(-1e3, 1e3)), st.one_of(_JUNK, _NON_FINITE)),
+}
+
+
+@st.composite
+def _train_sections(draw):
+    """(train section, whether it is valid): some fields given, and none,
+    one or several of them drawn invalid, or a key that names no field.
+    rounds is always given, so no example falls back to 100 rounds."""
+    names = ["rounds"] + [name for name in list(_TRAIN_FIELDS)[1:] if draw(st.booleans())]
+    bad = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(names + ["seed"]), min_size=1)))
+    section = {name: draw(_TRAIN_FIELDS[name][name in bad]) for name in names}
+    if "seed" in bad:
+        section["seed"] = draw(st.integers())
+    return section, not bad
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    sim = _write(root / "sim.json", {**SIM_CFG, "n": 30})
+    assert main(["simulate", "--config", sim, "--out", str(root / "sim"), "--quiet"]) == 0
+    return root
+
+
+@given(drawn=st.one_of(_train_sections(), _JUNK.map(lambda junk: (junk, False))))
+@settings(max_examples=150, deadline=2000)
+def test_fuzzed_train_section_exits_with_a_documented_code(fuzz_dir, drawn):
+    # a train section with each field drawn valid or invalid, or one that
+    # is not an object at all: an invalid one is a config error (exit 2)
+    # and a valid one trains, or fails numerically (exit 4); never a
+    # traceback, whatever max_depth is
+    section, valid = drawn
+    cfg = _write(fuzz_dir / "train.json", {"loss": TRAIN_CFG["loss"], "train": section})
+    model = fuzz_dir / "model.json"
+    model.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--data", str(fuzz_dir / "sim" / "data.csv"), "--config", cfg,
+                     "--out", str(model), "--quiet"])
+    event(f"exit {code}")
+    assert code in ((0, 4) if valid else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert booster.load(model).n_rounds == section["rounds"]

@@ -307,11 +307,13 @@ def test_far_off_predictions_keep_a_signed_gradient(family):
 
 def test_extreme_overflow_is_a_numeric_error():
     # finite at s = 690; e^s overflows float64 past s ~ 709.78, which is
-    # a NumericError, not a zero gradient
+    # a NumericError, not a zero gradient or a numpy warning
     spec = BaselineSpec("extreme", 1 / 3)
     t, d = np.ones(2), np.array([0, 1])
     for loss in (ClaytonAftLoss(3.0, spec, spec), IndependentAftLoss(spec)):
         g, h = loss.grad_hess(t, d, np.full(2, -230.0))
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
-        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):  # and no RuntimeWarning, an error here
             loss.grad_hess(t, d, np.full(2, -240.0))
+        with pytest.raises(NumericError):
+            loss.loss(t, d, np.full(2, -240.0))
