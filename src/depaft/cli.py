@@ -81,9 +81,10 @@ def cmd_train(args) -> int:
     data = dataset.read_csv(args.data)
     loss, train_cfg = _train_configs(_load_json(args.config))
     model = booster.train(data, loss, train_cfg)
+    # a final loss that is not finite is exit 4, and leaves no model file
+    final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
     with _writing(args.out):
         booster.save(model, args.out)
-    final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")
     return 0
 

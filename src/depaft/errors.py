@@ -9,10 +9,10 @@ import math
 from dataclasses import MISSING, fields
 
 # A record field's metadata may hold a parser of its file value
-# (PARSE: value -> field value), or FILE: False to keep the field out of
-# config files.  Other fields annotated int or float go through number();
-# the annotations are strings (from __future__ import annotations).
-PARSE, FILE = "parse", "file"
+# (PARSE: value -> field value).  Other fields annotated int or float go
+# through number(); the annotations are strings (from __future__ import
+# annotations).
+PARSE = "parse"
 _KINDS = {"int": int, "float": float}
 # a file key is its field's name, but "lambda" is a Python keyword
 _FILE_KEYS = {"reg_lambda": "lambda"}
@@ -66,8 +66,8 @@ def section(value, what: str) -> dict:
 
 
 def _file_fields(cls):
-    """(file key, field) of each field of dataclass cls that files hold."""
-    return [(_FILE_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.metadata.get(FILE, True)]
+    """(file key, field) of each field of dataclass cls."""
+    return [(_FILE_KEYS.get(f.name, f.name), f) for f in fields(cls)]
 
 
 class Record:

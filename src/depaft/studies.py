@@ -112,7 +112,6 @@ class StudyConfig(Record):
             max_rounds=self.max_rounds,
             checkpoint_stride=self.checkpoint_stride,
             seed=seed,
-            patience=STUDY_PATIENCE,
         )
 
 
@@ -183,7 +182,8 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
     for name in MODELS:
         # the task is the study's unit of parallelism, so its search runs
         # in this process (grid_search's default of one worker)
-        result, model = grid_search(sim_train.data, loss_configs[name], train_cfg, cv)
+        result, model = grid_search(sim_train.data, loss_configs[name], train_cfg, cv,
+                                    patience=STUDY_PATIENCE)
         predicted = model.predict_time(sim_test.data.X)
         report = evaluate_predictions(sim_test.data, predicted, config.n_horizons)
         record["models"][name] = {

@@ -6,14 +6,16 @@ rounds) along each fold fit; an optional theta grid multiplies the
 search for the Clayton loss.  The winning configuration is refit on all
 data.
 
-With patience P, a theta stops growing once its best mean score was
-first reached P or more checkpoints ago (early stopping on a validation
-curve, Prechelt 1998).  Boosting is sequential, so a fit stopped at R
-rounds holds exactly the first R trees of the full fit: the stopped
-search scores a prefix of the full search's checkpoints.  The fits grow
-in legs, each to the first checkpoint at which the rule could stop its
-theta, and resume from their own trees (booster.train's init_model).
-Without patience there is one leg, to max_rounds.
+With patience P, grid_search's argument (no config file or flag sets
+it; the studies pass studies.STUDY_PATIENCE), a theta stops growing once
+its best mean score was first reached P or more checkpoints ago (early
+stopping on a validation curve, Prechelt 1998).  Boosting is
+sequential, so a fit stopped at R rounds holds exactly the first R trees
+of the full fit: the stopped search scores a prefix of the full search's
+checkpoints.  The fits grow in legs, each to the first checkpoint at
+which the rule could stop its theta, and resume from their own trees
+(booster.train's init_model).  Without patience there is one leg, to
+max_rounds.
 
 Every (theta, fold) fit of a leg is independent of the others, so the
 fits are mapped over a process pool (depaft.parallel) when the caller
@@ -29,7 +31,7 @@ import numpy as np
 
 from .booster import TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
-from .errors import FILE, PARSE, ConfigError, Record, number
+from .errors import PARSE, ConfigError, Record, number
 from .loss import loss_from_config
 from .metrics import concordance
 from .parallel import check_workers, task_map
@@ -52,9 +54,6 @@ class CvConfig(Record):
     checkpoint_stride: int = 50
     theta_grid: tuple[float, ...] | None = field(default=None, metadata={PARSE: _theta_grid})
     seed: int = 0
-    # checkpoints; None grows every fit to max_rounds.  The studies set it
-    # in code (studies.STUDY_PATIENCE), so config files do not hold it.
-    patience: int | None = field(default=None, metadata={FILE: False})
 
     def __post_init__(self):
         if not (isinstance(self.folds, int) and self.folds >= 2):
@@ -67,8 +66,6 @@ class CvConfig(Record):
             raise ConfigError("theta_grid must be non-empty when given")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
-        if self.patience is not None and not (isinstance(self.patience, int) and self.patience >= 1):
-            raise ConfigError(f"patience must be a positive integer or None, got {self.patience!r}")
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:
@@ -117,6 +114,7 @@ def grid_search(
     train_config: TrainConfig,
     cv: CvConfig,
     workers: int = 1,
+    patience: int | None = None,
 ) -> tuple[dict, TreeEnsemble]:
     """Run the search and refit the best point on all rows.
 
@@ -124,9 +122,14 @@ def grid_search(
     for every checkpoint that was scored.  Ties break toward fewer
     rounds, then smaller theta.  The (theta, fold) fits run on up to
     `workers` processes; scoring and the refit run here, and the result
-    is the same for any worker count.
+    is the same for any worker count.  patience (checkpoints) is the
+    stop rule of the module docstring; None grows every fit to max_rounds.
     """
     check_workers(workers)
+    if patience is not None:
+        patience = number(patience, int, "patience")
+        if patience < 1:
+            raise ConfigError(f"patience must be a positive integer or None, got {patience!r}")
     if cv.theta_grid is not None and loss_config.get("loss") != "clayton":
         raise ConfigError("theta_grid applies only to the clayton loss")
     rng = np.random.default_rng(cv.seed)
@@ -136,12 +139,8 @@ def grid_search(
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
 
     # every loss is built before any fit, so a bad theta forks nothing
-    losses = []
-    for theta in thetas:
-        cfg = dict(loss_config)
-        if theta is not None:
-            cfg["theta"] = theta
-        losses.append(loss_from_config(cfg))
+    losses = [loss_from_config(loss_config if theta is None else {**loss_config, "theta": theta})
+              for theta in thetas]
     train_sets = [
         data.subset(np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i])))
         for i in range(cv.folds)
@@ -160,7 +159,7 @@ def grid_search(
         while live:
             # one leg: every live fit grows to the first checkpoint at
             # which the stop rule could end its theta
-            ends = {t: last if cv.patience is None else min(best_at[t] + cv.patience, last)
+            ends = {t: last if patience is None else min(best_at[t] + patience, last)
                     for t in live}
             fits = [
                 (train_sets[i], losses[t], replace(train_config, rounds=checkpoints[ends[t]]))
@@ -177,50 +176,30 @@ def grid_search(
                     if preds[t][i] is None:
                         preds[t][i] = np.full(val.n, model.base_score)
                     scores[t][i] += _checkpoint_scores(model, val, preds[t][i], start, leg)
-                means = np.array(scores[t]).mean(axis=0)
-                for j in range(done, ends[t] + 1):
-                    if means[j] > means[best_at[t]]:
-                        best_at[t] = j
+                # argmax keeps the first checkpoint that reaches the best
+                best_at[t] = int(np.array(scores[t]).mean(axis=0).argmax())
             # a theta stops at max_rounds, or once its best is a whole
             # patience of checkpoints old
-            live = [t for t in live if ends[t] < last and ends[t] - best_at[t] < cv.patience]
+            live = [t for t in live if ends[t] < last and ends[t] - best_at[t] < patience]
 
     points = []
-    best = None  # (key, point_dict)
-    for t, theta in enumerate(thetas):
-        fold_scores = np.array(scores[t])  # (folds, scored checkpoints)
-        means = fold_scores.mean(axis=0)
-        for j, rounds in enumerate(checkpoints[:len(means)]):
-            point = {
-                "theta": theta,
-                "rounds": rounds,
-                "fold_scores": [float(x) for x in fold_scores[:, j]],
-                "mean_score": float(means[j]),
-            }
-            points.append(point)
-            key = (
-                -point["mean_score"],
-                rounds,
-                theta if theta is not None else 0.0,
-            )
-            if best is None or key < best[0]:
-                best = (key, point)
-
-    best_point = best[1]
-    refit_cfg = dict(loss_config)
-    if best_point["theta"] is not None:
-        refit_cfg["theta"] = best_point["theta"]
-    refit_train_cfg = replace(train_config, rounds=best_point["rounds"])
-    refit = train(data, loss_from_config(refit_cfg), refit_train_cfg)
+    for theta, per_fold in zip(thetas, map(np.array, scores)):  # (folds, scored checkpoints)
+        # the axis-0 mean, as for best_at: a mean per point would add the
+        # folds in another order once there are 8 or more
+        means = per_fold.mean(axis=0)
+        points += [{"theta": theta, "rounds": rounds,
+                    "fold_scores": [float(x) for x in per_fold[:, j]],
+                    "mean_score": float(means[j])}
+                   for j, rounds in enumerate(checkpoints[:len(means)])]
+    # min keeps the first of equal keys
+    best = min(points, key=lambda p: (-p["mean_score"], p["rounds"], p["theta"] or 0.0))
+    refit = train(data, losses[thetas.index(best["theta"])],
+                  replace(train_config, rounds=best["rounds"]))
     result = {
         "folds": cv.folds,
         "checkpoints": checkpoints,
         "selection_metric": "c_index",
         "points": points,
-        "best": {
-            "theta": best_point["theta"],
-            "rounds": best_point["rounds"],
-            "mean_score": best_point["mean_score"],
-        },
+        "best": {key: best[key] for key in ("theta", "rounds", "mean_score")},
     }
     return result, refit

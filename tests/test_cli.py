@@ -4,12 +4,14 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from depaft import booster, cli, parallel, read_csv, tuning
 from depaft.cli import main
@@ -681,12 +683,15 @@ def fuzz_dir(tmp_path_factory):
 
 
 @given(drawn=st.one_of(_train_sections(), _JUNK.map(lambda junk: (junk, False))))
+# leaf weights near -9600 make the final training loss overflow
+@example(drawn=({"rounds": 1, "lambda": 0.0, "gamma": 0.0, "min_child_weight": 0.0,
+                 "base_score": 3.0}, True))
 @settings(max_examples=150, deadline=2000)
 def test_fuzzed_train_section_exits_with_a_documented_code(fuzz_dir, drawn):
     # a train section with each field drawn valid or invalid, or one that
     # is not an object at all: an invalid one is a config error (exit 2)
-    # and a valid one trains, or fails numerically (exit 4); never a
-    # traceback, whatever max_depth is
+    # and a valid one trains, or fails numerically (exit 4) and leaves no
+    # model file; never a traceback, whatever max_depth is
     section, valid = drawn
     cfg = _write(fuzz_dir / "train.json", {"loss": TRAIN_CFG["loss"], "train": section})
     model = fuzz_dir / "model.json"
@@ -698,5 +703,74 @@ def test_fuzzed_train_section_exits_with_a_documented_code(fuzz_dir, drawn):
     event(f"exit {code}")
     assert code in ((0, 4) if valid else (2,)), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert model.exists() == (code == 0)
     if code == 0:
         assert booster.load(model).n_rounds == section["rounds"]
+
+
+# -- fuzz of the cv section ----------------------------------------------------
+
+_THETA = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_BAD_THETA = st.one_of(st.booleans(), st.none(), st.text(max_size=5), _NON_FINITE,
+                       st.floats(max_value=0.0))
+# (valid values, invalid values) of each cv field; max_rounds stays
+# small, and folds and checkpoint_stride reach past what 30 rows and 6
+# rounds can use
+_CV_FIELDS = {
+    "folds": (st.one_of(st.integers(2, 5), st.integers(2, 2**62)),
+              st.one_of(_BAD_COUNT, st.just(1))),
+    "max_rounds": (st.integers(1, 6), _BAD_COUNT),
+    "checkpoint_stride": (st.integers(1, 2**62), _BAD_COUNT),
+    "theta_grid": (st.one_of(st.none(), st.lists(_THETA, min_size=1, max_size=3)),
+                   st.one_of(st.just([]), st.booleans(), st.text(max_size=5), _THETA,
+                             st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                             st.lists(_THETA, max_size=2).flatmap(
+                                 lambda grid: _BAD_THETA.map(lambda bad: grid + [bad])))),
+    "seed": (st.integers(0, 2**63 - 1),
+             st.one_of(_JUNK, _NON_FINITE, _FRACTION, st.integers(max_value=-1),
+                       st.integers(min_value=2**63))),
+}
+
+
+@st.composite
+def _cv_sections(draw):
+    """(cv section, whether it is valid): some fields given, and none, one
+    or several of them drawn invalid, or a patience key, which no config
+    file may set.  max_rounds is always given, so no example falls back
+    to 500 rounds."""
+    names = ["max_rounds"] + [name for name in _CV_FIELDS
+                              if name != "max_rounds" and draw(st.booleans())]
+    bad = draw(st.one_of(st.just(set()),
+                         st.sets(st.sampled_from(names + ["patience"]), min_size=1)))
+    section = {name: draw(_CV_FIELDS[name][name in bad]) for name in names}
+    if "patience" in bad:
+        section["patience"] = draw(st.integers(1, 8))
+    return section, not bad
+
+
+@given(drawn=st.one_of(_cv_sections(), _JUNK.map(lambda junk: (junk, False))))
+@settings(max_examples=150, deadline=2000)
+def test_fuzzed_cv_section_exits_with_a_documented_code(fuzz_dir, drawn):
+    # a cv section with each field drawn valid or invalid, or one that is
+    # not an object at all: an invalid one is a config error (exit 2); a
+    # valid one searches, or is refused because 30 rows cannot make its
+    # folds (exit 2), or fails on the data or numerically (exit 3 or 4).
+    # Only a finished search writes its directory; never a traceback
+    section, valid = drawn
+    cfg = _write(fuzz_dir / "cv.json", {**TRAIN_CFG, "cv": section})
+    out = fuzz_dir / "cv"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), mock.patch.object(cli, "usable_cpus", lambda: 1):
+        code = main(["cv", "--data", str(fuzz_dir / "sim" / "data.csv"), "--config", cfg,
+                     "--out", str(out), "--quiet"])
+    event(f"exit {code}")
+    assert code in ((0, 2, 3, 4) if valid else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if valid and code == 2:
+        assert "folds from 30 rows" in err.getvalue() or "fold is empty" in err.getvalue()
+    assert out.exists() == (code == 0)
+    if code == 0:
+        best = json.loads((out / "cv_results.json").read_text())["best"]
+        assert 1 <= best["rounds"] <= section["max_rounds"]
+        assert booster.load(out / "model.json").n_rounds == best["rounds"]

@@ -127,9 +127,9 @@ def test_clayton_loss_gets_residual_theta(monkeypatch):
     seen = {}
     real_grid_search = studies.grid_search
 
-    def spy(data, loss_config, train_cfg, cv):
+    def spy(data, loss_config, train_cfg, cv, **kwargs):
         seen[loss_config["loss"]] = loss_config
-        return real_grid_search(data, loss_config, train_cfg, cv)
+        return real_grid_search(data, loss_config, train_cfg, cv, **kwargs)
 
     monkeypatch.setattr(studies, "grid_search", spy)
     cfg = StudyConfig(**{**TINY, "study": 2, "n_train": 300, "repetitions": 1})
@@ -219,8 +219,8 @@ class _Stop(Exception):
 def test_task_builds_train_and_cv_configs_through_study_config(monkeypatch):
     seen = []
 
-    def spy(data, loss_config, train_cfg, cv):
-        seen.append((train_cfg, cv))
+    def spy(data, loss_config, train_cfg, cv, **kwargs):
+        seen.append((train_cfg, cv, kwargs))
         raise _Stop
 
     monkeypatch.setattr(studies, "grid_search", spy)
@@ -229,11 +229,11 @@ def test_task_builds_train_and_cv_configs_through_study_config(monkeypatch):
     with pytest.raises(_Stop):
         run_task(cfg, point, 1)
     train_seed, _ = studies._task_seeds(cfg, point.index, 1)
-    train_cfg, cv = seen[0]
+    train_cfg, cv, kwargs = seen[0]
     assert (train_cfg, cv) == (cfg.train_config(), cfg.cv_config(seed=train_seed))
     assert (train_cfg.learning_rate, train_cfg.gamma, train_cfg.rounds) == (0.3, 0.5, 10)
     assert (cv.folds, cv.max_rounds, cv.checkpoint_stride, cv.seed) == (2, 10, 5, train_seed)
-    assert cv.patience == studies.STUDY_PATIENCE == 8
+    assert kwargs == {"patience": studies.STUDY_PATIENCE} and studies.STUDY_PATIENCE == 8
 
 
 @pytest.mark.parametrize("workers", [0, -2])

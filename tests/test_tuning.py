@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, tuning
+from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, parallel, tuning
 from depaft.booster import TrainConfig, train
 from depaft.errors import ConfigError
 from depaft.loss import IndependentAftLoss, loss_from_config
@@ -165,6 +165,19 @@ def test_grid_search_refuses_fewer_than_one_worker(workers):
         grid_search(_sim(n=50).data, CLAYTON_LOSS, TrainConfig(rounds=10), cv, workers=workers)
 
 
+@pytest.mark.parametrize("patience", [0, -1, 2.5, True])
+def test_grid_search_refuses_a_bad_patience_before_any_fit(monkeypatch, patience):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a fit or a pool was started")
+
+    monkeypatch.setattr(tuning, "train", no_work)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_work)
+    cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=5)
+    with pytest.raises(ConfigError, match=f"patience must be .*, got {patience!r}"):
+        grid_search(_sim(n=50).data, CLAYTON_LOSS, TrainConfig(rounds=10), cv, workers=2,
+                    patience=patience)
+
+
 def test_pool_size_never_exceeds_the_jobs():
     assert (pool_size(2, 4), pool_size(8, 4), pool_size(10**6, 6), pool_size(4, 0)) == (2, 4, 6, 0)
     for workers in range(1, 40):
@@ -225,8 +238,8 @@ EARLY_PEAK = dict(train=TrainConfig(rounds=120, learning_rate=0.3, max_depth=3),
 def test_patience_scores_a_prefix_and_keeps_the_best():
     data = _sim(seed=0, n=200).data
     full, full_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], EARLY_PEAK["cv"])
-    stopped, stopped_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"],
-                                         replace(EARLY_PEAK["cv"], patience=3))
+    stopped, stopped_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], EARLY_PEAK["cv"],
+                                         patience=3)
     assert full["best"]["rounds"] == 20
     assert len(full["points"]) == 24
     # best first reached at round 20 (checkpoint 4), stopped 3 checkpoints on
@@ -241,16 +254,18 @@ def test_patience_past_the_schedule_changes_nothing():
     data = _sim(seed=0, n=200).data
     cv = replace(EARLY_PEAK["cv"], max_rounds=30)
     full, _ = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv)
-    stopped, _ = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], replace(cv, patience=6))
+    stopped, _ = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, patience=6)
     assert stopped == full
 
 
 @pytest.mark.parametrize("folds", [2, 3])
 def test_worker_count_changes_nothing_with_patience(folds):
     data = _sim(seed=0, n=200).data
-    cv = replace(EARLY_PEAK["cv"], folds=folds, patience=2, theta_grid=(0.5, 1.5, 3.0))
-    serial, serial_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=1)
-    pooled, pooled_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=2)
+    cv = replace(EARLY_PEAK["cv"], folds=folds, theta_grid=(0.5, 1.5, 3.0))
+    serial, serial_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=1,
+                                       patience=2)
+    pooled, pooled_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=2,
+                                       patience=2)
     assert pooled == serial
     assert len(serial["points"]) < 3 * 24  # the rule stopped some theta early
     assert pooled_model.loss_config == serial_model.loss_config
@@ -281,3 +296,19 @@ def test_full_search_scores_every_checkpoint_in_theta_fold_checkpoint_order(monk
         for fi in range(folds):
             for j, point in enumerate(points):
                 assert calls[(ti * folds + fi) * len(schedule) + j] == point["fold_scores"][fi]
+
+
+@pytest.mark.parametrize("patience", [None, 2])
+def test_ties_go_to_the_first_checkpoint_then_the_smaller_theta(monkeypatch, patience):
+    # every checkpoint of every theta scores the same: a theta's best is
+    # its first checkpoint, and the best point has the fewest rounds, then
+    # the smaller theta, whatever order the grid gives
+    monkeypatch.setattr(tuning, "concordance", lambda *args: 0.5)
+    cv = CvConfig(folds=2, max_rounds=20, checkpoint_stride=5, theta_grid=(3.0, 2.0), seed=1)
+    result, model = grid_search(_sim(seed=2, n=120).data, CLAYTON_LOSS,
+                                TrainConfig(rounds=20, max_depth=2), cv, patience=patience)
+    assert result["best"] == {"theta": 2.0, "rounds": 5, "mean_score": 0.5}
+    assert model.n_rounds == 5 and model.loss_config["theta"] == 2.0
+    scored = [5, 10, 15, 20] if patience is None else [5, 10, 15]
+    for theta in (3.0, 2.0):
+        assert [p["rounds"] for p in result["points"] if p["theta"] == theta] == scored
