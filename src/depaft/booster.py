@@ -46,39 +46,32 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import PARSE, ConfigError, DataError, NumericError, PersistenceError, Record, number
+from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, NumericError,
+                     PersistenceError, Record, number)
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
-
-
-def _base_score(value):
-    return value if value == "auto" else number(value, float, "train config field 'base_score'")
 
 
 @dataclass(frozen=True)
 class TrainConfig(Record):
     what = "train config"
 
-    rounds: int = 100
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    reg_lambda: float = 1.0  # L2 on leaf weights ("lambda" in config files)
-    gamma: float = 0.0  # per-leaf penalty
-    min_child_weight: float = 0.0  # minimum Hessian sum per child
-    base_score: float | str = field(default="auto", metadata={PARSE: _base_score})
+    rounds: int = field(default=100, metadata={AT_LEAST: 1})
+    learning_rate: float = field(default=0.1, metadata={ABOVE: 0, AT_MOST: 1})
+    max_depth: int = field(default=3, metadata={AT_LEAST: 1})
+    # L2 on leaf weights ("lambda" in config files)
+    reg_lambda: float = field(default=1.0, metadata={AT_LEAST: 0})
+    gamma: float = field(default=0.0, metadata={AT_LEAST: 0})  # per-leaf penalty
+    # minimum Hessian sum per child
+    min_child_weight: float = field(default=0.0, metadata={AT_LEAST: 0})
+    base_score: float | str = "auto"
 
     def __post_init__(self):
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ConfigError(f"rounds must be a positive integer, got {self.rounds}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError("learning_rate must lie in (0, 1]")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
-            raise ConfigError("max_depth must be a positive integer")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
-            raise ConfigError("lambda, gamma, min_child_weight must be >= 0")
-        if self.base_score != "auto" and not np.isfinite(self.base_score):
-            raise ConfigError("base_score must be finite or 'auto'")
+        super().__post_init__()
+        if self.base_score != "auto":
+            score = number(self.base_score, float, "train config field 'base_score'")
+            object.__setattr__(self, "base_score", score)
 
 
 class RegressionTree:

@@ -20,12 +20,12 @@ or logistic row, never at import: extreme-margin runs load no scipy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, Record
+from .errors import ABOVE, ConfigError, DomainError, Record
 
 FAMILIES = ("extreme", "normal", "logistic")
 
@@ -83,15 +83,14 @@ class BaselineSpec(Record):
     what = "baseline spec"
 
     family: str
-    sigma: float
+    sigma: float = field(metadata={ABOVE: 0})
 
     def __post_init__(self):
+        super().__post_init__()
         if self.family not in FAMILIES:
             raise ConfigError(
                 f"unknown baseline family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be a positive finite real, got {self.sigma}")
 
 
 def _row(family: str, x) -> Margin:

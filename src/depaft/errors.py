@@ -1,18 +1,22 @@
 """Exception types shared across the package, the numeric-field and
 section checks that config and model-file readers share, and the base
-class of every config record.
+class of every config record, which checks its number fields.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
 import math
+import operator
 from dataclasses import MISSING, fields
 
 # A record field's metadata may hold a parser of its file value
-# (PARSE: value -> field value).  Other fields annotated int or float go
-# through number(); the annotations are strings (from __future__ import
-# annotations).
+# (PARSE: value -> field value).  Every field annotated int or float
+# goes through number() on each construction, and then through the
+# bounds its metadata declares (AT_LEAST: 1 means >= 1); the annotations
+# are strings (from __future__ import annotations).
 PARSE = "parse"
+AT_LEAST, ABOVE, AT_MOST = ">=", ">", "<="
+_BOUNDS = {AT_LEAST: operator.ge, ABOVE: operator.gt, AT_MOST: operator.le}
 _KINDS = {"int": int, "float": float}
 # a file key is its field's name, but "lambda" is a Python keyword
 _FILE_KEYS = {"reg_lambda": "lambda"}
@@ -75,17 +79,32 @@ class Record:
 
     A subclass names itself in `what` ("train config"); error messages
     name the record and the file key.  Its fields are the file's keys.
+    A subclass's own __post_init__ calls this one first, then checks
+    what no single bound expresses.
     """
 
     what: str
+
+    def __post_init__(self):
+        """Check each int or float field with number() and its declared
+        bounds, else ConfigError, and store what number() returns: alike
+        from a file, from Python and through dataclasses.replace."""
+        for key, f in _file_fields(type(self)):
+            if f.type not in _KINDS:
+                continue
+            what = f"{self.what} field {key!r}"
+            value = number(getattr(self, f.name), _KINDS[f.type], what)
+            for op, bound in f.metadata.items():
+                if op in _BOUNDS and not _BOUNDS[op](value, bound):
+                    raise ConfigError(f"{what} must be {op} {bound}, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def from_dict(cls, d):
         """The record a JSON object describes, else ConfigError.
 
-        A key that names no field, a missing field without a default
-        and a field value of the wrong kind are refused; the dataclass's
-        own checks then judge the values.
+        A key that names no field and a missing field without a default
+        are refused; the record's own checks then judge the values.
         """
         d = section(d, cls.what)
         keyed = _file_fields(cls)
@@ -96,26 +115,13 @@ class Record:
                    if key not in d and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigError(f"{cls.what} missing fields: {missing}")
-        kwargs = {}
-        for key, f in keyed:
-            if key not in d:
-                continue
-            if PARSE in f.metadata:
-                kwargs[f.name] = f.metadata[PARSE](d[key])
-            elif f.type in _KINDS:
-                kwargs[f.name] = number(d[key], _KINDS[f.type], f"{cls.what} field {key!r}")
-            else:
-                kwargs[f.name] = d[key]
-        return cls(**kwargs)
+        return cls(**{f.name: f.metadata[PARSE](d[key]) if PARSE in f.metadata else d[key]
+                      for key, f in keyed if key in d})
 
     def to_dict(self) -> dict:
         """The JSON object from_dict reads back to an equal record."""
         out = {}
-        for key, f in _file_fields(self):
+        for key, f in _file_fields(type(self)):
             value = getattr(self, f.name)
-            if isinstance(value, Record):
-                value = value.to_dict()
-            elif f.type == "float":
-                value = float(value)
-            out[key] = value
+            out[key] = value.to_dict() if isinstance(value, Record) else value
         return out

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import BaselineSpec
-from .errors import PARSE, ConfigError, DomainError, NumericError, Record, section
+from .errors import ABOVE, PARSE, ConfigError, DomainError, NumericError, Record, section
 
 HESSIAN_FLOOR = 1e-6
 
@@ -105,13 +105,9 @@ class ClaytonAftLoss(Record):
 
     tag, what = "clayton", "clayton loss config"
 
-    theta: float
+    theta: float = field(metadata={ABOVE: 0})
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
     censor_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise ConfigError(f"theta must be a positive finite real, got {self.theta}")
 
     @_judged
     def loss(self, t, delta, yhat) -> np.ndarray:

@@ -11,7 +11,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
-from .errors import ConfigError
+from .errors import ConfigError, number
 
 
 def usable_cpus() -> int:
@@ -23,9 +23,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_workers(workers, what: str = "workers") -> None:
-    if not (isinstance(workers, int) and workers >= 1):
+def check_workers(workers, what: str = "workers") -> int:
+    """workers as number() reads it, if that is at least 1, else ConfigError."""
+    count = number(workers, int, what)
+    if count < 1:
         raise ConfigError(f"{what} must be a positive integer, got {workers!r}")
+    return count
 
 
 def pool_size(workers: int, jobs: int) -> int:

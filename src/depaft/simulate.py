@@ -28,7 +28,7 @@ import numpy as np
 
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset
-from .errors import PARSE, ConfigError, DataError, Record
+from .errors import ABOVE, AT_LEAST, PARSE, DataError, Record
 from .metrics import count_larger_before
 
 N_FEATURES = 10
@@ -40,25 +40,12 @@ class DgpConfig(Record):
 
     what = "simulate config"
 
-    n: int
-    c: float  # censoring-scale constant; lower c censors more
+    n: int = field(metadata={AT_LEAST: 2})
+    c: float = field(metadata={ABOVE: 0})  # censoring-scale constant; lower c censors more
     copula: CopulaSpec = field(metadata={PARSE: CopulaSpec.from_dict})
-    weibull_shape: float = 3.0
-    weibull_scale: float = 1.0
-    n_features: int = N_FEATURES
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ConfigError(f"n must be an integer >= 2, got {self.n}")
-        if not self.c > 0:
-            raise ConfigError("c must be positive")
-        if not (self.weibull_shape > 0 and self.weibull_scale > 0):
-            raise ConfigError("weibull shape and scale must be positive")
-        if self.n_features != N_FEATURES:
-            raise ConfigError(f"n_features is fixed at {N_FEATURES}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"simulate seed must be a non-negative integer, got {self.seed}")
+    weibull_shape: float = field(default=3.0, metadata={ABOVE: 0})
+    weibull_scale: float = field(default=1.0, metadata={ABOVE: 0})
+    seed: int = field(default=0, metadata={AT_LEAST: 0})
 
 
 @dataclass
@@ -128,10 +115,14 @@ def draw_margins(config: DgpConfig, rng: np.random.Generator):
     """
     n, k, lam = config.n, config.weibull_shape, config.weibull_scale
     X = rng.uniform(size=(n, N_FEATURES))
-    r1 = lam * rng.weibull(k, size=n)
-    r2 = lam * rng.weibull(k, size=n)
-    T = h_function(X) * r1
-    U = config.c * r2
+    # an extreme scale, shape or c can carry times out of the float range;
+    # SurvivalDataset refuses those as a data error, so numpy's overflow
+    # warnings would only repeat it
+    with np.errstate(over="ignore"):
+        r1 = lam * rng.weibull(k, size=n)
+        r2 = lam * rng.weibull(k, size=n)
+        T = h_function(X) * r1
+        U = config.c * r2
     return T, U, X
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from .booster import TrainConfig
 from .copula import CopulaSpec
 from .dataset import write_rows
-from .errors import ConfigError, DataError, Record, number
+from .errors import AT_LEAST, ConfigError, DataError, Record, number
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
@@ -66,10 +66,10 @@ class StudyConfig(Record):
     what = "study config"
 
     study: int
-    repetitions: int = 20
-    n_train: int = 1000
-    n_test: int = 1000
-    seed: int = 29
+    repetitions: int = field(default=20, metadata={AT_LEAST: 1})
+    n_train: int = field(default=1000, metadata={AT_LEAST: 2})
+    n_test: int = field(default=1000, metadata={AT_LEAST: 2})
+    seed: int = field(default=29, metadata={AT_LEAST: 0})
     max_rounds: int = 400
     checkpoint_stride: int = 25
     learning_rate: float = 0.1
@@ -77,19 +77,12 @@ class StudyConfig(Record):
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0  # "lambda" in config files
     gamma: float = 0.0
-    n_horizons: int = 9
+    n_horizons: int = field(default=9, metadata={AT_LEAST: 2})
 
     def __post_init__(self):
+        super().__post_init__()
         if self.study not in (1, 2, 3):
             raise ConfigError(f"study must be 1, 2, or 3, got {self.study}")
-        if not (isinstance(self.repetitions, int) and self.repetitions >= 1):
-            raise ConfigError("repetitions must be a positive integer")
-        if self.n_train < 2 or self.n_test < 2:
-            raise ConfigError("n_train and n_test must be >= 2")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"study seed must be a non-negative integer, got {self.seed}")
-        if not (isinstance(self.n_horizons, int) and self.n_horizons >= 2):
-            raise ConfigError(f"n_horizons must be an integer >= 2, got {self.n_horizons}")
         # every task builds these two; building them here refuses a bad
         # field before any task runs or any partial result is written
         self.cv_config(seed=0)
@@ -281,7 +274,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     Completed repetitions found under partial/ are reused, so an
     interrupted run resumes where it stopped.
     """
-    check_workers(workers, "workers (--threads)")
+    workers = check_workers(workers, "workers (--threads)")
     points = grid_points(config)
     partial = os.path.join(out_dir, "partial")
     try:
@@ -359,8 +352,8 @@ def _write_results(config, points, records, out_dir):
             n_h = min(len(curve["horizons"]) for curve in model_curves)
             for j in range(n_h):
                 curves.append(grid + [model, j] + [
-                    float(np.mean([curve[field][j] for curve in model_curves]))
-                    for field in CURVE_FIELDS
+                    float(np.mean([curve[name][j] for curve in model_curves]))
+                    for name in CURVE_FIELDS
                 ])
 
     setting_header = ["study", "grid_index", "grid_label", "copula_family", "copula_theta", "c"]

@@ -31,41 +31,33 @@ import numpy as np
 
 from .booster import TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
-from .errors import PARSE, ConfigError, Record, number
+from .errors import AT_LEAST, ConfigError, Record, number
 from .loss import loss_from_config
 from .metrics import concordance
 from .parallel import check_workers, task_map
-
-
-def _theta_grid(grid):
-    if grid is None:
-        return None
-    if not isinstance(grid, list):
-        raise ConfigError(f"cv config field 'theta_grid' must be a list, got {grid!r}")
-    return tuple(number(x, float, "cv config field 'theta_grid' entry") for x in grid)
 
 
 @dataclass(frozen=True)
 class CvConfig(Record):
     what = "cv config"
 
-    folds: int = 2
-    max_rounds: int = 500
-    checkpoint_stride: int = 50
-    theta_grid: tuple[float, ...] | None = field(default=None, metadata={PARSE: _theta_grid})
-    seed: int = 0
+    folds: int = field(default=2, metadata={AT_LEAST: 2})
+    max_rounds: int = field(default=500, metadata={AT_LEAST: 1})
+    checkpoint_stride: int = field(default=50, metadata={AT_LEAST: 1})
+    theta_grid: tuple[float, ...] | None = None  # a list in config files
+    seed: int = field(default=0, metadata={AT_LEAST: 0})
 
     def __post_init__(self):
-        if not (isinstance(self.folds, int) and self.folds >= 2):
-            raise ConfigError("folds must be an integer >= 2")
-        if not (isinstance(self.max_rounds, int) and self.max_rounds >= 1):
-            raise ConfigError("max_rounds must be a positive integer")
-        if not (isinstance(self.checkpoint_stride, int) and self.checkpoint_stride >= 1):
-            raise ConfigError("checkpoint_stride must be a positive integer")
-        if self.theta_grid is not None and len(self.theta_grid) == 0:
+        super().__post_init__()
+        grid = self.theta_grid
+        if grid is None:
+            return
+        if not isinstance(grid, (list, tuple)):
+            raise ConfigError(f"cv config field 'theta_grid' must be a list, got {grid!r}")
+        if len(grid) == 0:
             raise ConfigError("theta_grid must be non-empty when given")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"cv seed must be a non-negative integer, got {self.seed}")
+        grid = tuple(number(x, float, "cv config field 'theta_grid' entry") for x in grid)
+        object.__setattr__(self, "theta_grid", grid)
 
 
 def checkpoint_schedule(max_rounds: int, stride: int) -> list[int]:
@@ -125,7 +117,7 @@ def grid_search(
     is the same for any worker count.  patience (checkpoints) is the
     stop rule of the module docstring; None grows every fit to max_rounds.
     """
-    check_workers(workers)
+    workers = check_workers(workers)
     if patience is not None:
         patience = number(patience, int, "patience")
         if patience < 1:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from depaft import booster, cli, parallel, read_csv, tuning
 from depaft.cli import main
+from depaft.copula import FAMILIES
 from depaft.dataset import read_predictions_csv
 from depaft.errors import NumericError
 from depaft.loss import ClaytonAftLoss, loss_from_config
@@ -92,6 +94,20 @@ def test_simulate_frank_sampler_breakdown_exit_4(tmp_path, theta, capsys):
     cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "copula": {"family": "frank", "theta": theta}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
     assert "frank sampler" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [100.0, 1e6])
+def test_simulate_gumbel_sampler_breakdown_exit_4_without_warnings(tmp_path, theta, capsys):
+    # the stable mixing overflows at large theta (at seed 0 from theta
+    # near 90 on); numpy's warnings about it must not reach stderr (nor,
+    # under "error", raise a traceback)
+    cfg = _write(tmp_path / "sim.json",
+                 {**SIM_CFG, "seed": 0, "copula": {"family": "gumbel", "theta": theta}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    assert capsys.readouterr().err == (
+        f"numeric error: stable sampler returned invalid mixing for theta={theta}\n")
 
 
 def test_train_predict_evaluate_pipeline(sim_dir, tmp_path, capsys):
@@ -383,7 +399,8 @@ def test_cv_bad_theta_grid_entry_exits_2_before_any_pool(sim_dir, tmp_path, monk
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     capsys.readouterr()
     assert _cv(sim_dir, tmp_path, {**CV_CFG, "theta_grid": [2.0, bad_theta]}) == 2
-    assert "theta must be a positive finite real" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"clayton loss config field 'theta' must be > 0, got {bad_theta!r}" in err
 
 
 def test_cli_via_subprocess(tmp_path):
@@ -573,7 +590,7 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
     ):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2, argv[0]
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
 
 
 # SHA-256 of each file the pipeline below writes.  data.csv dates from the
@@ -774,3 +791,105 @@ def test_fuzzed_cv_section_exits_with_a_documented_code(fuzz_dir, drawn):
         best = json.loads((out / "cv_results.json").read_text())["best"]
         assert 1 <= best["rounds"] <= section["max_rounds"]
         assert booster.load(out / "model.json").n_rounds == best["rounds"]
+
+
+# -- fuzz of the simulate config -----------------------------------------------
+
+# valid reals are drawn from the whole range their field allows, and as
+# often from the range a study uses, so that many valid configs simulate
+_POSITIVE = st.one_of(st.floats(0.5, 5.0),
+                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_BAD_POSITIVE = st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=0.0))
+_FINITE = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+# (valid theta, invalid theta) of each copula family
+_COPULA_THETAS = {
+    "clayton": (_POSITIVE, _BAD_POSITIVE),
+    "gumbel": (st.one_of(st.floats(1.0, 10.0), st.floats(min_value=1.0, allow_infinity=False)),
+               st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
+    "frank": (_FINITE.filter(lambda theta: theta != 0), st.one_of(_JUNK, _NON_FINITE, st.just(0.0))),
+    "independent": (_FINITE, st.one_of(_JUNK, _NON_FINITE)),
+}
+
+
+@st.composite
+def _copulas(draw, valid):
+    """A copula section.  A valid one gives theta inside its family's
+    range (an independent one may leave it out); an invalid one gives it
+    outside, leaves out the family or a theta the family needs, names
+    another family or a key that names no field, or is no object."""
+    family = draw(st.sampled_from(sorted(_COPULA_THETAS)))
+    good, bad = _COPULA_THETAS[family]
+    if valid:
+        if family == "independent" and draw(st.booleans()):
+            return {"family": family}
+        return {"family": family, "theta": draw(good)}
+    how = draw(st.sampled_from(["theta", "family", "no family", "no theta", "key", "junk"]))
+    if how == "theta":
+        return {"family": family, "theta": draw(bad)}
+    if how == "family":
+        other = draw(st.one_of(_JUNK, st.text(max_size=8)).filter(lambda f: f not in FAMILIES))
+        return {"family": other, "theta": draw(good)}
+    if how == "no family":
+        return {"theta": draw(good)}
+    if how == "no theta":  # theta defaults to 0, which only independence takes
+        return {"family": draw(st.sampled_from(["clayton", "gumbel", "frank"]))}
+    if how == "key":
+        return {"family": family, "theta": draw(good), draw(st.sampled_from(["tau", "seed"])): 1}
+    return draw(st.one_of(_JUNK, _FINITE))
+
+
+# (valid values, invalid values) of each simulate field; n stays small
+_SIM_FIELDS = {
+    "n": (st.integers(2, 60), st.one_of(_BAD_COUNT, st.just(1))),
+    "c": (_POSITIVE, _BAD_POSITIVE),
+    "copula": (_copulas(valid=True), _copulas(valid=False)),
+    "weibull_shape": (_POSITIVE, _BAD_POSITIVE),
+    "weibull_scale": (_POSITIVE, _BAD_POSITIVE),
+    "seed": _CV_FIELDS["seed"],
+}
+_SIM_REQUIRED = ("n", "c", "copula")
+
+
+@st.composite
+def _simulate_configs(draw):
+    """(simulate config, whether it is valid): the required fields and
+    some others, with none, one or several drawn invalid (a required one
+    may instead be left out), or n_features, a key that names no field."""
+    names = [*_SIM_REQUIRED] + [name for name in _SIM_FIELDS
+                                if name not in _SIM_REQUIRED and draw(st.booleans())]
+    bad = draw(st.one_of(st.just(set()),
+                         st.sets(st.sampled_from(names + ["n_features"]), min_size=1)))
+    cfg = {}
+    for name in names:
+        if name in bad and name in _SIM_REQUIRED and draw(st.booleans()):
+            continue
+        cfg[name] = draw(_SIM_FIELDS[name][name in bad])
+    if "n_features" in bad:
+        cfg["n_features"] = 10
+    return cfg, not bad
+
+
+@given(drawn=st.one_of(_simulate_configs(), _JUNK.map(lambda junk: (junk, False))))
+# the stable sampler's mixing overflows
+@example(drawn=({"n": 60, "c": 1.49, "copula": {"family": "gumbel", "theta": 1e6}}, True))
+@example(drawn=({"n": 60, "c": 1.49, "copula": {"family": "clayton", "theta": "x"}}, False))
+@settings(max_examples=300, deadline=2000)
+def test_fuzzed_simulate_config_exits_with_a_documented_code(fuzz_dir, drawn):
+    # a simulate config with each field, the copula section's too, drawn
+    # valid or invalid, or one that is not an object at all: an invalid
+    # one is a config error (exit 2); a valid one simulates, or its draws
+    # leave the float range (exit 3) or break a sampler (exit 4).  Only a
+    # finished run writes its directory; never a traceback or a warning
+    cfg, valid = drawn
+    path = _write(fuzz_dir / "simulate.json", cfg)
+    out = fuzz_dir / "simulated"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", path, "--out", str(out), "--quiet"])
+    event(f"exit {code}")
+    assert code in ((0, 3, 4) if valid else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert read_csv(out / "data.csv").n == cfg["n"]

@@ -1,13 +1,17 @@
-"""The one reader of config records (errors.Record), through every record
-the CLI reads: each refuses a key that names no field and names a missing
-required field, and files hold each field under one key."""
+"""The one reader and checker of config records (errors.Record), through
+every record the CLI reads: each refuses a key that names no field and
+names a missing required field, files hold each field under one key, and
+every number field is checked alike from a file and from Python."""
+import dataclasses
 import json
+import math
 
 import pytest
 
-from depaft import CopulaSpec, DgpConfig, StudyConfig, TrainConfig
+from depaft import (BaselineSpec, ClaytonAftLoss, CopulaSpec, CvConfig, DgpConfig,
+                    IndependentAftLoss, StudyConfig, TrainConfig)
 from depaft.cli import main
-from depaft.errors import ConfigError
+from depaft.errors import ConfigError, Record
 
 BASELINE = {"family": "extreme", "sigma": 1 / 3}
 SIM = {"n": 50, "c": 1.49, "copula": {"family": "clayton", "theta": 3.0}}
@@ -87,3 +91,93 @@ def test_lambda_is_the_file_key_of_reg_lambda():
     for record, d in ((TrainConfig, {}), (StudyConfig, {"study": 1})):
         with pytest.raises(ConfigError, match="unknown .* fields: \\['reg_lambda'\\]"):
             record.from_dict({**d, "reg_lambda": 2.5})
+
+
+EXTREME = BaselineSpec("extreme", 1 / 3)
+# one valid instance of every record
+EXAMPLES = {
+    BaselineSpec: EXTREME,
+    ClaytonAftLoss: ClaytonAftLoss(3.0, EXTREME, EXTREME),
+    CopulaSpec: CopulaSpec("clayton", 3.0),
+    CvConfig: CvConfig(theta_grid=(1.0, 2.0)),
+    DgpConfig: DgpConfig(n=50, c=1.49, copula=CopulaSpec("clayton", 3.0)),
+    IndependentAftLoss: IndependentAftLoss(EXTREME),
+    StudyConfig: StudyConfig(study=1),
+    TrainConfig: TrainConfig(base_score=0.5),
+}
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def _number_fields():
+    """(record, field name, file key, kind) of every int or float field."""
+    for cls in _records():
+        for f, key in zip(dataclasses.fields(cls), EXAMPLES[cls].to_dict()):
+            if f.type in ("int", "float"):
+                yield cls, f.name, key, f.type
+
+
+def test_every_record_has_an_example():
+    assert set(_records()) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls, name, key, kind", list(_number_fields()),
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_every_number_field_is_checked_from_python(cls, name, key, kind):
+    bad = [True, False, math.nan, "1"] + ([2.5, 2**70] if kind == "int" else [math.inf])
+    for value in bad:
+        with pytest.raises(ConfigError, match=f"^{cls.what} field {key!r} must be"):
+            dataclasses.replace(EXAMPLES[cls], **{name: value})
+
+
+# values the records took, or failed on with another error, before every
+# construction went through one checker: (file key, construction)
+HOLES = [
+    ("gamma", lambda: TrainConfig(gamma=math.nan)),
+    ("min_child_weight", lambda: TrainConfig(min_child_weight=math.nan)),
+    ("lambda", lambda: TrainConfig(reg_lambda=math.nan)),
+    ("rounds", lambda: TrainConfig(rounds=True)),
+    ("max_depth", lambda: TrainConfig(max_depth=2**70)),
+    ("n_train", lambda: StudyConfig(study=1, n_train=2.5)),
+    ("n_test", lambda: StudyConfig(study=1, n_test=math.inf)),
+    ("c", lambda: DgpConfig(n=50, c=math.inf, copula=CopulaSpec("clayton", 3.0))),
+    ("weibull_shape", lambda: DgpConfig(n=50, c=1.0, copula=CopulaSpec("clayton", 3.0),
+                                        weibull_shape=math.inf)),
+    ("seed", lambda: CvConfig(seed=True)),
+    ("base_score", lambda: TrainConfig(base_score="x")),
+    ("theta", lambda: CopulaSpec("clayton", "x")),
+    ("sigma", lambda: BaselineSpec("extreme", "1")),
+    ("c", lambda: DgpConfig(n=50, c="1", copula=CopulaSpec("clayton", 3.0))),
+    ("theta_grid", lambda: CvConfig(theta_grid=(1.0, "x"))),
+]
+
+
+@pytest.mark.parametrize("key, build", HOLES, ids=[key for key, _ in HOLES])
+def test_python_construction_is_checked_like_a_file(key, build):
+    with pytest.raises(ConfigError, match=f"field {key!r}"):
+        build()
+
+
+@pytest.mark.parametrize("record, key, value, message", [
+    (TrainConfig, "rounds", 0, "train config field 'rounds' must be >= 1, got 0"),
+    (TrainConfig, "learning_rate", 0, "train config field 'learning_rate' must be > 0, got 0.0"),
+    (TrainConfig, "learning_rate", 1.5, "train config field 'learning_rate' must be <= 1, got 1.5"),
+    (DgpConfig, "seed", -1, "simulate config field 'seed' must be >= 0, got -1"),
+    (ClaytonAftLoss, "theta", -1, "clayton loss config field 'theta' must be > 0, got -1.0"),
+    # a study config's train fields are judged by the train config it builds
+    (StudyConfig, "lambda", -1, "train config field 'lambda' must be >= 0, got -1.0"),
+], ids=["rounds", "learning_rate-low", "learning_rate-high", "seed", "theta", "study-lambda"])
+def test_one_message_for_every_bound(record, key, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        record.from_dict({**EXAMPLES[record].to_dict(), key: value})
+
+
+def test_records_store_what_number_reads():
+    assert TrainConfig(rounds=3.0).rounds == 3 and type(TrainConfig(rounds=3.0).rounds) is int
+    assert TrainConfig(rounds=3.0) == TrainConfig.from_dict({"rounds": 3.0})
+    assert type(TrainConfig(learning_rate=1).learning_rate) is float
+    assert CvConfig(theta_grid=[1, 2]).theta_grid == (1.0, 2.0)

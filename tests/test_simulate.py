@@ -23,8 +23,8 @@ def test_config_validation():
         DgpConfig(n=1, c=1.0, copula=CLAYTON3)
     with pytest.raises(ConfigError):
         DgpConfig(n=100, c=0.0, copula=CLAYTON3)
-    with pytest.raises(ConfigError):
-        DgpConfig(n=100, c=1.0, copula=CLAYTON3, n_features=5)
+    with pytest.raises(ConfigError, match=r"unknown simulate config fields: \['n_features'\]"):
+        DgpConfig.from_dict({"n": 100, "c": 1.0, "copula": CLAYTON3.to_dict(), "n_features": 10})
     cfg = DgpConfig(n=100, c=1.49, copula=CLAYTON3, seed=3)
     assert DgpConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):

@@ -165,6 +165,13 @@ def test_grid_search_refuses_fewer_than_one_worker(workers):
         grid_search(_sim(n=50).data, CLAYTON_LOSS, TrainConfig(rounds=10), cv, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [True, 2.5, "2"])
+def test_grid_search_refuses_a_worker_count_that_is_no_integer(workers):
+    cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=10)
+    with pytest.raises(ConfigError, match=f"^workers must be an integer, got {workers!r}$"):
+        grid_search(_sim(n=50).data, CLAYTON_LOSS, TrainConfig(rounds=10), cv, workers=workers)
+
+
 @pytest.mark.parametrize("patience", [0, -1, 2.5, True])
 def test_grid_search_refuses_a_bad_patience_before_any_fit(monkeypatch, patience):
     def no_work(*args, **kwargs):
