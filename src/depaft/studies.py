@@ -37,7 +37,7 @@ import numpy as np
 from .booster import TrainConfig
 from .copula import CopulaSpec
 from .dataset import write_rows
-from .errors import AT_LEAST, ConfigError, DataError, Record, number
+from .errors import AT_LEAST, AT_MOST, ConfigError, DataError, Record, number
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
@@ -60,6 +60,11 @@ MODELS = ("clayton", "independent")
 # CV stop rule of every study's round selection, in checkpoints
 STUDY_PATIENCE = 8
 
+# _task_seeds gives each study seed a block of TASK_SEEDS task seeds;
+# the largest study seed keeps every task seed within an int64
+TASK_SEEDS = 1_000_000
+MAX_SEED = (2**63 - 1) // TASK_SEEDS - 1
+
 
 @dataclass(frozen=True)
 class StudyConfig(Record):
@@ -69,7 +74,7 @@ class StudyConfig(Record):
     repetitions: int = field(default=20, metadata={AT_LEAST: 1})
     n_train: int = field(default=1000, metadata={AT_LEAST: 2})
     n_test: int = field(default=1000, metadata={AT_LEAST: 2})
-    seed: int = field(default=29, metadata={AT_LEAST: 0})
+    seed: int = field(default=29, metadata={AT_LEAST: 0, AT_MOST: MAX_SEED})
     max_rounds: int = 400
     checkpoint_stride: int = 25
     learning_rate: float = 0.1
@@ -134,7 +139,7 @@ def grid_points(config: StudyConfig) -> list[GridPoint]:
 
 
 def _task_seeds(config: StudyConfig, grid_index: int, rep: int) -> tuple[int, int]:
-    base = config.seed * 1_000_000 + grid_index * 1_000 + 2 * rep
+    base = config.seed * TASK_SEEDS + grid_index * 1_000 + 2 * rep
     return base, base + 1
 
 

@@ -12,6 +12,7 @@ from depaft import (BaselineSpec, ClaytonAftLoss, CopulaSpec, CvConfig, DgpConfi
                     IndependentAftLoss, StudyConfig, TrainConfig)
 from depaft.cli import main
 from depaft.errors import ConfigError, Record
+from depaft.studies import MAX_SEED, STUDY1_THETAS, _task_seeds
 
 BASELINE = {"family": "extreme", "sigma": 1 / 3}
 SIM = {"n": 50, "c": 1.49, "copula": {"family": "clayton", "theta": 3.0}}
@@ -168,9 +169,15 @@ def test_python_construction_is_checked_like_a_file(key, build):
     (TrainConfig, "learning_rate", 1.5, "train config field 'learning_rate' must be <= 1, got 1.5"),
     (DgpConfig, "seed", -1, "simulate config field 'seed' must be >= 0, got -1"),
     (ClaytonAftLoss, "theta", -1, "clayton loss config field 'theta' must be > 0, got -1.0"),
-    # a study config's train fields are judged by the train config it builds
+    # a study field of the wrong kind names the study config; one out of
+    # its bounds names the CV or train config built from it, in that order
+    (StudyConfig, "lambda", math.nan, "study config field 'lambda' must be a finite number, got nan"),
     (StudyConfig, "lambda", -1, "train config field 'lambda' must be >= 0, got -1.0"),
-], ids=["rounds", "learning_rate-low", "learning_rate-high", "seed", "theta", "study-lambda"])
+    (StudyConfig, "max_rounds", 0, "cv config field 'max_rounds' must be >= 1, got 0"),
+    (StudyConfig, "seed", MAX_SEED + 1,
+     f"study config field 'seed' must be <= {MAX_SEED}, got {MAX_SEED + 1}"),
+], ids=["rounds", "learning_rate-low", "learning_rate-high", "seed", "theta", "study-lambda-nan",
+        "study-lambda", "study-max_rounds", "study-seed"])
 def test_one_message_for_every_bound(record, key, value, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         record.from_dict({**EXAMPLES[record].to_dict(), key: value})
@@ -181,3 +188,16 @@ def test_records_store_what_number_reads():
     assert TrainConfig(rounds=3.0) == TrainConfig.from_dict({"rounds": 3.0})
     assert type(TrainConfig(learning_rate=1).learning_rate) is float
     assert CvConfig(theta_grid=[1, 2]).theta_grid == (1.0, 2.0)
+
+
+def test_every_task_seed_of_the_largest_study_seed_builds(tmp_path, capsys):
+    # the task records take the study seed scaled up, so the study config
+    # refuses a seed whose task seeds would leave int64, before any output
+    config = StudyConfig(study=1, seed=MAX_SEED)
+    for seed in _task_seeds(config, len(STUDY1_THETAS) - 1, config.repetitions - 1):
+        DgpConfig(n=50, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=seed)
+        config.cv_config(seed=seed)
+    err = _config_error(tmp_path, capsys, "study", {"study": 1, "repetitions": 1, "seed": 10**13})
+    assert f"study config field 'seed' must be <= {MAX_SEED}, got {10**13}" in err
+    assert not (tmp_path / "out").exists()
+
