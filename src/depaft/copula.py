@@ -90,7 +90,9 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
     if n < 0:
         raise ConfigError("n must be >= 0")
     th = spec.theta
-    if spec.family == "independent":
+    # a Clayton theta whose 1/theta overflows (below about 5.6e-309) has no
+    # gamma frailty, and is independence to double precision
+    if spec.family == "independent" or spec.family == "clayton" and 1.0 / th == math.inf:
         return rng.uniform(size=n), rng.uniform(size=n)
     if spec.family == "clayton":
         k = rng.gamma(1.0 / th, 1.0, size=n)

@@ -1,4 +1,5 @@
-"""Survival data container and CSV schemas.
+"""Survival data container, the one rule for survival arrays (which the
+losses and the metrics call too), and CSV schemas.
 
 Dataset CSV columns: time, event, x1..xp, and optionally the simulator's
 oracle columns true_event_time and true_censor_time.  Predictions CSV
@@ -24,9 +25,35 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 ORACLE_COLUMNS = ("true_event_time", "true_censor_time")
+
+
+def survival_arrays(times, events=None, predicted=None, time_name: str = "times"):
+    """(times, event mask, predicted times): the one rule every survival
+    array meets, with None for an array not given.
+
+    The arrays must share one shape, times must be positive and finite,
+    event indicators exactly 0 or 1, and predicted times not NaN (0 and
+    infinities rank like any number).  A breach is a DomainError naming
+    the array; time_name names the times.
+    """
+    t = np.asarray(times, dtype=float)
+    d = None if events is None else np.asarray(events)
+    p = None if predicted is None else np.asarray(predicted, dtype=float)
+    for name, x in (("events", d), ("predicted_times", p)):
+        if x is not None and x.shape != t.shape:
+            raise DomainError(f"{name} has shape {x.shape} but {time_name} has shape {t.shape}")
+    # min and max pass NaN on, so two reductions judge every time at once
+    if not (t.min(initial=1.0) > 0.0 and t.max(initial=1.0) < np.inf):
+        raise DomainError(f"{time_name} must be positive and finite")
+    mask = None if d is None else d.astype(bool)
+    if d is not None and not np.all(mask == d):
+        raise DomainError("events must be 0 or 1")
+    if p is not None and np.isnan(p).any():
+        raise DomainError("predicted_times must not be NaN")
+    return t, mask, p
 
 
 @dataclass
@@ -41,29 +68,23 @@ class SurvivalDataset:
     true_censor_times: np.ndarray | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.events = np.asarray(self.events, dtype=int)
+        self.times, events, _ = survival_arrays(self.times, self.events)
+        self.events = events.astype(int)
         self.X = np.asarray(self.X, dtype=float)
+        columns = [self.X]
+        for name in ("true_event_times", "true_censor_times"):
+            if getattr(self, name) is not None:
+                setattr(self, name, survival_arrays(getattr(self, name), time_name=name)[0])
+                columns.append(getattr(self, name))
         n = self.times.shape[0]
-        if self.X.ndim != 2 or self.X.shape[0] != n or self.events.shape[0] != n:
-            raise DataError("times, events, and X must agree on the number of rows")
+        if self.X.ndim != 2 or any(col.shape[:1] != (n,) for col in columns):
+            raise DataError("times, events, X and the oracle columns must agree on the row count")
         if n == 0:
             raise DataError("dataset must be non-empty")
         if self.X.shape[1] == 0:
             raise DataError("dataset must have at least one feature column")
-        if not np.all(np.isfinite(self.times)) or np.any(self.times <= 0.0):
-            raise DataError("times must be positive and finite")
-        if not np.all((self.events == 0) | (self.events == 1)):
-            raise DataError("event indicators must be 0 or 1")
         if not np.all(np.isfinite(self.X)):
             raise DataError("covariates must be finite")
-        for name in ("true_event_times", "true_censor_times"):
-            col = getattr(self, name)
-            if col is not None:
-                col = np.asarray(col, dtype=float)
-                if col.shape[0] != n or not np.all(np.isfinite(col)) or np.any(col <= 0):
-                    raise DataError(f"{name} must be positive, finite, length {n}")
-                setattr(self, name, col)
 
     @property
     def n(self) -> int:

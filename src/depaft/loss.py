@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
+from .dataset import survival_arrays
 from .distributions import BaselineSpec
 from .errors import ABOVE, PARSE, ConfigError, DomainError, NumericError, Record, section
 
@@ -37,18 +38,18 @@ _judged = np.errstate(over="ignore", invalid="ignore")
 
 
 def _inputs(t, delta, yhat):
-    """(log t, event mask, yhat), broadcast together and checked once."""
-    t = np.asarray(t, dtype=float)
-    delta = np.asarray(delta)
-    yhat = np.asarray(yhat, dtype=float)
-    t, delta, yhat = np.broadcast_arrays(t, delta, yhat)
-    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
-        raise DomainError("times must be positive and finite")
-    if not np.all((delta == 0) | (delta == 1)):
-        raise DomainError("event indicators must be 0 or 1")
+    """(log t, event mask, yhat), broadcast together and checked once:
+    t and delta by dataset.survival_arrays, yhat for finiteness."""
+    t, delta, yhat = np.asarray(t, dtype=float), np.asarray(delta), np.asarray(yhat, dtype=float)
+    try:
+        t, delta, yhat = np.broadcast_arrays(t, delta, yhat)
+    except ValueError:
+        raise DomainError(f"times {t.shape}, events {delta.shape} and predictions {yhat.shape} "
+                          "do not broadcast to one shape") from None
+    t, delta, _ = survival_arrays(t, delta)
     if not np.all(np.isfinite(yhat)):
         raise DomainError("predictions must be finite")
-    return np.log(t), delta.astype(bool), yhat
+    return np.log(t), delta, yhat
 
 
 def _margin(spec: BaselineSpec, log_t, yhat) -> dist.Margin:

@@ -11,15 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, survival_arrays
 from .errors import ConfigError, DataError
 
 
-def _as_vec(name, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"{name} must be one-dimensional")
-    return x
+def _vectors(times, events, predicted, time_name="times"):
+    """dataset.survival_arrays, for one-dimensional arrays only."""
+    t, d, p = survival_arrays(times, events, predicted, time_name)
+    if t.ndim != 1:
+        raise DataError(f"{time_name} must be one-dimensional")
+    return t, d, p
 
 
 def count_larger_before(ranks) -> np.ndarray:
@@ -75,21 +76,10 @@ def concordance(times, events, predicted_times) -> float:
     count_larger_before over prediction ranks with rows ordered by key
     descending, and by prediction ascending within a key, so rows sharing
     a key never count each other.  The tallies are integers, so the
-    result does not depend on the order of the sums.  NaN in times or
-    predictions is refused; infinite predictions rank like any other.
+    result does not depend on the order of the sums.  The arrays meet
+    dataset.survival_arrays; infinite predictions rank like any other.
     """
-    t = _as_vec("times", times)
-    d = np.asarray(events)
-    p = _as_vec("predicted_times", predicted_times)
-    if t.shape != p.shape or t.shape != d.shape:
-        raise DataError("times, events, and predictions must have equal length")
-    if np.any(np.isnan(t)):
-        raise DataError("times must not be NaN")
-    if np.any(t <= 0):
-        raise DataError("times must be positive")
-    if np.any(np.isnan(p)):
-        raise DataError("predicted times must not be NaN")
-    d = d.astype(bool)
+    t, d, p = _vectors(times, events, predicted_times)
     _, t_rank = np.unique(t, return_inverse=True)
     uniq_p, p_rank = np.unique(p, return_inverse=True)
     key = 2 * t_rank + ~d
@@ -112,20 +102,13 @@ def concordance(times, events, predicted_times) -> float:
 
 def mae(true_times, predicted_times) -> float:
     """Mean absolute error on the raw time scale."""
-    a = _as_vec("true_times", true_times)
-    b = _as_vec("predicted_times", predicted_times)
-    if a.shape != b.shape:
-        raise DataError("length mismatch between truth and predictions")
+    a, _, b = _vectors(true_times, None, predicted_times, "true_times")
     return float(np.mean(np.abs(a - b)))
 
 
 def event_mae(observed_times, events, predicted_times) -> float:
     """MAE restricted to uncensored rows."""
-    t = _as_vec("observed_times", observed_times)
-    d = np.asarray(events).astype(bool)
-    p = _as_vec("predicted_times", predicted_times)
-    if t.shape != p.shape or t.shape != d.shape:
-        raise DataError("times, events, and predictions must have equal length")
+    t, d, p = _vectors(observed_times, events, predicted_times, "observed_times")
     if not np.any(d):
         raise DataError("event MAE undefined: no uncensored rows")
     return float(np.mean(np.abs(t[d] - p[d])))
@@ -157,10 +140,7 @@ def calibration(reference_times, predicted_times, n_horizons: int = 9) -> Calibr
     (simulated data); with observed times the curve is only a proxy.
     All-equal reference times degenerate to a single-horizon curve.
     """
-    ref = _as_vec("reference_times", reference_times)
-    pred = _as_vec("predicted_times", predicted_times)
-    if ref.shape != pred.shape:
-        raise DataError("length mismatch between reference and predictions")
+    ref, _, pred = _vectors(reference_times, None, predicted_times, "reference_times")
     if n_horizons < 2:
         raise ConfigError(f"n_horizons must be >= 2, got {n_horizons}")
     if np.all(ref == ref[0]):
@@ -206,19 +186,17 @@ class MetricsReport:
 def evaluate_predictions(
     data: SurvivalDataset, predicted_times, n_horizons: int = 9
 ) -> MetricsReport:
-    """Assemble the full metrics report for one prediction vector."""
-    pred = _as_vec("predicted_times", predicted_times)
-    if pred.shape[0] != data.n:
-        raise DataError("prediction rows do not match dataset rows")
-    c = concordance(data.times, data.events, pred)
-    e_mae = event_mae(data.times, data.events, pred)
+    """Assemble the full metrics report for one prediction vector; the
+    first metric, concordance, checks it against the data."""
+    c = concordance(data.times, data.events, predicted_times)
+    e_mae = event_mae(data.times, data.events, predicted_times)
     if data.has_oracle:
-        full_mae = mae(data.true_event_times, pred)
-        curve = calibration(data.true_event_times, pred, n_horizons)
+        full_mae = mae(data.true_event_times, predicted_times)
+        curve = calibration(data.true_event_times, predicted_times, n_horizons)
         ref = "true_event_time"
     else:
         full_mae = None
-        curve = calibration(data.times, pred, n_horizons)
+        curve = calibration(data.times, predicted_times, n_horizons)
         ref = "observed_time"
     return MetricsReport(
         c_index=c,

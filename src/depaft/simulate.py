@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, survival_arrays
 from .errors import ABOVE, AT_LEAST, PARSE, DataError, Record
 from .metrics import count_larger_before
 
@@ -116,7 +116,7 @@ def draw_margins(config: DgpConfig, rng: np.random.Generator):
     n, k, lam = config.n, config.weibull_shape, config.weibull_scale
     X = rng.uniform(size=(n, N_FEATURES))
     # an extreme scale, shape or c can carry times out of the float range;
-    # SurvivalDataset refuses those as a data error, so numpy's overflow
+    # generate refuses those as a data error, so numpy's overflow
     # warnings would only repeat it
     with np.errstate(over="ignore"):
         r1 = lam * rng.weibull(k, size=n)
@@ -184,6 +184,9 @@ def generate(config: DgpConfig) -> SimulatedDataset:
     """
     rng = np.random.default_rng(config.seed)
     T, U, X = draw_margins(config, rng)
+    # times out of the float range are a data error naming the fields that scale them
+    survival_arrays(T, time_name="event times drawn with weibull_scale and weibull_shape")
+    survival_arrays(U, time_name="censoring times drawn with c, weibull_scale and weibull_shape")
     t_w, x_w, u_w = induce_rank_correlation(T, X, U, config.copula, rng)
     delta = (t_w <= u_w).astype(int)
     observed = np.minimum(t_w, u_w)

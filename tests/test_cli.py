@@ -110,6 +110,21 @@ def test_simulate_gumbel_sampler_breakdown_exit_4_without_warnings(tmp_path, the
         f"numeric error: stable sampler returned invalid mixing for theta={theta}\n")
 
 
+@pytest.mark.parametrize("theta", [5e-309, 1e-310, 5e-324])
+def test_simulate_clayton_theta_whose_inverse_overflows_exit_0(tmp_path, theta):
+    cfg = _write(tmp_path / "sim.json",
+                 {"n": 50, "c": 1.49, "seed": 0, "copula": {"family": "clayton", "theta": theta}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert read_csv(tmp_path / "o" / "data.csv").n == 50
+
+
+def test_simulate_times_out_of_the_float_range_exit_3_naming_c(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "n": 46, "seed": 0, "c": 1.6e308})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err == ("data error: censoring times drawn with c, weibull_scale "
+                                       "and weibull_shape must be positive and finite\n")
+
+
 def test_train_predict_evaluate_pipeline(sim_dir, tmp_path, capsys):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
@@ -893,3 +908,85 @@ def test_fuzzed_simulate_config_exits_with_a_documented_code(fuzz_dir, drawn):
     assert out.exists() == (code == 0)
     if code == 0:
         assert read_csv(out / "data.csv").n == cfg["n"]
+
+
+# -- fuzz of data CSV bytes ----------------------------------------------------
+
+# a small valid data CSV: 8 rows, two covariates and the oracle columns,
+# events of both kinds; every mutation below starts from these tokens
+_CSV_ROWS = [["time", "event", "x1", "x2", "true_event_time", "true_censor_time"]] + [
+    [repr(min(te, tc)), str(int(te <= tc)), repr(x1), repr(x2), repr(te), repr(tc)]
+    for te, tc, x1, x2 in np.random.default_rng(5).uniform(0.2, 3.0, (8, 4)).tolist()
+]
+_TOKENS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "1e-400",
+                           "1_0", " 1.5 ", "", "0x10", "1e308", "-1.7976931348623157e308",
+                           "5e-324", "2", "0.5", "-1", "1.0", "True"])
+_EVENT_TOKENS = st.sampled_from(["2", "0.5", "-1", "-0", "1.0", "0e0", "nan"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_bytes(draw):
+    """The bytes of _CSV_ROWS after a few token, row and byte mutations,
+    each line ended by LF, CRLF or CR."""
+    rows = [list(row) for row in _CSV_ROWS]
+    for how in draw(st.lists(st.sampled_from(["token", "event", "quote", "extra", "missing",
+                                              "blank", "huge"]), max_size=3)):
+        i = draw(st.integers(0 if how in ("extra", "missing") else 1, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
+        if how == "token" and rows[i]:
+            rows[i][j] = draw(_TOKENS)
+        elif how == "event" and len(rows[i]) > 1:
+            rows[i][1] = draw(_EVENT_TOKENS)
+        elif how == "quote" and rows[i]:
+            rows[i][j] = '"' + rows[i][j] + draw(st.sampled_from(["", ",", "\n"])) + '"'
+        elif how == "extra":
+            rows[i].append(draw(_TOKENS))
+        elif how == "missing" and rows[i]:
+            rows[i].pop()
+        elif how == "blank":
+            rows.insert(i, [])
+        elif how == "huge" and rows[i]:
+            rows[i][j] = "1" * 200_000
+    data = "".join(",".join(row) + draw(_LINE_ENDS) for row in rows).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("csv-fuzz")
+    _write(root / "train.json", {"loss": TRAIN_CFG["loss"], "train": {"rounds": 2, "max_depth": 2}})
+    (root / "preds.csv").write_text(
+        "predicted_log_time,predicted_time\n" + "0.25,1.2840254166877414\n" * (len(_CSV_ROWS) - 1))
+    return root
+
+
+@given(data=_csv_bytes())
+@example(data=("\n".join(",".join(row) for row in _CSV_ROWS) + "\n").encode())
+@example(data=b"\xef\xbb\xbf" + ("\r\n".join(",".join(row) for row in _CSV_ROWS)).encode())
+@settings(max_examples=400, deadline=2000)
+def test_fuzzed_data_csv_bytes_exit_with_a_documented_code(csv_fuzz_dir, data):
+    # train (2 rounds) and evaluate read the mutated file: each succeeds,
+    # refuses the data (exit 3) or fails numerically (exit 4); never a
+    # traceback or a warning
+    path = csv_fuzz_dir / "data.csv"
+    path.write_bytes(data)
+    model, out = csv_fuzz_dir / "model.json", csv_fuzz_dir / "eval"
+    model.unlink(missing_ok=True)
+    shutil.rmtree(out, ignore_errors=True)
+    for argv, written in (
+        (["train", "--data", str(path), "--config", str(csv_fuzz_dir / "train.json")], model),
+        (["evaluate", "--data", str(path), "--predictions", str(csv_fuzz_dir / "preds.csv")], out),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(written), "--quiet"])
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert written.exists() == (code == 0)

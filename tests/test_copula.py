@@ -186,6 +186,26 @@ def test_near_independence_clayton_sampler():
     assert kstest(w1, "uniform").pvalue >= 0.01
 
 
+@pytest.mark.parametrize("theta", [5e-309, 1e-310, 5e-324])
+def test_clayton_theta_whose_inverse_overflows_draws_independent_pairs(theta):
+    # 1/theta is inf, so no gamma frailty exists; to double precision
+    # such a theta is independence, and the pairs are drawn as such
+    w1, w2 = sample_pairs(CopulaSpec("clayton", theta), 4000, np.random.default_rng(3))
+    assert abs(kendalltau(w1, w2).statistic) <= 0.05
+    assert np.all((w1 > 0.0) & (w1 < 1.0) & (w2 > 0.0) & (w2 < 1.0))
+
+
+@pytest.mark.parametrize("theta", [1e-10, 1e-300, 5.6e-309])
+def test_clayton_theta_with_a_finite_inverse_keeps_the_frailty_draws(theta):
+    # down to the overflow boundary, theta goes through the gamma frailty
+    rng = np.random.default_rng(4)
+    k = rng.gamma(1.0 / theta, 1.0, size=50)
+    x = rng.uniform(size=(50, 2))
+    w = np.exp(-np.log1p(-np.log(x) / k[:, None]) / theta)
+    w1, w2 = sample_pairs(CopulaSpec("clayton", theta), 50, np.random.default_rng(4))
+    assert np.array_equal(w1, w[:, 0]) and np.array_equal(w2, w[:, 1])
+
+
 @pytest.mark.parametrize("theta", [50.0, 100.0, -720.0, -1e300])
 def test_frank_sampler_refuses_pairs_outside_unit_square(theta):
     # the conditional inverse breaks down at large |theta|; the sampler

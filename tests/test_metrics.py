@@ -146,7 +146,9 @@ def test_nan_input_is_a_data_error(where):
     t = np.array([1.0, 2.0, 3.0])
     p = np.array([1.0, 2.0, 3.0])
     (t if where == "times" else p)[1] = np.nan
-    with pytest.raises(DataError, match="NaN"):
+    message = {"times": "^times must be positive and finite$",
+               "predictions": "^predicted_times must not be NaN$"}[where]
+    with pytest.raises(DataError, match=message):
         concordance(t, np.array([1, 0, 1]), p)
 
 

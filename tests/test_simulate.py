@@ -86,6 +86,19 @@ def test_huge_c_removes_censoring():
     assert sim.censoring_fraction == pytest.approx(0.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("fields, names", [
+    ({"c": 1.6e308}, "censoring times drawn with c, weibull_scale and weibull_shape"),
+    ({"weibull_scale": 1e308}, "event times drawn with weibull_scale and weibull_shape"),
+    ({"weibull_shape": 1e-3}, "event times drawn with weibull_scale and weibull_shape"),
+])
+def test_times_out_of_the_float_range_name_the_config_fields(fields, names):
+    # the times leave the float range before any pair is drawn, so the
+    # error names the fields that scale them, not a dataset column
+    config = DgpConfig(**{"n": 46, "c": 1.49, "copula": CLAYTON3, "seed": 0, **fields})
+    with pytest.raises(DataError, match=f"^{names} must be positive and finite$"):
+        generate(config)
+
+
 def test_rank_induction_preserves_marginals_and_tau():
     rng = np.random.default_rng(31)
     n = 20_000
