@@ -18,9 +18,12 @@ both stably with one go-left mask, so children inherit sorted rows and
 values and no node sorts or gathers X again.  Children at max_depth are
 leaves and read neither matrix, so only their row lists are partitioned.
 One complex cumsum (g real, h imaginary) along the rows of the order
-matrix scores every (feature, threshold) cut at once.  A cut is usable
-when its midpoint lies in (lo, hi]; the root holds every row in every
-round, so its midpoints and usable mask are computed once per fit.
+matrix scores every (feature, threshold) cut at once.  A node scores its
+cuts on its flat p*m block, cut k of feature f in cell f*m + k, so every
+pass runs over one contiguous array; the last cell of each feature has
+no right child and is marked unusable.  A cut is usable when its
+midpoint lies in (lo, hi]; the root holds every row in every round, so
+its midpoints and usable mask are computed once per fit.
 Every node works in buffers allocated once per fit (_Fit), and
 children's matrices go into one of two arenas, by the parity of their
 depth.  Two are enough for any depth: a node's cells lie inside its
@@ -46,8 +49,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, NumericError,
-                     PersistenceError, Record, number)
+from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, DomainError,
+                     NumericError, PersistenceError, Record, number)
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
@@ -162,9 +165,9 @@ class _Fit:
     """Sorted columns and node buffers of one fit, shared by every tree.
 
     order is the (p, n) stable argsort of every column of X, xs the sorted
-    values and cuts the root's _cuts(xs): the root holds every row in
+    values and cuts the root's _cuts of them: the root holds every row in
     every round, so they serve each round.  A node of m rows scores its
-    cuts in the first p*m cells of each buffer, viewed as a (p, m) matrix.
+    cuts in the first p*m cells of each buffer.
     A split writes its children's order and value matrices into the arena
     of the children's depth parity, in the cells the node's own matrices
     take in its depth.  Two arenas serve every depth: a node's cells lie
@@ -194,28 +197,30 @@ class _Fit:
         self.mask = np.empty(p * n, dtype=bool)
         # flat (order, values) of the even depths below the root, then the odd
         self.arenas = [(np.empty(p * n, dtype=np.int64), np.empty(p * n)) for _ in range(2)]
-        self.cuts = _cuts(self.xs, np.empty((p, n - 1)), np.empty((p, n - 1), dtype=bool),
-                          self.view(self.valid, n - 1))
-
-    def view(self, buf, m):
-        return buf[: self.p * m].reshape(self.p, m)
+        self.cuts = _cuts(self.xs.ravel(), n, np.empty(p * n), np.empty(p * n, dtype=bool),
+                          self.valid)
 
 
-def _cuts(xs, mid, usable, below):
+def _cuts(xs, m, mid, usable, below):
     """Midpoint thresholds between sorted neighbours, and which are usable.
 
-    xs is a (p, m) matrix of sorted values; mid, usable and below are
-    (p, m - 1) buffers: midpoints, usable mask and a mask to work in.  A
-    cut is usable when its midpoint lies in (lo, hi]: strictly above the
-    left value, so rounding has not collapsed it onto lo (this also
-    implies lo < hi), and not above the right value, which is what fails
-    when lo + hi overflows to inf.
+    xs is the flat block of a node's (p, m) sorted values; mid, usable and
+    below are buffers of its size: midpoints, usable mask and a mask to
+    work in.  Cell f*m + k is the cut between the k-th and (k+1)-th
+    value of feature f.  A cut is usable when its midpoint lies in
+    (lo, hi]: strictly above the left value, so rounding has not
+    collapsed it onto lo (this also implies lo < hi), and not above the
+    right value, which is what fails when lo + hi overflows to inf.  The
+    last cell of each feature pairs its largest value with the next
+    feature's smallest, and is unusable.
     """
-    lo, hi = xs[:, :-1], xs[:, 1:]
-    np.add(lo, hi, out=mid)
-    mid *= 0.5
-    np.greater(mid, lo, out=usable)
-    usable &= np.less_equal(mid, hi, out=below)
+    mid, usable = mid[:xs.size], usable[:xs.size]
+    lo, hi, cut, ok = xs[:-1], xs[1:], mid[:-1], usable[:-1]
+    np.add(lo, hi, out=cut)
+    cut *= 0.5
+    np.greater(cut, lo, out=ok)
+    ok &= np.less_equal(cut, hi, out=below[:xs.size - 1])
+    usable[m - 1::m] = False
     return mid, usable
 
 
@@ -224,14 +229,14 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
 
     rows holds the node's row indices in ascending order; order is the
     (p, m) matrix whose row f lists the same rows sorted stably by feature
-    f, and cuts is _cuts of their sorted values.  gh packs g and h as the
-    real and imaginary parts of one complex array (_pack), and the node
-    works in the buffers of fit.  All features are scored in one pass,
-    and a row-major argmax over the (feature, threshold) gains realizes
-    the lowest-feature-then-lowest-threshold tie-break.
+    f, and cuts is _cuts of their sorted values, flat.  gh packs g and h
+    as the real and imaginary parts of one complex array (_pack), and the
+    node works in the flat buffers of fit.  All features are scored in
+    one pass, and an argmax over the flat (feature, threshold) gains
+    realizes the lowest-feature-then-lowest-threshold tie-break.
     """
-    m = order.shape[1]
-    view = fit.view
+    p, m = order.shape
+    size = p * m
     mid, usable = cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
@@ -240,20 +245,25 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     # complex addition is componentwise, so both prefix sums come out
     # with the bits of separate cumsums of g and h; order holds only
     # valid rows, so mode="clip" clips nothing (and needs no buffer)
-    left = gh.take(order, out=view(fit.stats, m), mode="clip")
-    left = np.add.accumulate(left, axis=1, out=left)[:, :-1]
+    left = fit.stats[:size]
+    block = left.reshape(p, m)
+    gh.take(order, out=block, mode="clip")
+    np.add.accumulate(block, axis=1, out=block)
     gl, hl = left.real, left.imag
-    hr = np.subtract(h_total, hl, out=view(fit.hr, m - 1))
+    hr = np.subtract(h_total, hl, out=fit.hr[:size])
+    # a feature's last cell has no right child: a unit Hessian there
+    # keeps 0/0 out of the scoring when lam is 0
+    hr[m - 1::m] = 1.0
     # usable threshold, and both children above the Hessian-mass floor
-    mask = view(fit.mask, m - 1)
-    valid = np.greater_equal(hl, cfg.min_child_weight, out=view(fit.valid, m - 1))
+    mask = fit.mask[:size]
+    valid = np.greater_equal(hl, cfg.min_child_weight, out=fit.valid[:size])
     valid &= np.greater_equal(hr, cfg.min_child_weight, out=mask)
     valid &= usable
     if not valid.any():
         return None
     # 1/2 [gl^2/(hl+lam) + gr^2/(hr+lam) - parent_score] - gamma, scored
     # densely; invalid cuts may divide by zero and are dropped after
-    gains, tmp = view(fit.gains, m - 1), view(fit.tmp, m - 1)
+    gains, tmp = fit.gains[:size], fit.tmp[:size]
     np.square(gl, out=gains)
     gains /= np.add(hl, lam, out=tmp)
     np.subtract(g_total, gl, out=tmp)
@@ -265,8 +275,8 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     gains *= 0.5
     gains -= cfg.gamma
     gains[np.logical_not(valid, out=mask)] = -np.inf
-    f, k = np.unravel_index(int(gains.argmax()), gains.shape)
-    return float(gains[f, k]), int(f), float(mid[f, k])
+    best = int(gains.argmax())
+    return float(gains[best]), best // m, float(mid[best])
 
 
 def _partition(go_left, order, xs, fit, order_out, xs_out):
@@ -300,7 +310,6 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
     nodes = [leaf.copy()]
     row_leaf = np.empty(n, dtype=np.int64)
     p = fit.p
-    view = fit.view
     root = fit.order.ravel(), fit.xs.ravel()
     gh = _pack(g, h)
     # a node is (index, rows, depth, first cell of its matrices in its depth)
@@ -311,11 +320,9 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
         if depth < cfg.max_depth:
             m = len(rows)
             orders, values = fit.arenas[depth % 2] if depth else root
-            node_order = orders[at:at + p * m].reshape(p, m)
-            node_xs = values[at:at + p * m].reshape(p, m)
-            cuts = _cuts(node_xs, view(fit.mid, m - 1), view(fit.usable, m - 1),
-                         view(fit.valid, m - 1)) if depth else fit.cuts
-            split = _best_split(g, h, rows, node_order, cuts, gh, fit, cfg)
+            node_order, node_xs = orders[at:at + p * m], values[at:at + p * m]
+            cuts = _cuts(node_xs, m, fit.mid, fit.usable, fit.valid) if depth else fit.cuts
+            split = _best_split(g, h, rows, node_order.reshape(p, m), cuts, gh, fit, cfg)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
@@ -349,7 +356,9 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
           init_model: TreeEnsemble | None = None) -> TreeEnsemble:
     """Fit a boosted ensemble by iterating loss -> statistics -> tree.
 
-    base_score "auto" initializes at the mean log observed time.  Raises
+    The loss is bound to the data once (loss.bind(times, events)), so a
+    round's grad_hess(prediction) does only the arithmetic.  base_score
+    "auto" initializes at the mean log observed time.  Raises
     NumericError naming the round, and the row if the loss returned a
     non-finite statistic.
 
@@ -378,9 +387,14 @@ def train(data: SurvivalDataset, loss, config: TrainConfig,
         model = replace(init_model, trees=list(init_model.trees))
         pred = model.predict(X)
     fit = _Fit(X)
+    bound = loss.bind(t, delta)
+    # the bound loss takes each prediction as given: this checks the
+    # first, and the loop below every later one
+    if not np.isfinite(pred).all():
+        raise DomainError("predictions must be finite")
     for k in range(model.n_rounds, config.rounds):
         try:
-            g, h = loss.grad_hess(t, delta, pred)
+            g, h = bound.grad_hess(pred)
         except NumericError as exc:
             raise NumericError(f"round {k}: {exc}") from exc
         bad = ~(np.isfinite(g) & np.isfinite(h))

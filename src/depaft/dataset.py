@@ -156,8 +156,10 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
 
 
 def _open_for_reading(path):
+    """path as UTF-8 text, whatever the locale, past a byte-order mark if
+    the file starts with one (as spreadsheet exports often do)."""
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 

@@ -10,14 +10,19 @@ Two objectives over the predicted log event time yhat = h(x):
 
 Both expose value, gradient, and Hessian with respect to yhat, the
 quantities a second-order boosting engine needs, in log space from one
-margin core: each call checks its inputs and takes log t once, then reads
-each baseline's row of the family table in distributions.py.  Nothing
-but the Hessian is floored, so derivatives stay exact and non-zero in
-both tails; the extreme family is finite until e^s overflows (s near
-709), where a call raises NumericError, without numpy's overflow
-warnings, instead of returning a silent zero.  The Hessian is floored at
-HESSIAN_FLOOR by default because the exact curvature can be non-positive
-far from the optimum while leaf weights need H > 0.
+margin core that reads each baseline's row of the family table in
+distributions.py.  loss.bind(t, delta) checks t and delta once and keeps
+log t and the event mask: its grad_hess(yhat) is a fit's per-round call
+and does only the arithmetic.  When the censoring baseline is the event
+baseline, the Clayton loss reads their one margin once.  loss, grad, hess
+and grad_hess(t, delta, yhat) are thin calls through bind that also
+check yhat.  Nothing but the Hessian is floored, so derivatives stay
+exact and non-zero in both tails; the extreme family is finite until e^s
+overflows (s near 709), where a call raises NumericError, without
+numpy's overflow warnings, instead of returning a silent zero.  The
+Hessian is floored at HESSIAN_FLOOR by default because the exact
+curvature can be non-positive far from the optimum while leaf weights
+need H > 0.
 """
 from __future__ import annotations
 
@@ -37,19 +42,44 @@ HESSIAN_FLOOR = 1e-6
 _judged = np.errstate(over="ignore", invalid="ignore")
 
 
-def _inputs(t, delta, yhat):
-    """(log t, event mask, yhat), broadcast together and checked once:
-    t and delta by dataset.survival_arrays, yhat for finiteness."""
+class _Bound:
+    """A loss bound to one fit's times and event indicators (loss.bind).
+
+    t and delta are judged once, by dataset.survival_arrays, and log t is
+    taken once.  The calls take yhat as given: a one-off call has checked
+    it (_inputs), and train checks its starting prediction and every
+    round's.
+    """
+
+    def __init__(self, loss, t, delta):
+        t, self.delta, _ = survival_arrays(t, delta)
+        self.log_t = np.log(t)
+        self.objective = loss
+
+    def loss(self, yhat) -> np.ndarray:
+        """Loss value per observation."""
+        return self.objective._value(self, yhat)
+
+    def grad_hess(self, yhat):
+        """(gradient, floored Hessian) pair: a fit's per-round call."""
+        g, h = self.objective._grad_hess_raw(self, yhat)
+        return g, np.maximum(h, HESSIAN_FLOOR)
+
+
+def _inputs(loss, t, delta, yhat):
+    """(loss.bind(t, delta), yhat) for a one-off call: the arrays
+    broadcast together, t and delta judged by bind, then yhat for
+    finiteness."""
     t, delta, yhat = np.asarray(t, dtype=float), np.asarray(delta), np.asarray(yhat, dtype=float)
     try:
         t, delta, yhat = np.broadcast_arrays(t, delta, yhat)
     except ValueError:
         raise DomainError(f"times {t.shape}, events {delta.shape} and predictions {yhat.shape} "
                           "do not broadcast to one shape") from None
-    t, delta, _ = survival_arrays(t, delta)
+    fit = loss.bind(t, delta)
     if not np.all(np.isfinite(yhat)):
         raise DomainError("predictions must be finite")
-    return np.log(t), delta, yhat
+    return fit, yhat
 
 
 def _margin(spec: BaselineSpec, log_t, yhat) -> dist.Margin:
@@ -110,11 +140,35 @@ class ClaytonAftLoss(Record):
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
     censor_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
-    @_judged
+    def bind(self, t, delta) -> _Bound:
+        """The loss bound to one fit's times and event indicators."""
+        return _Bound(self, t, delta)
+
     def loss(self, t, delta, yhat) -> np.ndarray:
         """Loss value per observation."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.loss(yhat)
+
+    def grad(self, t, delta, yhat) -> np.ndarray:
+        """d loss / d yhat per observation."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return self._grad_hess_raw(fit, yhat)[0]
+
+    def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
+        """d^2 loss / d yhat^2 per observation, floored unless floor=False."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        h = self._grad_hess_raw(fit, yhat)[1]
+        return np.maximum(h, HESSIAN_FLOOR) if floor else h
+
+    def grad_hess(self, t, delta, yhat):
+        """(gradient, floored Hessian) pair for the boosting engine."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.grad_hess(yhat)
+
+    @_judged
+    def _value(self, fit: _Bound, yhat) -> np.ndarray:
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
-        log_t, delta, yhat = _inputs(t, delta, yhat)
+        log_t, delta = fit.log_t, fit.delta
         z, v = _margin(ez, log_t, yhat), _margin(ev, log_t, yhat)
         _, _, log_d = _log_bracket(th, z, v)
         own_log_s = np.where(delta, z.log_s, v.log_s)
@@ -124,36 +178,31 @@ class ClaytonAftLoss(Record):
         _finite(out)
         return out
 
-    def grad(self, t, delta, yhat) -> np.ndarray:
-        """d loss / d yhat per observation."""
-        g, _ = self._grad_hess_raw(t, delta, yhat)
-        return g
-
-    def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
-        """d^2 loss / d yhat^2 per observation, floored unless floor=False."""
-        _, h = self._grad_hess_raw(t, delta, yhat)
-        return np.maximum(h, HESSIAN_FLOOR) if floor else h
-
-    def grad_hess(self, t, delta, yhat):
-        """(gradient, floored Hessian) pair for the boosting engine."""
-        g, h = self._grad_hess_raw(t, delta, yhat)
-        return g, np.maximum(h, HESSIAN_FLOOR)
-
     @_judged
-    def _grad_hess_raw(self, t, delta, yhat):
+    def _grad_hess_raw(self, fit: _Bound, yhat):
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
-        log_t, delta, yhat = _inputs(t, delta, yhat)
-        z, v = _margin(ez, log_t, yhat), _margin(ev, log_t, yhat)
-        a, b, log_d = _log_bracket(th, z, v)
-        u, w, inv_d = np.exp(a - log_d), np.exp(b - log_d), np.exp(-log_d)
+        log_t, delta = fit.log_t, fit.delta
+        z = _margin(ez, log_t, yhat)
         z1, z2, fz1, fz2 = _derivs(z, ez)
-        v1, v2, fv1, fv2 = _derivs(v, ev)
-
-        # own margin (Z for events, V for censored rows), the other one,
-        # the other's copula weight, and the own log-density derivatives
-        own1, own2 = np.where(delta, z1, v1), np.where(delta, z2, v2)
-        other1, other2 = np.where(delta, v1, z1), np.where(delta, v2, z2)
-        weight, f1, f2 = np.where(delta, w, u), np.where(delta, fz1, fv1), np.where(delta, fz2, fv2)
+        if ez == ev:
+            # one margin: every row's own and other margin is z, and u = w
+            a, b, log_d = _log_bracket(th, z, z)
+            u = w = np.exp(a - log_d)
+            v1 = own1 = other1 = z1
+            own2 = other2 = z2
+            weight, f1, f2 = u, fz1, fz2
+        else:
+            v = _margin(ev, log_t, yhat)
+            v1, v2, fv1, fv2 = _derivs(v, ev)
+            a, b, log_d = _log_bracket(th, z, v)
+            u, w = np.exp(a - log_d), np.exp(b - log_d)
+            # own margin (Z for events, V for censored rows), the other
+            # one, the other's copula weight, and the own log-density
+            # derivatives
+            own1, own2 = np.where(delta, z1, v1), np.where(delta, z2, v2)
+            other1, other2 = np.where(delta, v1, z1), np.where(delta, v2, z2)
+            weight, f1, f2 = np.where(delta, w, u), np.where(delta, fz1, fv1), np.where(delta, fz2, fv2)
+        inv_d = np.exp(-log_d)
         grad = (1.0 + th) * (weight * (own1 - other1) - own1 * inv_d) - f1
         # u Z1^2 + w V1^2 - (u Z1 + w V1)^2 = u w (Z1 - V1)^2 - (u Z1^2 + w V1^2) / D;
         # each product is ordered so an underflowed factor zeroes it before
@@ -178,35 +227,40 @@ class IndependentAftLoss(Record):
 
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
-    @_judged
+    def bind(self, t, delta) -> _Bound:
+        return _Bound(self, t, delta)
+
     def loss(self, t, delta, yhat) -> np.ndarray:
-        ez = self.event_baseline
-        log_t, delta, yhat = _inputs(t, delta, yhat)
-        z = _margin(ez, log_t, yhat)
-        out = np.where(delta, -z.log_f + np.log(ez.sigma) + log_t, -z.log_s)
-        _finite(out)
-        return out
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.loss(yhat)
 
     def grad(self, t, delta, yhat) -> np.ndarray:
-        g, _ = self._grad_hess_raw(t, delta, yhat)
-        return g
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return self._grad_hess_raw(fit, yhat)[0]
 
     def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
-        _, h = self._grad_hess_raw(t, delta, yhat)
+        fit, yhat = _inputs(self, t, delta, yhat)
+        h = self._grad_hess_raw(fit, yhat)[1]
         return np.maximum(h, HESSIAN_FLOOR) if floor else h
 
     def grad_hess(self, t, delta, yhat):
-        g, h = self._grad_hess_raw(t, delta, yhat)
-        return g, np.maximum(h, HESSIAN_FLOOR)
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.grad_hess(yhat)
 
     @_judged
-    def _grad_hess_raw(self, t, delta, yhat):
+    def _value(self, fit: _Bound, yhat) -> np.ndarray:
         ez = self.event_baseline
-        log_t, delta, yhat = _inputs(t, delta, yhat)
-        z = _margin(ez, log_t, yhat)
-        z1, z2, fz1, fz2 = _derivs(z, ez)
-        grad = -np.where(delta, fz1, z1)
-        hess = -np.where(delta, fz2, z2)
+        z = _margin(ez, fit.log_t, yhat)
+        out = np.where(fit.delta, -z.log_f + np.log(ez.sigma) + fit.log_t, -z.log_s)
+        _finite(out)
+        return out
+
+    @_judged
+    def _grad_hess_raw(self, fit: _Bound, yhat):
+        ez = self.event_baseline
+        z1, z2, fz1, fz2 = _derivs(_margin(ez, fit.log_t, yhat), ez)
+        grad = -np.where(fit.delta, fz1, z1)
+        hess = -np.where(fit.delta, fz2, z2)
         _finite(grad, hess)
         return grad, hess
 

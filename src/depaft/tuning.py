@@ -21,7 +21,8 @@ Every (theta, fold) fit of a leg is independent of the others, so the
 fits are mapped over a process pool (depaft.parallel) when the caller
 grants more than one worker; the folds, the scoring in theta, fold,
 checkpoint order and the refit run in the calling process, so the result
-and the refit are the same for any worker count.
+and the refit are the same for any worker count.  Each fit is scored as
+soon as the map returns it, while the pool still grows the fits after it.
 """
 from __future__ import annotations
 
@@ -158,7 +159,8 @@ def grid_search(
                 + ((models[t][i],) if models[t][i] is not None else ())
                 for t in live for i in range(cv.folds)
             ]
-            grown = iter(list(fit_map(train, *zip(*fits))))
+            # scored as they come: theta 1's folds while later fits still grow
+            grown = fit_map(train, *zip(*fits))
             for t in live:
                 done = len(scores[t][0])
                 leg = checkpoints[done:ends[t] + 1]

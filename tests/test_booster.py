@@ -2,7 +2,10 @@ import hashlib
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +40,11 @@ class SquaredErrorLoss:
 
     def grad_hess(self, t, delta, yhat):
         return yhat - np.log(t), np.ones_like(yhat)
+
+    def bind(self, t, delta):
+        # train's per-fit object: grad_hess of the prediction alone, here
+        # through this class's (or a subclass's) three-argument grad_hess
+        return SimpleNamespace(grad_hess=partial(self.grad_hess, t, delta))
 
     def to_config(self):
         return {"loss": "independent", "event_baseline": {"family": "normal", "sigma": 1.0}}
@@ -123,6 +131,29 @@ def test_split_gain_matches_bruteforce_objective():
                     continue
                 other = ref_split_gain(list(g), list(h), list(mask), lam, gamma)
                 assert other <= gain + 1e-9
+
+
+def test_split_search_at_zero_lambda_warns_of_nothing():
+    # a node scores its cuts on its flat p*m block, whose last cell per
+    # feature has no right child; with integer statistics its right sums
+    # are exactly 0, so at lambda = 0 it must not divide 0 by 0
+    rng = np.random.default_rng(12)
+    n = 40
+    X = rng.uniform(size=(n, 3))
+    g = rng.integers(-3, 4, n).astype(float)
+    h = rng.integers(1, 3, n).astype(float)
+    cfg = TrainConfig(rounds=1, reg_lambda=0.0)
+    fit = booster._Fit(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gain, f, thr = _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg)
+    assert gain == pytest.approx(ref_split_gain(list(g), list(h), list(X[:, f] < thr), 0.0, 0.0), abs=1e-9)
+    # and a node with no usable cut still returns None
+    X1 = np.ones((n, 3))
+    fit = booster._Fit(X1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg) is None
 
 
 class FixedStatsLoss(SquaredErrorLoss):

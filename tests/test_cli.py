@@ -740,6 +740,95 @@ def test_fuzzed_train_section_exits_with_a_documented_code(fuzz_dir, drawn):
         assert booster.load(model).n_rounds == section["rounds"]
 
 
+# -- fuzz of the loss section -------------------------------------------------
+
+_BASELINE_FAMILIES = ("extreme", "normal", "logistic")
+_LOSS_THETA = st.one_of(st.floats(0.1, 10.0),
+                        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_LOSS_BAD_THETA = st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=0.0))
+_SIGMA = st.one_of(st.floats(0.1, 3.0), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_BAD_SIGMA = st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=0.0))
+
+
+@st.composite
+def _baselines(draw, valid):
+    """A baseline section, valid or not: a family and a sigma, or, when
+    invalid, one or both of them bad, one missing, an extra key or no
+    object at all."""
+    section = {"family": draw(st.sampled_from(_BASELINE_FAMILIES)), "sigma": draw(_SIGMA)}
+    if valid:
+        return section
+    how = draw(st.sets(st.sampled_from(["family", "sigma", "missing", "extra", "junk"]), min_size=1))
+    if "junk" in how:
+        return draw(_JUNK)
+    if "family" in how:
+        section["family"] = draw(st.one_of(_JUNK, st.sampled_from(["gumbel", "Normal", " extreme"])))
+    if "sigma" in how:
+        section["sigma"] = draw(_BAD_SIGMA)
+    if "missing" in how:
+        del section[draw(st.sampled_from(sorted(section)))]
+    if "extra" in how:
+        section["scale"] = draw(_SIGMA)
+    return section
+
+
+@st.composite
+def _loss_sections(draw):
+    """(loss section, whether it is valid): a clayton or independent loss
+    whose theta and baselines are each drawn valid or invalid, or whose
+    tag is unknown, not a string or missing, with a required field left
+    out, or with a key no loss has (theta or censor_baseline for the
+    independent loss, among them)."""
+    tag = draw(st.sampled_from(["clayton", "independent"]))
+    names = ["event_baseline"] + (["theta", "censor_baseline"] if tag == "clayton" else [])
+    bad = draw(st.one_of(st.just(set()),
+                         st.sets(st.sampled_from(names + ["tag", "missing", "extra"]), min_size=1)))
+    section = {"loss": tag}
+    for name in names:
+        if name == "theta":
+            section[name] = draw(_LOSS_BAD_THETA if name in bad else _LOSS_THETA)
+        else:
+            section[name] = draw(_baselines(valid=name not in bad))
+    if "tag" in bad:
+        tag = draw(st.one_of(_JUNK, st.sampled_from(["Clayton", "gumbel", "frank"]), st.just(None)))
+        if tag is None:
+            del section["loss"]
+        else:
+            section["loss"] = tag
+    if "missing" in bad:
+        del section[draw(st.sampled_from(names))]
+    if "extra" in bad:
+        key = draw(st.sampled_from(["seed", "sigma"] + (["theta", "censor_baseline"]
+                                                         if tag == "independent" else [])))
+        section[key] = draw(st.one_of(_JUNK, _LOSS_THETA, _baselines(valid=True)))
+    return section, not bad
+
+
+@given(drawn=st.one_of(_loss_sections(), _JUNK.map(lambda junk: (junk, False))))
+@settings(max_examples=200, deadline=2000)
+def test_fuzzed_loss_section_exits_with_a_documented_code(fuzz_dir, drawn):
+    # a loss section with its tag, theta and baselines drawn valid or
+    # invalid, or one that is not an object at all: an invalid one is a
+    # config error (exit 2); a valid one trains (2 rounds), or its
+    # residuals or predictions leave the float range (exit 3 or 4) and it
+    # leaves no model file; never a traceback or a warning
+    section, valid = drawn
+    cfg = _write(fuzz_dir / "loss.json", {"loss": section, "train": {"rounds": 2, "max_depth": 2}})
+    model = fuzz_dir / "loss-model.json"
+    model.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--data", str(fuzz_dir / "sim" / "data.csv"), "--config", cfg,
+                     "--out", str(model), "--quiet"])
+    event(f"exit {code}")
+    assert code in ((0, 3, 4) if valid else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert model.exists() == (code == 0)
+    if code == 0:
+        assert booster.load(model).loss_config == section
+
+
 # -- fuzz of the cv section ----------------------------------------------------
 
 _THETA = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -135,6 +135,22 @@ def test_predictions_bad_header(tmp_path):
         read_predictions_csv(path)
 
 
+def test_byte_order_mark_is_read_past(tmp_path):
+    # spreadsheet exports often start with a UTF-8 byte-order mark; both
+    # readers read such a file exactly as the file without it
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(_data(), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read_csv(plain), read_csv(marked)
+    for name in ("times", "events", "X", "true_event_times", "true_censor_times"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    log_t = np.array([-0.5, 0.0, 1.25])
+    write_predictions_csv(log_t, np.exp(log_t), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for back, want in zip(read_predictions_csv(marked), read_predictions_csv(plain)):
+        assert np.array_equal(back, want)
+
+
 def test_missing_files_are_data_errors(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_csv(tmp_path / "absent.csv")

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -317,3 +319,74 @@ def test_extreme_overflow_is_a_numeric_error():
             loss.grad_hess(t, d, np.full(2, -240.0))
         with pytest.raises(NumericError):
             loss.loss(t, d, np.full(2, -240.0))
+
+
+# -- a loss bound once per fit -------------------------------------------------
+
+# (event baseline, censoring baseline): the censoring baseline equal to
+# the event one, and not
+BOUND_PAIRS = [(BaselineSpec(f, 1 / 3), BaselineSpec(f, 1 / 3)) for f in FAMILIES] + [
+    (BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 0.5)),
+    (BaselineSpec("normal", 1.0), BaselineSpec("logistic", 0.7)),
+    (BaselineSpec("logistic", 2.0), BaselineSpec("extreme", 1 / 3)),
+]
+
+
+def _bits(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("ez, ev", BOUND_PAIRS, ids=lambda spec: f"{spec.family}-{spec.sigma:.3g}")
+def test_bound_grad_hess_has_the_bits_of_the_one_off_call(ez, ev):
+    # a fit binds t and delta once, then calls grad_hess(yhat) each round:
+    # the same bits as grad_hess(t, delta, yhat), theta from 1e-10 to 1e3
+    # and event residuals s out to +-50, both event classes in one array
+    s = np.linspace(-50.0, 50.0, 201)
+    t = np.full(2 * s.size, 1.7)
+    delta = np.repeat([0, 1], s.size)
+    yhat = math.log(1.7) - np.tile(s, 2) * ez.sigma
+    losses = [IndependentAftLoss(ez)] + [ClaytonAftLoss(th, ez, ev) for th in np.logspace(-10, 3, 14)]
+    for loss in losses:
+        bound = loss.bind(t, delta)
+        assert _bits(*bound.grad_hess(yhat)) == _bits(*loss.grad_hess(t, delta, yhat))
+        assert _bits(bound.loss(yhat)) == _bits(loss.loss(t, delta, yhat))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_margin_has_the_bits_of_two_equal_margins(family):
+    # with equal baselines the Clayton loss reads one margin for both;
+    # a censoring baseline that is the same family and sigma but not
+    # equal to the event one takes the two-margin path
+    spec = BaselineSpec(family, 1 / 3)
+    s = np.linspace(-50.0, 50.0, 201)
+    t, delta = np.full(2 * s.size, 0.8), np.repeat([0, 1], s.size)
+    yhat = math.log(0.8) - np.tile(s, 2) * spec.sigma
+    for theta in np.logspace(-10, 3, 14):
+        one = ClaytonAftLoss(theta, spec, spec)
+        two = replace(one, censor_baseline=SimpleNamespace(family=family, sigma=spec.sigma))
+        assert two.censor_baseline != two.event_baseline
+        assert _bits(*one.bind(t, delta).grad_hess(yhat)) == _bits(*two.bind(t, delta).grad_hess(yhat))
+
+
+def test_bound_extreme_overflow_is_the_one_off_numeric_error():
+    # past s ~ 709.78 the extreme family's e^s overflows: the bound call
+    # raises the NumericError of the one-off call, without a warning
+    spec = BaselineSpec("extreme", 1 / 3)
+    t, d = np.ones(2), np.array([0, 1])
+    for loss in (ClaytonAftLoss(3.0, spec, spec), ClaytonAftLoss(1e-10, spec, BaselineSpec("normal", 1.0)),
+                 IndependentAftLoss(spec)):
+        bound = loss.bind(t, d)
+        for yhat in (np.full(2, -237.0), np.array([0.0, -240.0])):
+            for call in (lambda: bound.grad_hess(yhat), lambda: loss.grad_hess(t, d, yhat),
+                         lambda: bound.loss(yhat), lambda: loss.loss(t, d, yhat)):
+                with pytest.raises(NumericError, match="^non-finite loss value or derivative$"):
+                    call()
+
+
+def test_bind_judges_times_and_events_once():
+    spec = BaselineSpec("normal", 1.0)
+    for loss in (ClaytonAftLoss(2.0, spec, spec), IndependentAftLoss(spec)):
+        with pytest.raises(DomainError, match="times must be positive and finite"):
+            loss.bind(np.array([1.0, -1.0]), np.array([1, 0]))
+        with pytest.raises(DomainError, match="events must be 0 or 1"):
+            loss.bind(np.array([1.0, 2.0]), np.array([1, 2]))
