@@ -50,7 +50,7 @@ import numpy as np
 
 from .dataset import SurvivalDataset
 from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, DomainError,
-                     NumericError, PersistenceError, Record, number)
+                     NumericError, PersistenceError, Record, number, read_json)
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
@@ -508,13 +508,7 @@ def _nodes_to_tree(nodes, n_features: int) -> RegressionTree:
 
 
 def load(path) -> TreeEnsemble:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read model file {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise PersistenceError(f"{path}: malformed model file: {exc}") from exc
+    doc = read_json(path, PersistenceError, "model file")
     if not isinstance(doc, dict):
         raise PersistenceError(f"{path}: model file must hold a JSON object")
     version = doc.get("format_version")

@@ -10,13 +10,12 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import booster, dataset
 from .booster import TrainConfig
-from .errors import ConfigError, DataError, NumericError, section
+from .errors import ConfigError, DataError, NumericError, read_json, section, writing
 from .loss import loss_from_config
 from .metrics import evaluate_predictions
 from .parallel import usable_cpus
@@ -26,23 +25,7 @@ from .tuning import CvConfig, grid_search
 
 
 def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return section(json.load(fh), f"{path}: config")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-
-
-@contextmanager
-def _writing(out):
-    """Turn an OSError raised while writing the --out path into a config
-    error naming it: the argument, not the data, is at fault."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from exc
+    return section(read_json(path, ConfigError, "config file"), f"{path}: config")
 
 
 def _write_json(obj, path) -> None:
@@ -62,7 +45,7 @@ def cmd_simulate(args) -> int:
         cfg_dict["seed"] = args.seed
     config = DgpConfig.from_dict(cfg_dict)
     sim = generate(config)
-    with _writing(args.out):
+    with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
         _write_json(sim.metadata(), os.path.join(args.out, "metadata.json"))
@@ -83,7 +66,7 @@ def cmd_train(args) -> int:
     model = booster.train(data, loss, train_cfg)
     # a final loss that is not finite is exit 4, and leaves no model file
     final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
-    with _writing(args.out):
+    with writing(args.out):
         booster.save(model, args.out)
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")
     return 0
@@ -92,9 +75,15 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = booster.load(args.model)
     data = dataset.read_csv(args.data)
-    log_times = model.predict(data.X)
-    with _writing(args.out):
-        dataset.write_predictions_csv(log_times, np.exp(log_times), args.out)
+    # a model file's finite numbers may still overflow: exit 4, as in
+    # train, and no predictions file
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_times = model.predict(data.X)
+        times = np.exp(log_times)
+    if not (np.isfinite(log_times).all() and np.isfinite(times).all()):
+        raise NumericError(f"{args.model}: non-finite predicted log time or time")
+    with writing(args.out):
+        dataset.write_predictions_csv(log_times, times, args.out)
     _say(args, f"wrote {data.n} predictions to {args.out}")
     return 0
 
@@ -104,7 +93,7 @@ def cmd_evaluate(args) -> int:
     _, predicted_times = dataset.read_predictions_csv(args.predictions)
     report = evaluate_predictions(data, predicted_times, n_horizons=args.horizons)
     curve = report.calibration
-    with _writing(args.out):
+    with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
         dataset.write_rows(
@@ -126,7 +115,7 @@ def cmd_cv(args) -> int:
         cv_dict["seed"] = args.seed
     cv = CvConfig.from_dict(cv_dict)
     result, model = grid_search(data, loss.to_config(), train_cfg, cv, workers=usable_cpus())
-    with _writing(args.out):
+    with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         _write_json(result, os.path.join(args.out, "cv_results.json"))
         booster.save(model, os.path.join(args.out, "model.json"))
@@ -146,8 +135,6 @@ def cmd_study(args) -> int:
     if args.repetitions is not None:
         cfg_dict["repetitions"] = args.repetitions
     config = StudyConfig.from_dict(cfg_dict)
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
     run_study(config, args.out, workers=args.threads, quiet=args.quiet)
     return 0
 

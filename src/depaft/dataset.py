@@ -25,7 +25,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, open_text
 
 ORACLE_COLUMNS = ("true_event_time", "true_censor_time")
 
@@ -155,24 +155,16 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
     _write_table(path, header, columns)
 
 
-def _open_for_reading(path):
-    """path as UTF-8 text, whatever the locale, past a byte-order mark if
-    the file starts with one (as spreadsheet exports often do)."""
-    try:
-        return open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-
-
 @contextmanager
-def _csv_rows(path):
-    """The stripped header and an iterator over the token rows after it.
+def _csv_rows(path, what: str):
+    """The stripped header and an iterator over the token rows after it;
+    `what` ("data file") names the file if it cannot be opened.
 
     A file the csv module cannot tokenise (a field over its size limit,
     say) is a DataError naming the line, here or in the caller's body;
     so is one that does not decode as text.
     """
-    with _open_for_reading(path) as fh:
+    with open_text(path, DataError, what) as fh:
         rows = csv.reader(fh)
         try:
             header = next(rows, None)
@@ -234,7 +226,7 @@ def _raise_first_fault(path, block, first_line, width, event_col, width_error) -
 
 
 def read_csv(path) -> SurvivalDataset:
-    with _csv_rows(path) as (header, rows):
+    with _csv_rows(path, "data file") as (header, rows):
         if header[:2] != ["time", "event"]:
             raise DataError(f"{path}: header must start with time,event")
         feature_names = []
@@ -271,7 +263,7 @@ def write_predictions_csv(log_times: np.ndarray, times: np.ndarray, path) -> Non
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with _csv_rows(path) as (header, rows):
+    with _csv_rows(path, "predictions file") as (header, rows):
         if header != ["predicted_log_time", "predicted_time"]:
             raise DataError(f"{path}: bad predictions header")
         table = _parse_rows(path, rows, 2, width_error="expected {width} fields")

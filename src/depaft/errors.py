@@ -1,12 +1,14 @@
-"""Exception types shared across the package, the numeric-field and
-section checks that config and model-file readers share, and the base
-class of every config record, which checks its number fields.
+"""Exception types shared across the package, the file layer every read
+and output goes through, the numeric-field and section checks, and the
+base class of every config record, which checks its number fields.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
+import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
 # A record field's metadata may hold a parser of its file value
@@ -40,6 +42,34 @@ class PersistenceError(DataError):
 
 class NumericError(RuntimeError):
     """Internal numerical failure (non-finite intermediate, sampler breakdown)."""
+
+
+def open_text(path, error: type[Exception], what: str):
+    """path opened as UTF-8 text past a byte-order mark, whatever the
+    locale, line ends untouched (as csv needs); else `error` naming it."""
+    try:
+        return open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def read_json(path, error: type[Exception], what: str):
+    """The JSON value in the file at path, else `error` naming it."""
+    with open_text(path, error, what) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+            raise error(f"{path}: malformed {what}: {exc}") from exc
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError raised while writing path, or a file under it, into
+    a ConfigError naming it: the output argument, not the data, is at fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def number(value, kind, what: str, error: type[Exception] = ConfigError):

@@ -37,7 +37,8 @@ import numpy as np
 from .booster import TrainConfig
 from .copula import CopulaSpec
 from .dataset import write_rows
-from .errors import AT_LEAST, AT_MOST, ConfigError, DataError, Record, number
+from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, number, read_json,
+                     writing)
 from .metrics import evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
@@ -215,12 +216,7 @@ def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
     partial = os.path.join(out_dir, "partial")
     path = os.path.join(partial, "config.json")
     if os.path.exists(path):
-        with open(path) as fh:
-            try:
-                saved = json.load(fh)
-            except ValueError:  # malformed JSON, or not UTF-8 text
-                saved = None
-        if saved != _fingerprint(config):
+        if read_json(path, ConfigError, "study fingerprint") != _fingerprint(config):
             raise ConfigError(
                 f"{out_dir} holds partial results of a different study config "
                 f"({path}); use a new output directory"
@@ -241,9 +237,8 @@ def _read_task(path: str) -> dict:
     or holds one of the wrong kind, is a DataError naming the file, so
     it is refused before any table is written.
     """
+    record = read_json(path, DataError, "task file")
     try:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
         for key in ("train_censoring", "test_censoring"):
             number(record[key], float, key, DataError)
         for model in MODELS:
@@ -257,35 +252,33 @@ def _read_task(path: str) -> dict:
             for curve in curves:
                 for x in curve:
                     number(x, float, f"{model} calibration entry", DataError)
-    except OSError as exc:
-        raise DataError(f"cannot read task file {path}: {exc.strerror}") from exc
     except KeyError as exc:
         raise DataError(f"{path}: task file misses field {exc}") from exc
-    except (ValueError, TypeError) as exc:  # JSON, UTF-8 and field errors
+    except (ValueError, TypeError) as exc:  # a field of the wrong kind
         raise DataError(f"{path}: malformed task file: {exc}") from exc
     return record
 
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with writing(path):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
 
 
 def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool = False):
     """Run all grid points and repetitions, then write the result CSVs.
 
     Completed repetitions found under partial/ are reused, so an
-    interrupted run resumes where it stopped.
+    interrupted run resumes where it stopped.  A file that cannot be
+    written is a ConfigError naming it; finished task files are kept.
     """
     workers = check_workers(workers, "workers (--threads)")
     points = grid_points(config)
     partial = os.path.join(out_dir, "partial")
-    try:
+    with writing(partial):
         os.makedirs(partial, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {partial}: {exc.strerror}") from exc
     _check_fingerprint(config, out_dir)
     tasks = [(point, rep) for point in points for rep in range(config.repetitions)]
 
@@ -318,7 +311,8 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
             records[(point.index, rep)] = record
             note(f"  done grid={point.label} rep={rep}")
 
-    _write_results(config, points, records, out_dir)
+    with writing(out_dir):
+        _write_results(config, points, records, out_dir)
     note(f"wrote results to {out_dir}")
     return records
 

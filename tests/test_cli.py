@@ -280,7 +280,23 @@ def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfe{}")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {cfg}: malformed JSON: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: {cfg}: malformed config file: ") and err.count("\n") == 1
+
+
+def test_json_nested_too_deep_is_malformed_not_a_traceback(sim_dir, tmp_path, capsys):
+    # json.load raises RecursionError, which used to escape as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = str(tmp_path / "o")
+    for argv, code, err in (
+        (["simulate", "--config", str(deep)], 2, f"config error: {deep}: malformed config file: "),
+        (["predict", "--model", str(deep), "--data", str(sim_dir / "data.csv")], 3,
+         f"data error: {deep}: malformed model file: "),
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", out, "--quiet"]) == code
+        got = capsys.readouterr().err
+        assert got.startswith(err) and got.count("\n") == 1
 
 
 def test_train_unknown_loss_exit_2(sim_dir, tmp_path):
@@ -329,6 +345,55 @@ def test_predict_model_that_is_not_utf8_exit_3(sim_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {model}: malformed model file: ") and err.count("\n") == 1
+
+
+def test_config_and_model_files_read_past_a_bom(sim_dir, tmp_path):
+    # both used to be refused as malformed JSON
+    bom = b"\xef\xbb\xbf"
+    sim = tmp_path / "sim.json"
+    sim.write_bytes(bom + json.dumps(SIM_CFG).encode())
+    assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+    assert (tmp_path / "sim" / "data.csv").read_bytes() == (sim_dir / "data.csv").read_bytes()
+
+    data = str(sim_dir / "data.csv")
+    model, bom_model = tmp_path / "model.json", tmp_path / "bom_model.json"
+    assert main(["train", "--data", data, "--config", _write(tmp_path / "train.json", TRAIN_CFG),
+                 "--out", str(model), "--quiet"]) == 0
+    bom_model.write_bytes(bom + model.read_bytes())
+    for path in (model, bom_model):
+        assert main(["predict", "--model", str(path), "--data", data,
+                     "--out", str(path.with_suffix(".csv")), "--quiet"]) == 0
+    assert model.with_suffix(".csv").read_bytes() == bom_model.with_suffix(".csv").read_bytes()
+
+
+def test_config_with_a_non_ascii_unknown_key_names_it_in_any_locale(tmp_path, capsys):
+    # the config is UTF-8 whatever the locale: under an ASCII locale it
+    # used to be refused as malformed JSON
+    cfg = tmp_path / "sim.json"
+    cfg.write_bytes(json.dumps({**SIM_CFG, "größe": 3}, ensure_ascii=False).encode("utf-8"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown simulate config fields: ") and "größe" in err
+
+
+@pytest.mark.parametrize("field, value", [("base_score", 800.0), ("base_score", 1e308),
+                                          ("learning_rate", 1e308)])
+def test_predict_overflowing_model_exit_4_without_warnings(sim_dir, tmp_path, capsys, field, value):
+    # used to print numpy overflow warnings and write inf rows, exit 0
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(sim_dir / "data.csv"), "--config",
+                 _write(tmp_path / "train.json", TRAIN_CFG), "--out", str(model), "--quiet"]) == 0
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps({**doc, field: value}))
+    preds = tmp_path / "p.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+                     "--out", str(preds), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {model}: non-finite") and err.count("\n") == 1
+    assert not preds.exists()
 
 
 def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path):
@@ -1079,3 +1144,80 @@ def test_fuzzed_data_csv_bytes_exit_with_a_documented_code(csv_fuzz_dir, data):
         assert code in (0, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
         assert written.exists() == (code == 0)
+
+
+# -- fuzz of model files -------------------------------------------------------
+
+_MODEL_NUMBERS = st.one_of(_NON_FINITE, st.sampled_from([800.0, 1e308, -1e308, 5e-324, -0.0]),
+                           st.floats(), st.integers(-2**70, 2**70))
+_MODEL_JUNK = st.one_of(_JUNK, _MODEL_NUMBERS, st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.sampled_from(["id", "weight", "nodes"]), st.integers(),
+                                        max_size=2))
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"])
+
+
+@st.composite
+def _model_bytes(draw, doc):
+    """The bytes of a mutated copy of the saved model doc: a few fields
+    dropped or retyped, node and child ids moved, numbers made non-finite
+    or huge; then maybe a BOM, a byte that is not UTF-8, or truncation."""
+    doc = json.loads(json.dumps(doc))
+    nodes = [node for tree in doc["trees"] for node in tree["nodes"]]
+    objects = [doc, doc["loss"]] + doc["trees"] + nodes
+    for how in draw(st.lists(st.sampled_from(["drop", "retype", "id"]), max_size=2)):
+        obj = draw(st.sampled_from(objects))
+        keys = sorted(obj) if how != "id" else ["id", "left", "right"]
+        key = draw(st.sampled_from(keys)) if keys else None
+        if how == "drop" and key in obj:
+            del obj[key]
+        elif how == "retype" and key in obj:
+            obj[key] = draw(_MODEL_JUNK)
+        elif how == "id" and obj in nodes:
+            obj[key] = draw(st.one_of(st.integers(-2, len(nodes) + 2), st.integers()))
+    for key in draw(st.lists(st.sampled_from(["base_score", "learning_rate", "n_features",
+                                              "node"]), max_size=2)):
+        if key == "node":
+            node = draw(st.sampled_from(nodes))
+            node["weight" if "weight" in node else "threshold"] = draw(_MODEL_NUMBERS)
+        else:
+            doc[key] = draw(_MODEL_NUMBERS)
+    data = json.dumps(doc).encode()
+    how = draw(st.sampled_from(["keep", "keep", "keep", "bom", "not-utf8", "truncate"]))
+    at = draw(st.integers(0, len(data)))
+    if how == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif how == "not-utf8":
+        data = data[:at] + draw(_NOT_UTF8) + data[at:]
+    elif how == "truncate":
+        data = data[:at]
+    return data
+
+
+@pytest.fixture(scope="module")
+def model_fuzz_doc(fuzz_dir):
+    cfg = _write(fuzz_dir / "model_train.json",
+                 {"loss": TRAIN_CFG["loss"], "train": {"rounds": 4, "max_depth": 2}})
+    model = fuzz_dir / "saved_model.json"
+    assert main(["train", "--data", str(fuzz_dir / "sim" / "data.csv"), "--config", cfg,
+                 "--out", str(model), "--quiet"]) == 0
+    return json.loads(model.read_text())
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=2000)
+def test_fuzzed_model_file_exits_with_a_documented_code(fuzz_dir, model_fuzz_doc, data):
+    # predict reads the mutated model: it predicts, refuses the file
+    # (exit 3) or overflows (exit 4) and leaves no predictions file;
+    # never a traceback or a warning
+    model, preds = fuzz_dir / "fuzzed_model.json", fuzz_dir / "fuzzed_preds.csv"
+    model.write_bytes(data.draw(_model_bytes(model_fuzz_doc)))
+    preds.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["predict", "--model", str(model), "--data", str(fuzz_dir / "sim" / "data.csv"),
+                     "--out", str(preds), "--quiet"])
+    event(f"exit {code}")
+    assert code in (0, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert preds.exists() == (code == 0)

@@ -280,7 +280,7 @@ def test_study_cli_partial_that_is_a_file_exit_2(tmp_path, capsys):
     (out / "partial").write_text("not a directory")
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot create {out / 'partial'}: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: cannot write {out / 'partial'}: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -332,4 +332,64 @@ def test_study_cli_fingerprint_that_is_not_utf8_exit_2(finished_study, tmp_path,
     (out / "partial" / "config.json").write_bytes(b"\xff\xfe{}")
     capsys.readouterr()
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert "different study config" in capsys.readouterr().err
+    assert "malformed study fingerprint" in capsys.readouterr().err
+
+
+def test_study_cli_fingerprint_that_is_a_directory_exit_2(finished_study, tmp_path, capsys):
+    # used to end in an IsADirectoryError traceback
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    fingerprint = out / "partial" / "config.json"
+    fingerprint.unlink()
+    fingerprint.mkdir()
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read study fingerprint {fingerprint}: Is a directory\n"
+    )
+
+
+@pytest.mark.parametrize("table", ["results.csv", "results_mean.csv", "calibration_mean.csv"])
+def test_study_cli_table_that_is_a_directory_exit_2_and_rerun_resumes(tmp_path, capsys, table):
+    # the tables are written after every task: the finished task files
+    # stay, and the rerun reuses them all
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
+    out = tmp_path / "out"
+    (out / table).mkdir(parents=True)
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out / table}: Is a directory\n"
+    (out / table).rmdir()
+    assert main(["study", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "0 to run, 4 reused" in capsys.readouterr().out
+    assert (out / table).is_file()
+
+
+def _with_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+@pytest.mark.parametrize("name", ["config.json", "task_g002_r0000.json"])
+def test_study_cli_reads_partial_files_past_a_bom(finished_study, tmp_path, name):
+    # the fingerprint used to be refused as another config, and the task
+    # file as malformed
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    tables = ("results.csv", "results_mean.csv", "calibration_mean.csv")
+    for table in tables:
+        (out / table).unlink()
+    _with_bom(out / "partial" / name)
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    for table in tables:
+        assert (out / table).read_bytes() == (finished / table).read_bytes()
+
+
+def test_study_cli_threads_below_one_leaves_no_out_directory(tmp_path):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({**TINY, "repetitions": 1}))
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--threads", "0",
+                 "--quiet"]) == 2
+    assert not out.exists()
