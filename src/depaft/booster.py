@@ -9,8 +9,12 @@ statistics; node gain is
 and leaf weights are -G/(H+lambda).  Shrinkage scales leaf contributions
 at prediction time.
 
+A fit is one Boosting object: the data, the bound loss, the model and
+its training prediction, which grow(rounds) advances in place, so a fit
+resumes where it stopped; train() is a new fit grown to config.rounds.
+
 Split search runs on pre-sorted columns (the exact greedy algorithm of
-Chen & Guestrin 2016, section 4.1).  train() argsorts every feature once,
+Chen & Guestrin 2016, section 4.1).  Each grow argsorts every feature once,
 stably, into a (p, n) order matrix and gathers the sorted values beside
 it, as XGBoost's column blocks keep each row index with its value.  Each
 node keeps its own (p, m) order and value matrices; a split partitions
@@ -23,8 +27,8 @@ cuts on its flat p*m block, cut k of feature f in cell f*m + k, so every
 pass runs over one contiguous array; the last cell of each feature has
 no right child and is marked unusable.  A cut is usable when its
 midpoint lies in (lo, hi]; the root holds every row in every round, so
-its midpoints and usable mask are computed once per fit.
-Every node works in buffers allocated once per fit (_Fit), and
+its midpoints and usable mask are computed once per grow.
+Every node works in buffers allocated once per grow (_Fit), and
 children's matrices go into one of two arenas, by the parity of their
 depth.  Two are enough for any depth: a node's cells lie inside its
 parent's, and the parent is done with them once it splits.  Of node
@@ -44,13 +48,13 @@ lowest threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, DomainError,
-                     NumericError, PersistenceError, Record, number, read_json)
+from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, NumericError,
+                     PersistenceError, Record, number, read_json)
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
@@ -162,7 +166,7 @@ def _pack(g, h):
 
 
 class _Fit:
-    """Sorted columns and node buffers of one fit, shared by every tree.
+    """Sorted columns and node buffers of one Boosting.grow, shared by its trees.
 
     order is the (p, n) stable argsort of every column of X, xs the sorted
     values and cuts the root's _cuts of them: the root holds every row in
@@ -346,67 +350,63 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
     return RegressionTree(*zip(*nodes)), row_leaf
 
 
-# Training runs without numpy's warnings: a cut whose lo + hi overflows
-# is unusable (_cuts), an invalid cut may divide by zero and is dropped
-# (_best_split), and statistics past ~1e154 may overflow a gain to nan,
-# which never splits, or to inf.  A prediction that such statistics make
-# non-finite is a NumericError.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def train(data: SurvivalDataset, loss, config: TrainConfig,
-          init_model: TreeEnsemble | None = None) -> TreeEnsemble:
-    """Fit a boosted ensemble by iterating loss -> statistics -> tree.
+class Boosting:
+    """One resumable fit: the data, the loss bound to it (loss.bind(times,
+    events), so a round's grad_hess(prediction) does only the arithmetic),
+    the config, the model grown so far and its training prediction.
 
-    The loss is bound to the data once (loss.bind(times, events)), so a
-    round's grad_hess(prediction) does only the arithmetic.  base_score
-    "auto" initializes at the mean log observed time.  Raises
-    NumericError naming the round, and the row if the loss returned a
-    non-finite statistic.
-
-    Given init_model, a fit of the same data, loss and learning rate,
-    training resumes from it and grows trees until the ensemble holds
-    config.rounds; init_model itself is left as it was.  Its training
-    prediction is rebuilt by init_model.predict, which sums the same
-    leaf weights in the same order as the loop below, so a fit resumed
-    any number of times is the same bits as one run straight through.
+    base_score "auto" starts the model at the mean log observed time; the
+    dataset's times and the config's number are finite, so the starting
+    prediction is.  grow(rounds) adds trees until the model holds
+    `rounds`, adding each tree's leaf weights to the prediction as it
+    grows, so a fit grown in legs is the same bits as one grown straight
+    through, and no training row is predicted twice.  A fit pickles with
+    its state, so a process pool can grow it and hand it back.
     """
-    X, t, delta = data.X, data.times, data.events
-    if X.shape[1] == 0:
-        raise ConfigError("training requires at least one feature")
-    if init_model is None:
-        base = float(np.mean(np.log(t))) if config.base_score == "auto" else float(config.base_score)
-        model = TreeEnsemble(
-            base_score=base,
-            learning_rate=config.learning_rate,
-            n_features=X.shape[1],
-            loss_config=loss.to_config(),
-        )
-        pred = np.full(data.n, base)
-    else:
-        if (init_model.learning_rate, init_model.loss_config) != (config.learning_rate, loss.to_config()):
-            raise ConfigError("init_model was fit with another learning rate or loss")
-        model = replace(init_model, trees=list(init_model.trees))
-        pred = model.predict(X)
-    fit = _Fit(X)
-    bound = loss.bind(t, delta)
-    # the bound loss takes each prediction as given: this checks the
-    # first, and the loop below every later one
-    if not np.isfinite(pred).all():
-        raise DomainError("predictions must be finite")
-    for k in range(model.n_rounds, config.rounds):
-        try:
-            g, h = bound.grad_hess(pred)
-        except NumericError as exc:
-            raise NumericError(f"round {k}: {exc}") from exc
-        bad = ~(np.isfinite(g) & np.isfinite(h))
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
-        tree, row_leaf = _grow_tree(X, g, h, fit, config)
-        model.trees.append(tree)
-        pred += config.learning_rate * tree.value[row_leaf]
-        if not np.isfinite(pred).all():
-            raise NumericError(f"non-finite prediction at round {k}")
-    return model
+
+    def __init__(self, data: SurvivalDataset, loss, config: TrainConfig):
+        base = float(np.mean(np.log(data.times))) if config.base_score == "auto" else float(config.base_score)
+        self.data, self.config = data, config
+        self.model = TreeEnsemble(base_score=base, learning_rate=config.learning_rate,
+                                  n_features=data.n_features, loss_config=loss.to_config())
+        self.pred = np.full(data.n, base)
+        self.loss = loss.bind(data.times, data.events)
+
+    # Training runs without numpy's warnings: a cut whose lo + hi overflows
+    # is unusable (_cuts), an invalid cut may divide by zero and is dropped
+    # (_best_split), and statistics past ~1e154 may overflow a gain to nan,
+    # which never splits, or to inf.  A prediction that such statistics
+    # make non-finite is a NumericError.
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def grow(self, rounds: int) -> Boosting:
+        """Grow trees until the model holds `rounds`; return the fit.
+
+        Raises NumericError naming the round, and the row if the loss
+        returned a non-finite statistic.
+        """
+        X, model, pred, lr = self.data.X, self.model, self.pred, self.config.learning_rate
+        fit = _Fit(X)
+        for k in range(model.n_rounds, rounds):
+            try:
+                g, h = self.loss.grad_hess(pred)
+            except NumericError as exc:
+                raise NumericError(f"round {k}: {exc}") from exc
+            bad = ~(np.isfinite(g) & np.isfinite(h))
+            if np.any(bad):
+                row = int(np.argmax(bad))
+                raise NumericError(f"non-finite gradient statistic at round {k}, row {row}")
+            tree, row_leaf = _grow_tree(X, g, h, fit, self.config)
+            model.trees.append(tree)
+            pred += lr * tree.value[row_leaf]
+            if not np.isfinite(pred).all():
+                raise NumericError(f"non-finite prediction at round {k}")
+        return self
+
+
+def train(data: SurvivalDataset, loss, config: TrainConfig) -> TreeEnsemble:
+    """Fit a boosted ensemble of config.rounds trees: the model of a new
+    Boosting fit grown to config.rounds."""
+    return Boosting(data, loss, config).grow(config.rounds).model
 
 
 # -- persistence ---------------------------------------------------------

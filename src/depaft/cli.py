@@ -75,13 +75,16 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = booster.load(args.model)
     data = dataset.read_csv(args.data)
-    # a model file's finite numbers may still overflow: exit 4, as in
-    # train, and no predictions file
+    # a model file's finite numbers may still overflow, or underflow a
+    # time to 0, which no survival time is: exit 4, as in train, and no
+    # predictions file
     with np.errstate(over="ignore", invalid="ignore"):
         log_times = model.predict(data.X)
         times = np.exp(log_times)
     if not (np.isfinite(log_times).all() and np.isfinite(times).all()):
         raise NumericError(f"{args.model}: non-finite predicted log time or time")
+    if not times.all():
+        raise NumericError(f"{args.model}: predicted time underflows to 0")
     with writing(args.out):
         dataset.write_predictions_csv(log_times, times, args.out)
     _say(args, f"wrote {data.n} predictions to {args.out}")

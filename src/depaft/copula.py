@@ -97,10 +97,28 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
     if spec.family == "clayton":
         k = rng.gamma(1.0 / th, 1.0, size=n)
         x = rng.uniform(size=(n, 2))
-        if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
+        if np.any(k < 0.0) or not np.all(np.isfinite(k)):
             raise NumericError(f"gamma sampler returned invalid frailty for theta={th}")
-        # (1 - log(x)/k)^(-1/theta), written via log1p so tiny theta stays exact
-        w = np.exp(-np.log1p(-np.log(x) / k[:, None]) / th)
+        with np.errstate(divide="ignore", over="ignore"):
+            # (1 - log(x)/k)^(-1/theta), written via log1p so tiny theta stays exact
+            w = np.exp(-np.log1p(-np.log(x) / k[:, None]) / th)
+        # a large theta draws frailties that underflow to 0, or so small
+        # that E/k (E = -log x < 37) overflows: those rows work in log
+        # space.  A k that underflowed lies below t = 2^-1075, where the
+        # Gamma(1/theta) density is k^(1/theta - 1) to double precision,
+        # so log k is drawn, after everything above, as log t + theta log V.
+        deep = k < 2.0**-1017
+        if deep.any():
+            zero = k[deep] == 0.0
+            log_k = np.log(np.where(zero, 1.0, k[deep]))
+            m = int(zero.sum())
+            with np.errstate(over="ignore"):  # theta log V, past theta ~ 1e307
+                log_k[zero] = -1075.0 * math.log(2.0) + th * np.log1p(-rng.uniform(size=m))
+            if not np.all(np.isfinite(log_k)):
+                raise NumericError(f"gamma sampler returned invalid frailty for theta={th}")
+            with np.errstate(divide="ignore"):
+                log_e = np.log(-np.log(x[deep]))
+            w[deep] = np.exp(-np.logaddexp(0.0, log_e - log_k[:, None]) / th)
         return w[:, 0], w[:, 1]
     if spec.family == "gumbel":
         v = rng.uniform(size=(n, 2))

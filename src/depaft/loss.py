@@ -47,8 +47,8 @@ class _Bound:
 
     t and delta are judged once, by dataset.survival_arrays, and log t is
     taken once.  The calls take yhat as given: a one-off call has checked
-    it (_inputs), and train checks its starting prediction and every
-    round's.
+    it (_inputs), and booster.Boosting starts from a finite prediction
+    and checks every round's.
     """
 
     def __init__(self, loss, t, delta):

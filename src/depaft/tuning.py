@@ -12,17 +12,19 @@ its best mean score was first reached P or more checkpoints ago (early
 stopping on a validation curve, Prechelt 1998).  Boosting is
 sequential, so a fit stopped at R rounds holds exactly the first R trees
 of the full fit: the stopped search scores a prefix of the full search's
-checkpoints.  The fits grow in legs, each to the first checkpoint at
-which the rule could stop its theta, and resume from their own trees
-(booster.train's init_model).  Without patience there is one leg, to
-max_rounds.
+checkpoints.  Each (theta, fold) fit is one booster.Boosting, built up
+front and grown in legs, each to the first checkpoint at which the rule
+could stop its theta; a fit carries its training prediction from leg to
+leg, so no training row is predicted twice.  Without patience there is
+one leg, to max_rounds.
 
 Every (theta, fold) fit of a leg is independent of the others, so the
-fits are mapped over a process pool (depaft.parallel) when the caller
-grants more than one worker; the folds, the scoring in theta, fold,
-checkpoint order and the refit run in the calling process, so the result
-and the refit are the same for any worker count.  Each fit is scored as
-soon as the map returns it, while the pool still grows the fits after it.
+fits' Boosting.grow is mapped over a process pool (depaft.parallel) when
+the caller grants more than one worker, and each fit crosses the pool
+with its state; the folds, the scoring in theta, fold, checkpoint order
+and the refit run in the calling process, so the result and the refit
+are the same for any worker count.  Each fit is scored as soon as the
+map returns it, while the pool still grows the fits after it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .booster import TrainConfig, TreeEnsemble, train
+from .booster import Boosting, TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
 from .errors import AT_LEAST, ConfigError, Record, number
 from .loss import loss_from_config
@@ -140,11 +142,11 @@ def grid_search(
     ]
     val_sets = [data.subset(val_idx) for val_idx in folds]
 
-    # per theta and fold: the model, its running validation prediction
-    # and its scores at the checkpoints scored so far; per theta, the
+    # per theta and fold: the fit, its running validation prediction and
+    # its scores at the checkpoints scored so far; per theta, the
     # checkpoint at which the mean score first reached its best
-    models = [[None] * cv.folds for _ in thetas]
-    preds = [[None] * cv.folds for _ in thetas]
+    fits = [[Boosting(train_set, loss, train_config) for train_set in train_sets] for loss in losses]
+    preds = [[np.full(val.n, fit.model.base_score) for fit, val in zip(row, val_sets)] for row in fits]
     scores = [[[] for _ in range(cv.folds)] for _ in thetas]
     best_at = [0] * len(thetas)
     live = list(range(len(thetas)))
@@ -154,22 +156,16 @@ def grid_search(
             # which the stop rule could end its theta
             ends = {t: last if patience is None else min(best_at[t] + patience, last)
                     for t in live}
-            fits = [
-                (train_sets[i], losses[t], replace(train_config, rounds=checkpoints[ends[t]]))
-                + ((models[t][i],) if models[t][i] is not None else ())
-                for t in live for i in range(cv.folds)
-            ]
+            jobs = [(fits[t][i], checkpoints[ends[t]]) for t in live for i in range(cv.folds)]
             # scored as they come: theta 1's folds while later fits still grow
-            grown = fit_map(train, *zip(*fits))
+            grown = fit_map(Boosting.grow, *zip(*jobs))
             for t in live:
                 done = len(scores[t][0])
                 leg = checkpoints[done:ends[t] + 1]
                 start = checkpoints[done - 1] if done else 0
                 for i, val in enumerate(val_sets):
-                    models[t][i] = model = next(grown)
-                    if preds[t][i] is None:
-                        preds[t][i] = np.full(val.n, model.base_score)
-                    scores[t][i] += _checkpoint_scores(model, val, preds[t][i], start, leg)
+                    fits[t][i] = fit = next(grown)
+                    scores[t][i] += _checkpoint_scores(fit.model, val, preds[t][i], start, leg)
                 # argmax keeps the first checkpoint that reaches the best
                 best_at[t] = int(np.array(scores[t]).mean(axis=0).argmax())
             # a theta stops at max_rounds, or once its best is a whole

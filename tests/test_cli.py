@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from depaft import booster, cli, parallel, read_csv, tuning
+from depaft import booster, cli, parallel, read_csv
 from depaft.cli import main
 from depaft.copula import FAMILIES
 from depaft.dataset import read_predictions_csv
@@ -396,6 +396,25 @@ def test_predict_overflowing_model_exit_4_without_warnings(sim_dir, tmp_path, ca
     assert not preds.exists()
 
 
+@pytest.mark.parametrize("value", [-800.0, -1e308])
+def test_predict_underflowing_model_exit_4_without_warnings(sim_dir, tmp_path, capsys, value):
+    # a log time below about -745 used to write a predicted time of 0.0, exit 0
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(sim_dir / "data.csv"), "--config",
+                 _write(tmp_path / "train.json", TRAIN_CFG), "--out", str(model), "--quiet"]) == 0
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps({**doc, "base_score": value}))
+    preds = tmp_path / "p.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+                     "--out", str(preds), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"numeric error: {model}: predicted time underflows to 0\n"
+    assert not preds.exists()
+
+
 def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
@@ -453,15 +472,18 @@ def _cv(sim_dir, tmp_path, cv=CV_CFG):
                  "--out", str(tmp_path / "cv"), "--quiet"])
 
 
-def _train_fails_in_a_pool_process(data, loss, config):
+_GROW = booster.Boosting.grow
+
+
+def _grow_fails_in_a_pool_process(fit, rounds):
     if multiprocessing.parent_process() is not None:
         raise NumericError("fold fit broke down")
-    return booster.train(data, loss, config)
+    return _GROW(fit, rounds)
 
 
 def test_fold_fit_numeric_error_crosses_the_pool_exit_4(sim_dir, tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(tuning, "train", _train_fails_in_a_pool_process)
+    monkeypatch.setattr(booster.Boosting, "grow", _grow_fails_in_a_pool_process)
     capfd.readouterr()
     assert _cv(sim_dir, tmp_path) == 4
     err = capfd.readouterr().err

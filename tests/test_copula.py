@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +206,33 @@ def test_clayton_theta_with_a_finite_inverse_keeps_the_frailty_draws(theta):
     w = np.exp(-np.log1p(-np.log(x) / k[:, None]) / theta)
     w1, w2 = sample_pairs(CopulaSpec("clayton", theta), 50, np.random.default_rng(4))
     assert np.array_equal(w1, w[:, 0]) and np.array_equal(w2, w[:, 1])
+
+
+def test_clayton_draws_that_worked_keep_their_bits():
+    # SHA-256 of the draws taken before frailties that underflow were
+    # drawn in log space: every theta that worked keeps its draws
+    digest = hashlib.sha256()
+    for theta in (0.5, 3.0, 100.0):
+        w1, w2 = sample_pairs(CopulaSpec("clayton", theta), 400, np.random.default_rng(0))
+        digest.update(w1.tobytes())
+        digest.update(w2.tobytes())
+    assert digest.hexdigest() == "6ec962a870124923144dff451a9836f1a10a75d0a70434b1ec66af68e17c2345"
+
+
+@pytest.mark.parametrize("theta, zeros", [(150.0, 26), (1000.0, 1893)])
+def test_clayton_sampler_at_large_theta_keeps_its_tau(theta, zeros):
+    # rng.gamma(1/theta) underflows to 0 on some rows, which used to be
+    # a NumericError; those rows draw their frailty in log space, with
+    # no warning, and the pairs keep the copula's tau (a redraw that
+    # ignored where the frailty underflowed read 0.9966 at theta = 1000)
+    n, spec = 4000, CopulaSpec("clayton", theta)
+    assert np.sum(np.random.default_rng(0).gamma(1.0 / theta, 1.0, size=n) == 0.0) == zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w1, w2 = sample_pairs(spec, n, np.random.default_rng(0))
+    assert np.all((w1 > 0.0) & (w1 < 1.0) & (w2 > 0.0) & (w2 < 1.0))
+    tau = kendall_tau(spec)
+    assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - tau)
 
 
 @pytest.mark.parametrize("theta", [50.0, 100.0, -720.0, -1e300])

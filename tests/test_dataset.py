@@ -240,7 +240,7 @@ def _lines_with(tmp_path, edits, n=1500):
     lines = path.read_text().split("\n")
     for line, text in edits.items():
         lines[line - 1] = text + "\r"
-    path.write_text("\n".join(lines))
+    path.write_text("\n".join(lines), encoding="utf-8")
     return path
 
 
@@ -260,6 +260,23 @@ def test_faults_past_the_first_block_name_their_line(tmp_path, edits, message):
     with pytest.raises(DataError) as exc:
         read_csv(path)
     assert str(exc.value).startswith(f"{path}: {message}")
+
+
+# float() reads each of these fields as a number; none is one
+NOT_NUMBERS = ["1_0", '"1_000"', " 2.5", "2.5 ", "\t0.5", "0.5\x0b", "0.5\x0c", "\u0661",
+               "\u00a00.5", "\uff12", "0.5\u2003"]
+
+
+@pytest.mark.parametrize("token", NOT_NUMBERS)
+def test_fields_that_are_no_plain_number_name_their_line(tmp_path, token):
+    path = _lines_with(tmp_path, {1300: f"1.0,1,{token},0.5,0.5"})
+    with pytest.raises(DataError) as exc:
+        read_csv(path)
+    assert str(exc.value) == f"{path}: line 1300: not a plain number: {token.strip(chr(34))!r}"
+    path = tmp_path / "p.csv"
+    path.write_text(f"predicted_log_time,predicted_time\n0.0,1.0\n{token},1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3: not a plain number: "):
+        read_predictions_csv(path)
 
 
 def test_predictions_faults_past_the_first_block_name_their_line(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, parallel, tuning
-from depaft.booster import TrainConfig, train
+from depaft.booster import Boosting, RegressionTree, TrainConfig, TreeEnsemble, train
 from depaft.errors import ConfigError
 from depaft.loss import IndependentAftLoss, loss_from_config
 from depaft.parallel import pool_size, usable_cpus
@@ -177,7 +177,7 @@ def test_grid_search_refuses_a_bad_patience_before_any_fit(monkeypatch, patience
     def no_work(*args, **kwargs):
         raise AssertionError("a fit or a pool was started")
 
-    monkeypatch.setattr(tuning, "train", no_work)
+    monkeypatch.setattr(tuning, "Boosting", no_work)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_work)
     cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=5)
     with pytest.raises(ConfigError, match=f"patience must be .*, got {patience!r}"):
@@ -214,26 +214,13 @@ def test_fit_resumed_in_legs_equals_one_straight_run(legs):
     loss = loss_from_config(CLAYTON_LOSS)
     cfg = TrainConfig(rounds=40, learning_rate=0.3, max_depth=3)
     straight = train(sim.data, loss, cfg)
-    model = None
+    fit = Boosting(sim.data, loss, cfg)
     for rounds in legs:
-        previous = [] if model is None else list(model.trees)
-        resumed = train(sim.data, loss, replace(cfg, rounds=rounds), *([model] if model else []))
-        if model is not None:
-            assert model.trees == previous  # the model resumed from is left as it was
-        model = resumed
-        assert model.n_rounds == rounds
-    _same_trees(model, straight)
-
-
-def test_resume_refuses_another_learning_rate_or_loss():
-    sim = _sim(seed=3, n=80)
-    loss = loss_from_config(CLAYTON_LOSS)
-    model = train(sim.data, loss, TrainConfig(rounds=5, learning_rate=0.3))
-    with pytest.raises(ConfigError, match="init_model"):
-        train(sim.data, loss, TrainConfig(rounds=10, learning_rate=0.1), model)
-    other = loss_from_config({**CLAYTON_LOSS, "theta": 2.0})
-    with pytest.raises(ConfigError, match="init_model"):
-        train(sim.data, other, TrainConfig(rounds=10, learning_rate=0.3), model)
+        assert fit.grow(rounds) is fit
+        assert fit.model.n_rounds == rounds
+    _same_trees(fit.model, straight)
+    # the carried training prediction is the model's own, bit for bit
+    assert fit.pred.tobytes() == straight.predict(sim.data.X).tobytes()
 
 
 # a small table and a large learning rate: the mean validation c-index
@@ -255,6 +242,26 @@ def test_patience_scores_a_prefix_and_keeps_the_best():
     assert stopped["best"] == full["best"]
     assert stopped["checkpoints"] == full["checkpoints"]
     _same_trees(stopped_model, full_model)
+
+
+def test_patience_search_walks_each_fold_tree_once(monkeypatch):
+    # a fit carries its training prediction from leg to leg: no ensemble
+    # predict, and each fold tree is walked once, for its validation rows
+    calls = {"ensemble": 0, "tree": 0}
+    ensemble_predict, tree_predict = TreeEnsemble.predict, RegressionTree.predict
+
+    def counted(key, predict):
+        def wrapper(*args):
+            calls[key] += 1
+            return predict(*args)
+        return wrapper
+
+    monkeypatch.setattr(TreeEnsemble, "predict", counted("ensemble", ensemble_predict))
+    monkeypatch.setattr(RegressionTree, "predict", counted("tree", tree_predict))
+    result, _ = grid_search(_sim(seed=0, n=200).data, CLAYTON_LOSS, EARLY_PEAK["train"],
+                            EARLY_PEAK["cv"], patience=3)
+    grown = EARLY_PEAK["cv"].folds * result["points"][-1]["rounds"]
+    assert (grown, calls) == (70, {"ensemble": 0, "tree": 70})
 
 
 def test_patience_past_the_schedule_changes_nothing():
