@@ -27,7 +27,9 @@ cuts on its flat p*m block, cut k of feature f in cell f*m + k, so every
 pass runs over one contiguous array; the last cell of each feature has
 no right child and is marked unusable.  A cut is usable when its
 midpoint lies in (lo, hi]; the root holds every row in every round, so
-its midpoints and usable mask are computed once per grow.
+its usable mask is computed once per grow.  No midpoint is kept: the
+chosen cut's threshold is formed at the split from its two sorted
+neighbours, by the same two operations that judged it usable.
 Every node works in buffers allocated once per grow (_Fit), and
 children's matrices go into one of two arenas, by the parity of their
 depth.  Two are enough for any depth: a node's cells lie inside its
@@ -171,7 +173,10 @@ class _Fit:
     order is the (p, n) stable argsort of every column of X, xs the sorted
     values and cuts the root's _cuts of them: the root holds every row in
     every round, so they serve each round.  A node of m rows scores its
-    cuts in the first p*m cells of each buffer.
+    cuts in the first p*m cells of each buffer.  No buffer holds
+    midpoints: _cuts writes them into gains, which _best_split overwrites
+    after reading the usable mask, and the split forms its one threshold
+    from the sorted values.
     A split writes its children's order and value matrices into the arena
     of the children's depth parity, in the cells the node's own matrices
     take in its depth.  Two arenas serve every depth: a node's cells lie
@@ -192,7 +197,6 @@ class _Fit:
         self.order = np.argsort(X.T, axis=1, kind="stable")
         self.xs = np.take_along_axis(X.T, self.order, axis=1)
         self.stats = np.empty(p * n, dtype=complex)  # gathered (g, h), then their prefix sums
-        self.mid = np.empty(p * n)
         self.hr = np.empty(p * n)
         self.gains = np.empty(p * n)
         self.tmp = np.empty(p * n)
@@ -201,31 +205,31 @@ class _Fit:
         self.mask = np.empty(p * n, dtype=bool)
         # flat (order, values) of the even depths below the root, then the odd
         self.arenas = [(np.empty(p * n, dtype=np.int64), np.empty(p * n)) for _ in range(2)]
-        self.cuts = _cuts(self.xs.ravel(), n, np.empty(p * n), np.empty(p * n, dtype=bool),
+        self.cuts = _cuts(self.xs.ravel(), n, self.gains, np.empty(p * n, dtype=bool),
                           self.valid)
 
 
 def _cuts(xs, m, mid, usable, below):
-    """Midpoint thresholds between sorted neighbours, and which are usable.
+    """Which thresholds between sorted neighbours are usable: (xs, usable).
 
     xs is the flat block of a node's (p, m) sorted values; mid, usable and
-    below are buffers of its size: midpoints, usable mask and a mask to
-    work in.  Cell f*m + k is the cut between the k-th and (k+1)-th
-    value of feature f.  A cut is usable when its midpoint lies in
-    (lo, hi]: strictly above the left value, so rounding has not
-    collapsed it onto lo (this also implies lo < hi), and not above the
-    right value, which is what fails when lo + hi overflows to inf.  The
-    last cell of each feature pairs its largest value with the next
-    feature's smallest, and is unusable.
+    below are buffers of its size: midpoints to work in, usable mask and
+    a mask to work in.  Cell f*m + k is the cut between the k-th and
+    (k+1)-th value of feature f, at their midpoint.  A cut is usable
+    when its midpoint lies in (lo, hi]: strictly above the left value, so
+    rounding has not collapsed it onto lo (this also implies lo < hi),
+    and not above the right value, which is what fails when lo + hi
+    overflows to inf.  The last cell of each feature pairs its largest
+    value with the next feature's smallest, and is unusable.
     """
-    mid, usable = mid[:xs.size], usable[:xs.size]
-    lo, hi, cut, ok = xs[:-1], xs[1:], mid[:-1], usable[:-1]
+    usable = usable[:xs.size]
+    lo, hi, cut, ok = xs[:-1], xs[1:], mid[:xs.size - 1], usable[:-1]
     np.add(lo, hi, out=cut)
     cut *= 0.5
     np.greater(cut, lo, out=ok)
     ok &= np.less_equal(cut, hi, out=below[:xs.size - 1])
     usable[m - 1::m] = False
-    return mid, usable
+    return xs, usable
 
 
 def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
@@ -233,7 +237,7 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
 
     rows holds the node's row indices in ascending order; order is the
     (p, m) matrix whose row f lists the same rows sorted stably by feature
-    f, and cuts is _cuts of their sorted values, flat.  gh packs g and h
+    f, and cuts is _cuts of their flat sorted values.  gh packs g and h
     as the real and imaginary parts of one complex array (_pack), and the
     node works in the flat buffers of fit.  All features are scored in
     one pass, and an argmax over the flat (feature, threshold) gains
@@ -241,7 +245,7 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     """
     p, m = order.shape
     size = p * m
-    mid, usable = cuts
+    xs, usable = cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
     lam = cfg.reg_lambda
@@ -280,7 +284,8 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     gains -= cfg.gamma
     gains[np.logical_not(valid, out=mask)] = -np.inf
     best = int(gains.argmax())
-    return float(gains[best]), best // m, float(mid[best])
+    # the midpoint _cuts judged usable, by the same two float operations
+    return float(gains[best]), best // m, (float(xs[best]) + float(xs[best + 1])) * 0.5
 
 
 def _partition(go_left, order, xs, fit, order_out, xs_out):
@@ -325,7 +330,7 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
             m = len(rows)
             orders, values = fit.arenas[depth % 2] if depth else root
             node_order, node_xs = orders[at:at + p * m], values[at:at + p * m]
-            cuts = _cuts(node_xs, m, fit.mid, fit.usable, fit.valid) if depth else fit.cuts
+            cuts = _cuts(node_xs, m, fit.gains, fit.usable, fit.valid) if depth else fit.cuts
             split = _best_split(g, h, rows, node_order.reshape(p, m), cuts, gh, fit, cfg)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
@@ -361,7 +366,8 @@ class Boosting:
     `rounds`, adding each tree's leaf weights to the prediction as it
     grows, so a fit grown in legs is the same bits as one grown straight
     through, and no training row is predicted twice.  A fit pickles with
-    its state, so a process pool can grow it and hand it back.
+    its state, so a process pool can grow it; what grow made, the new
+    trees and the prediction, is all a caller's copy needs back.
     """
 
     def __init__(self, data: SurvivalDataset, loss, config: TrainConfig):

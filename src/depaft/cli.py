@@ -63,9 +63,11 @@ def _train_configs(cfg_dict: dict):
 def cmd_train(args) -> int:
     data = dataset.read_csv(args.data)
     loss, train_cfg = _train_configs(_load_json(args.config))
-    model = booster.train(data, loss, train_cfg)
-    # a final loss that is not finite is exit 4, and leaves no model file
-    final_loss = float(np.mean(loss.loss(data.times, data.events, model.predict(data.X))))
+    fit = booster.Boosting(data, loss, train_cfg).grow(train_cfg.rounds)
+    model = fit.model
+    # the fit carries its training prediction, the model's own bit for
+    # bit; a final loss that is not finite is exit 4, and leaves no model file
+    final_loss = float(np.mean(fit.loss.loss(fit.pred)))
     with writing(args.out):
         booster.save(model, args.out)
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")

@@ -130,11 +130,20 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
     if spec.family == "frank":
         w1 = rng.uniform(size=n)
         p = rng.uniform(size=n)
-        # the conditional inverse loses all precision for large |theta|
-        # and can leave [0, 1]; refuse rather than return broken pairs
+        # the conditional inverse w2 = -log(1 + x)/theta, with
+        # x = (e^-theta - 1) p / (p + (1 - p) e^(-theta w1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             a = np.exp(-th * w1)
-            w2 = -np.log1p((-np.expm1(-th)) * p / (p * (a - 1.0) - a)) / th
+            x = (-np.expm1(-th)) * p / (p * (a - 1.0) - a)
+            w2 = -np.log1p(x) / th
+            # rows where 1 + x cancels below 2^-44 (44 of 52 bits lost;
+            # only past theta = 30, as 1 + x >= e^-theta) or where x
+            # overflows (theta below about -709) form 1 + x as a ratio of
+            # sums of exponentials, in log space (Nelsen 2006, 2.9 and 4.2)
+            deep = ~((x >= -1.0 + 2.0**-44) & (x < np.inf))
+            if deep.any():
+                log_p, log_q = np.log(p[deep]), np.log1p(-p[deep]) - th * w1[deep]
+                w2[deep] = (np.logaddexp(log_p, log_q) - np.logaddexp(log_q, log_p - th)) / th
         if not np.all((w2 >= 0.0) & (w2 <= 1.0)):
             raise NumericError(f"frank sampler left [0, 1] for theta={th}")
         return w1, w2

@@ -19,12 +19,15 @@ leg, so no training row is predicted twice.  Without patience there is
 one leg, to max_rounds.
 
 Every (theta, fold) fit of a leg is independent of the others, so the
-fits' Boosting.grow is mapped over a process pool (depaft.parallel) when
-the caller grants more than one worker, and each fit crosses the pool
-with its state; the folds, the scoring in theta, fold, checkpoint order
-and the refit run in the calling process, so the result and the refit
-are the same for any worker count.  Each fit is scored as soon as the
-map returns it, while the pool still grows the fits after it.
+legs are mapped over a process pool (depaft.parallel) when the caller
+grants more than one worker.  A fit crosses the pool one way: a job
+sends the fit, with its training rows, bound loss and config, and
+returns only what the leg made, the trees it added and the new training
+prediction, which the caller's own fit takes in place.  The folds, the
+scoring in theta, fold, checkpoint order and the refit run in the
+calling process, so the result and the refit are the same for any worker
+count.  Each fit is scored as soon as the map returns its leg, while the
+pool still grows the fits after it.
 """
 from __future__ import annotations
 
@@ -103,6 +106,14 @@ def _checkpoint_scores(model: TreeEnsemble, val: SurvivalDataset, pred, start: i
     return scores
 
 
+def _grow_leg(fit: Boosting, rounds: int):
+    """Grow fit to `rounds`; return (the trees the leg added, the training
+    prediction), the part of a fit that a pool process makes."""
+    start = fit.model.n_rounds
+    fit.grow(rounds)
+    return fit.model.trees[start:], fit.pred
+
+
 def grid_search(
     data: SurvivalDataset,
     loss_config: dict,
@@ -158,13 +169,17 @@ def grid_search(
                     for t in live}
             jobs = [(fits[t][i], checkpoints[ends[t]]) for t in live for i in range(cv.folds)]
             # scored as they come: theta 1's folds while later fits still grow
-            grown = fit_map(Boosting.grow, *zip(*jobs))
+            grown = fit_map(_grow_leg, *zip(*jobs))
             for t in live:
                 done = len(scores[t][0])
                 leg = checkpoints[done:ends[t] + 1]
                 start = checkpoints[done - 1] if done else 0
                 for i, val in enumerate(val_sets):
-                    fits[t][i] = fit = next(grown)
+                    # in this process the fit grew in place, and this
+                    # changes nothing; from a pool, the fit takes its leg
+                    fit = fits[t][i]
+                    trees, fit.pred = next(grown)
+                    fit.model.trees[start:] = trees
                     scores[t][i] += _checkpoint_scores(fit.model, val, preds[t][i], start, leg)
                 # argmax keeps the first checkpoint that reaches the best
                 best_at[t] = int(np.array(scores[t]).mean(axis=0).argmax())

@@ -89,11 +89,14 @@ def test_simulate_nonfinite_theta_exit_2(tmp_path, theta):
 
 
 @pytest.mark.parametrize("theta", [50.0, -1e300])
-def test_simulate_frank_sampler_breakdown_exit_4(tmp_path, theta, capsys):
-    # draws outside the unit square would silently break the rank coupling
+def test_simulate_frank_at_large_theta_exit_0_without_warnings(tmp_path, theta, capsys):
+    # some of these draws used to cancel to outside the unit square
+    # (exit 4); those rows now work in log space
     cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "copula": {"family": "frank", "theta": theta}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
-    assert "frank sampler" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("theta", [100.0, 1e6])
@@ -297,6 +300,25 @@ def test_json_nested_too_deep_is_malformed_not_a_traceback(sim_dir, tmp_path, ca
         assert main(argv + ["--out", out, "--quiet"]) == code
         got = capsys.readouterr().err
         assert got.startswith(err) and got.count("\n") == 1
+
+
+def test_train_reports_its_loss_without_walking_a_tree(sim_dir, tmp_path, monkeypatch, capsys):
+    # the final training loss is that of the fit's carried prediction:
+    # no tree of the model is walked again (the pipeline test checks the
+    # printed loss against the model's own prediction)
+    calls = []
+    tree_predict = booster.RegressionTree.predict
+
+    def counted(tree, X):
+        calls.append(X.shape[0])
+        return tree_predict(tree, X)
+
+    monkeypatch.setattr(booster.RegressionTree, "predict", counted)
+    cfg = _write(tmp_path / "train.json", TRAIN_CFG)
+    assert main(["train", "--data", str(sim_dir / "data.csv"), "--config", cfg,
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert f"trained {TRAIN_CFG['train']['rounds']} rounds" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_train_unknown_loss_exit_2(sim_dir, tmp_path):

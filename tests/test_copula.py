@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kendalltau, kstest
 
 from depaft.copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
-from depaft.errors import ConfigError, NumericError
+from depaft.errors import ConfigError
 from depaft.studies import STUDY3_COPULAS
 
 from oracles import (
@@ -235,12 +235,29 @@ def test_clayton_sampler_at_large_theta_keeps_its_tau(theta, zeros):
     assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - tau)
 
 
-@pytest.mark.parametrize("theta", [50.0, 100.0, -720.0, -1e300])
-def test_frank_sampler_refuses_pairs_outside_unit_square(theta):
-    # the conditional inverse breaks down at large |theta|; the sampler
-    # raises instead of returning draws above 1 or infinite
-    with pytest.raises(NumericError, match=r"frank .*theta="):
-        sample_pairs(CopulaSpec("frank", theta), 20_000, np.random.default_rng(42))
+def test_frank_draws_that_worked_keep_their_bits():
+    # SHA-256 of the draws taken before rows that cancel were drawn in
+    # log space: every theta that worked keeps its draws
+    digest = hashlib.sha256()
+    for theta in (-30.0, -5.0, 0.5, 7.5, 30.0):
+        w1, w2 = sample_pairs(CopulaSpec("frank", theta), 400, np.random.default_rng(0))
+        digest.update(w1.tobytes())
+        digest.update(w2.tobytes())
+    assert digest.hexdigest() == "e09949b69110c40089433cc885f66a694abccba943a3c73cd3bae2142929cec1"
+
+
+@pytest.mark.parametrize("theta", [40.0, 100.0, 1000.0, -720.0])
+def test_frank_sampler_at_large_theta_keeps_its_tau(theta):
+    # the conditional inverse cancels to outside the unit square past
+    # theta ~ 32 and overflows below theta ~ -709, which used to be a
+    # NumericError; those rows work in log space, with no warning
+    n, spec = 4000, CopulaSpec("frank", theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w1, w2 = sample_pairs(spec, n, np.random.default_rng(0))
+    assert np.all((w1 >= 0.0) & (w1 <= 1.0) & (w2 >= 0.0) & (w2 <= 1.0))
+    tau = kendall_tau(spec)
+    assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - abs(tau))
 
 
 def test_positive_stable_laplace_transform():

@@ -1,3 +1,5 @@
+import pickle
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -142,20 +144,42 @@ CLAYTON_LOSS = {
 }
 
 
+def _crossing_one_way(monkeypatch):
+    """Substitute tuning.task_map with a map that runs each job in this
+    process as a process pool does, on a pickled copy of its arguments,
+    and returns a pickled copy of its result.  No result may carry a
+    dataset, or the training rows of the fit it grew, back."""
+    @contextmanager
+    def task_map(workers, jobs):
+        def pickling_map(fn, *iterables):
+            for args in zip(*iterables):
+                args = pickle.loads(pickle.dumps(args))
+                blob = pickle.dumps(fn(*args))
+                sent = args[0].data
+                assert b"SurvivalDataset" not in blob
+                assert sent.X.tobytes() not in blob and sent.times.tobytes() not in blob
+                yield pickle.loads(blob)
+        yield pickling_map
+
+    monkeypatch.setattr(tuning, "task_map", task_map)
+
+
 @pytest.mark.parametrize("folds", [2, 3])
-def test_worker_count_changes_nothing(folds):
+def test_worker_count_changes_nothing(monkeypatch, folds):
     sim = _sim(seed=8)
     train_cfg = TrainConfig(rounds=30, learning_rate=0.1, max_depth=2)
     cv = CvConfig(folds=folds, max_rounds=30, checkpoint_stride=10, seed=2, theta_grid=(1.5, 3.0))
     serial, serial_model = grid_search(sim.data, CLAYTON_LOSS, train_cfg, cv, workers=1)
     pooled, pooled_model = grid_search(sim.data, CLAYTON_LOSS, train_cfg, cv, workers=2)
     assert pooled == serial
-    assert pooled_model.base_score == serial_model.base_score
     assert pooled_model.loss_config == serial_model.loss_config
-    assert len(pooled_model.trees) == len(serial_model.trees) == serial["best"]["rounds"]
-    for a, b in zip(pooled_model.trees, serial_model.trees):
-        for field in type(a).__slots__:
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert len(serial_model.trees) == serial["best"]["rounds"]
+    _same_trees(pooled_model, serial_model)
+    # a fit crosses the pool one way: only its leg comes back
+    _crossing_one_way(monkeypatch)
+    crossed, crossed_model = grid_search(sim.data, CLAYTON_LOSS, train_cfg, cv, workers=2)
+    assert crossed == serial
+    _same_trees(crossed_model, serial_model)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -273,7 +297,7 @@ def test_patience_past_the_schedule_changes_nothing():
 
 
 @pytest.mark.parametrize("folds", [2, 3])
-def test_worker_count_changes_nothing_with_patience(folds):
+def test_worker_count_changes_nothing_with_patience(monkeypatch, folds):
     data = _sim(seed=0, n=200).data
     cv = replace(EARLY_PEAK["cv"], folds=folds, theta_grid=(0.5, 1.5, 3.0))
     serial, serial_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=1,
@@ -284,6 +308,12 @@ def test_worker_count_changes_nothing_with_patience(folds):
     assert len(serial["points"]) < 3 * 24  # the rule stopped some theta early
     assert pooled_model.loss_config == serial_model.loss_config
     _same_trees(pooled_model, serial_model)
+    # a fit resumed in a later leg crosses the pool one way each time
+    _crossing_one_way(monkeypatch)
+    crossed, crossed_model = grid_search(data, CLAYTON_LOSS, EARLY_PEAK["train"], cv, workers=2,
+                                         patience=2)
+    assert crossed == serial
+    _same_trees(crossed_model, serial_model)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
