@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against a dataset")
     p.add_argument("--predictions", required=True, help="predictions CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--horizons", type=int, default=9, help="calibration horizons (>= 2)")
+    p.add_argument("--horizons", type=int, default=9, help="calibration horizons (2 to 100000)")
     _add_common(p, seed=False)
     p.set_defaults(fn=cmd_evaluate)
 

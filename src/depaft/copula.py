@@ -131,19 +131,20 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
         w1 = rng.uniform(size=n)
         p = rng.uniform(size=n)
         # the conditional inverse w2 = -log(1 + x)/theta, with
-        # x = (e^-theta - 1) p / (p + (1 - p) e^(-theta w1))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # x = (e^-theta - 1) p / (p + (1 - p) e^(-theta w1)).  Past
+        # theta = 30, 1 + x (>= e^-theta) loses up to 44 bits to
+        # cancellation, and below theta ~ -709 x overflows: past |theta| =
+        # 30 every row forms 1 + x as a ratio of sums of exponentials, in
+        # log space (Nelsen 2006, 2.9 and 4.2).  The draws at |theta| <= 30
+        # stay those of the direct inverse.
+        if abs(th) > 30.0:
+            with np.errstate(divide="ignore"):  # log p at p = 0
+                log_p, log_q = np.log(p), np.log1p(-p) - th * w1
+            w2 = (np.logaddexp(log_p, log_q) - np.logaddexp(log_q, log_p - th)) / th
+        else:
             a = np.exp(-th * w1)
             x = (-np.expm1(-th)) * p / (p * (a - 1.0) - a)
             w2 = -np.log1p(x) / th
-            # rows where 1 + x cancels below 2^-44 (44 of 52 bits lost;
-            # only past theta = 30, as 1 + x >= e^-theta) or where x
-            # overflows (theta below about -709) form 1 + x as a ratio of
-            # sums of exponentials, in log space (Nelsen 2006, 2.9 and 4.2)
-            deep = ~((x >= -1.0 + 2.0**-44) & (x < np.inf))
-            if deep.any():
-                log_p, log_q = np.log(p[deep]), np.log1p(-p[deep]) - th * w1[deep]
-                w2[deep] = (np.logaddexp(log_p, log_q) - np.logaddexp(log_q, log_p - th)) / th
         if not np.all((w2 >= 0.0) & (w2 <= 1.0)):
             raise NumericError(f"frank sampler left [0, 1] for theta={th}")
         return w1, w2

@@ -192,8 +192,7 @@ def _plain(text: str) -> bool:
     return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
 
 
-def _parse_rows(path, rows, width: int, event_col: int | None = None,
-                width_error: str = "expected {width} fields, got {got}") -> np.ndarray:
+def _parse_rows(path, rows, width: int, event_col: int | None = None) -> np.ndarray:
     """The (n, width) float table of an iterator over token rows.
 
     Rows are taken _BLOCK_ROWS at a time, so only one block of tokens is
@@ -215,12 +214,12 @@ def _parse_rows(path, rows, width: int, event_col: int | None = None,
             and not np.all((table[:, event_col] == 0.0) | (table[:, event_col] == 1.0))
         ):
             first_line = 2 + _BLOCK_ROWS * len(blocks)  # 1-based, after the header
-            _raise_first_fault(path, block, first_line, width, event_col, width_error)
+            _raise_first_fault(path, block, first_line, width, event_col)
         blocks.append(table)
     return np.concatenate(blocks) if blocks else np.empty((0, width))
 
 
-def _raise_first_fault(path, block, first_line, width, event_col, width_error) -> None:
+def _raise_first_fault(path, block, first_line, width, event_col) -> None:
     """Raise a DataError naming the line of the block's first faulty row.
 
     Runs only after a block has failed.  Fields are checked in file
@@ -229,8 +228,7 @@ def _raise_first_fault(path, block, first_line, width, event_col, width_error) -
     """
     for line, row in enumerate(block, start=first_line):
         if len(row) != width:
-            fault = width_error.format(width=width, got=len(row))
-            raise DataError(f"{path}: line {line}: {fault}")
+            raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         try:
             for j, field in enumerate(row):
                 if not _plain(field):
@@ -283,7 +281,7 @@ def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with _csv_rows(path, "predictions file") as (header, rows):
         if header != ["predicted_log_time", "predicted_time"]:
             raise DataError(f"{path}: bad predictions header")
-        table = _parse_rows(path, rows, 2, width_error="expected {width} fields")
+        table = _parse_rows(path, rows, 2)
     if len(table) == 0:
         raise DataError(f"{path}: no data rows")
     return table[:, 0], table[:, 1]

@@ -11,18 +11,23 @@ Two objectives over the predicted log event time yhat = h(x):
 Both expose value, gradient, and Hessian with respect to yhat, the
 quantities a second-order boosting engine needs, in log space from one
 margin core that reads each baseline's row of the family table in
-distributions.py.  loss.bind(t, delta) checks t and delta once and keeps
-log t and the event mask: its grad_hess(yhat) is a fit's per-round call
-and does only the arithmetic.  When the censoring baseline is the event
-baseline, the Clayton loss reads their one margin once.  loss, grad, hess
-and grad_hess(t, delta, yhat) are thin calls through bind that also
-check yhat.  Nothing but the Hessian is floored, so derivatives stay
-exact and non-zero in both tails; the extreme family is finite until e^s
-overflows (s near 709), where a call raises NumericError, without
-numpy's overflow warnings, instead of returning a silent zero.  The
-Hessian is floored at HESSIAN_FLOOR by default because the exact
-curvature can be non-positive far from the optimum while leaf weights
-need H > 0.
+distributions.py, and from one base, AftLoss, that writes bind, grad,
+hess and to_config once.  loss.bind(t, delta) checks t and delta once
+and keeps log t and the event mask: its grad_hess(yhat) is a fit's
+per-round call and does only the arithmetic.  When the censoring
+baseline is the event baseline, the Clayton loss reads their one margin
+once.  loss, grad, hess and grad_hess(t, delta, yhat) are thin calls
+through bind that also check yhat.  Nothing but the Hessian is floored,
+so derivatives stay exact and non-zero in both tails; the extreme family
+is finite until e^s overflows (s near 709), where a call raises
+NumericError, without numpy's overflow warnings, instead of returning a
+silent zero.  The Hessian is floored at HESSIAN_FLOOR by default because
+the exact curvature can be non-positive far from the optimum while leaf
+weights need H > 0.
+
+A loss config is the JSON object {"loss": tag, **fields}: to_config
+writes it and loss_from_config reads it, and no other module reads or
+writes its keys.
 """
 from __future__ import annotations
 
@@ -112,8 +117,36 @@ def _log_bracket(theta: float, z: dist.Margin, v: dist.Margin):
     return a, b, m + np.log1p(np.expm1(a - m) + np.expm1(b - m) - np.expm1(-m))
 
 
+class AftLoss:
+    """The methods both objectives share.  Each objective is a frozen
+    Record of its parameters (AftLoss describes no config, so is none)
+    with a `tag`, the config's "loss" key, and its own _value and
+    _grad_hess_raw over a _Bound fit."""
+
+    tag: str
+
+    def bind(self, t, delta) -> _Bound:
+        """The loss bound to one fit's times and event indicators."""
+        return _Bound(self, t, delta)
+
+    def grad(self, t, delta, yhat) -> np.ndarray:
+        """d loss / d yhat per observation."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return self._grad_hess_raw(fit, yhat)[0]
+
+    def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
+        """d^2 loss / d yhat^2 per observation, floored unless floor=False."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        h = self._grad_hess_raw(fit, yhat)[1]
+        return np.maximum(h, HESSIAN_FLOOR) if floor else h
+
+    def to_config(self) -> dict:
+        """The config loss_from_config reads back to an equal loss."""
+        return {"loss": self.tag, **self.to_dict()}
+
+
 @dataclass(frozen=True)
-class ClaytonAftLoss(Record):
+class ClaytonAftLoss(AftLoss, Record):
     """Dependent-censoring AFT loss with Clayton-copula linkage.
 
     For s = (log t - yhat)/sigma_Z and r = (log t - yhat)/sigma_V the
@@ -140,25 +173,12 @@ class ClaytonAftLoss(Record):
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
     censor_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
-    def bind(self, t, delta) -> _Bound:
-        """The loss bound to one fit's times and event indicators."""
-        return _Bound(self, t, delta)
-
+    # loss and grad_hess stay in each class body: the benchmark's span
+    # tracer (perfbench/spans.py) wraps them class by class
     def loss(self, t, delta, yhat) -> np.ndarray:
         """Loss value per observation."""
         fit, yhat = _inputs(self, t, delta, yhat)
         return fit.loss(yhat)
-
-    def grad(self, t, delta, yhat) -> np.ndarray:
-        """d loss / d yhat per observation."""
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return self._grad_hess_raw(fit, yhat)[0]
-
-    def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
-        """d^2 loss / d yhat^2 per observation, floored unless floor=False."""
-        fit, yhat = _inputs(self, t, delta, yhat)
-        h = self._grad_hess_raw(fit, yhat)[1]
-        return np.maximum(h, HESSIAN_FLOOR) if floor else h
 
     def grad_hess(self, t, delta, yhat):
         """(gradient, floored Hessian) pair for the boosting engine."""
@@ -213,12 +233,9 @@ class ClaytonAftLoss(Record):
         _finite(grad, hess)
         return grad, hess
 
-    def to_config(self) -> dict:
-        return {"loss": self.tag, **self.to_dict()}
-
 
 @dataclass(frozen=True)
-class IndependentAftLoss(Record):
+class IndependentAftLoss(AftLoss, Record):
     """Right-censored AFT negative log-likelihood under independent
     censoring: -log(f_Z(s)/(sigma_Z t)) for events, -log S_Z(s) for
     censored rows."""
@@ -227,21 +244,10 @@ class IndependentAftLoss(Record):
 
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
-    def bind(self, t, delta) -> _Bound:
-        return _Bound(self, t, delta)
-
+    # in the class body, as in ClaytonAftLoss, for perfbench/spans.py
     def loss(self, t, delta, yhat) -> np.ndarray:
         fit, yhat = _inputs(self, t, delta, yhat)
         return fit.loss(yhat)
-
-    def grad(self, t, delta, yhat) -> np.ndarray:
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return self._grad_hess_raw(fit, yhat)[0]
-
-    def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
-        fit, yhat = _inputs(self, t, delta, yhat)
-        h = self._grad_hess_raw(fit, yhat)[1]
-        return np.maximum(h, HESSIAN_FLOOR) if floor else h
 
     def grad_hess(self, t, delta, yhat):
         fit, yhat = _inputs(self, t, delta, yhat)
@@ -264,12 +270,9 @@ class IndependentAftLoss(Record):
         _finite(grad, hess)
         return grad, hess
 
-    def to_config(self) -> dict:
-        return {"loss": self.tag, **self.to_dict()}
 
-
-def loss_from_config(config: dict):
-    """Build a loss object from its serialized configuration."""
+def loss_from_config(config: dict) -> AftLoss:
+    """The loss a config describes (AftLoss.to_config), else ConfigError."""
     config = section(config, "loss config")
     if "loss" not in config:
         raise ConfigError("loss config must carry a 'loss' tag")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset, survival_arrays
+from .distributions import BaselineSpec
 from .errors import ABOVE, AT_LEAST, PARSE, DataError, Record
 from .metrics import count_larger_before
 
@@ -63,8 +64,8 @@ class SimulatedDataset:
     data: SurvivalDataset
     config: DgpConfig
     censoring_fraction: float
-    event_baseline: dict
-    censor_baseline: dict
+    event_baseline: BaselineSpec
+    censor_baseline: BaselineSpec
     theta: float
     clayton_equivalent_theta: float
     residual_clayton_theta: float
@@ -73,8 +74,8 @@ class SimulatedDataset:
         return {
             "config": self.config.to_dict(),
             "censoring_fraction": self.censoring_fraction,
-            "event_baseline": self.event_baseline,
-            "censor_baseline": self.censor_baseline,
+            "event_baseline": self.event_baseline.to_dict(),
+            "censor_baseline": self.censor_baseline.to_dict(),
             "theta": self.theta,
             "clayton_equivalent_theta": self.clayton_equivalent_theta,
             "residual_clayton_theta": self.residual_clayton_theta,
@@ -197,7 +198,7 @@ def generate(config: DgpConfig) -> SimulatedDataset:
         true_event_times=t_w,
         true_censor_times=u_w,
     )
-    sigma = 1.0 / config.weibull_shape
+    baseline = BaselineSpec("extreme", 1.0 / config.weibull_shape)
     theta = float(config.copula.theta)
     tau = kendall_tau(config.copula)
     equivalent_theta = clayton_theta_for_tau(max(tau, 0.0))
@@ -213,8 +214,8 @@ def generate(config: DgpConfig) -> SimulatedDataset:
         data=data,
         config=config,
         censoring_fraction=float(1.0 - np.mean(delta)),
-        event_baseline={"family": "extreme", "sigma": sigma},
-        censor_baseline={"family": "extreme", "sigma": sigma},
+        event_baseline=baseline,
+        censor_baseline=baseline,
         theta=theta,
         clayton_equivalent_theta=equivalent_theta,
         residual_clayton_theta=residual_theta,

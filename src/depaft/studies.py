@@ -39,7 +39,8 @@ from .copula import CopulaSpec
 from .dataset import write_rows
 from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, number, read_json,
                      writing)
-from .metrics import evaluate_predictions
+from .loss import ClaytonAftLoss, IndependentAftLoss
+from .metrics import MAX_HORIZONS, evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
 from .tuning import CvConfig, grid_search
@@ -83,7 +84,7 @@ class StudyConfig(Record):
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0  # "lambda" in config files
     gamma: float = 0.0
-    n_horizons: int = field(default=9, metadata={AT_LEAST: 2})
+    n_horizons: int = field(default=9, metadata={AT_LEAST: 2, AT_MOST: MAX_HORIZONS})
 
     def __post_init__(self):
         super().__post_init__()
@@ -153,17 +154,10 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
     sim_test = generate(
         DgpConfig(n=config.n_test, c=point.c, copula=point.copula, seed=test_seed)
     )
-    loss_configs = {
-        "clayton": {
-            "loss": "clayton",
-            "theta": sim_train.residual_clayton_theta,
-            "event_baseline": sim_train.event_baseline,
-            "censor_baseline": sim_train.censor_baseline,
-        },
-        "independent": {
-            "loss": "independent",
-            "event_baseline": sim_train.event_baseline,
-        },
+    losses = {
+        "clayton": ClaytonAftLoss(sim_train.residual_clayton_theta, sim_train.event_baseline,
+                                  sim_train.censor_baseline),
+        "independent": IndependentAftLoss(sim_train.event_baseline),
     }
     train_cfg = config.train_config()
     cv = config.cv_config(seed=train_seed)
@@ -181,7 +175,7 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
     for name in MODELS:
         # the task is the study's unit of parallelism, so its search runs
         # in this process (grid_search's default of one worker)
-        result, model = grid_search(sim_train.data, loss_configs[name], train_cfg, cv,
+        result, model = grid_search(sim_train.data, losses[name].to_config(), train_cfg, cv,
                                     patience=STUDY_PATIENCE)
         predicted = model.predict_time(sim_test.data.X)
         report = evaluate_predictions(sim_test.data, predicted, config.n_horizons)

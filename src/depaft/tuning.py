@@ -3,8 +3,8 @@
 The search maximizes mean validation concordance across folds.  Round
 counts are searched by scoring checkpoints (every checkpoint_stride
 rounds) along each fold fit; an optional theta grid multiplies the
-search for the Clayton loss.  The winning configuration is refit on all
-data.
+search for the Clayton loss, each theta's loss the config's own with
+that theta.  The winning configuration is refit on all data.
 
 With patience P, grid_search's argument (no config file or flag sets
 it; the studies pass studies.STUDY_PATIENCE), a theta stops growing once
@@ -38,7 +38,7 @@ import numpy as np
 from .booster import Boosting, TrainConfig, TreeEnsemble, train
 from .dataset import SurvivalDataset
 from .errors import AT_LEAST, ConfigError, Record, number
-from .loss import loss_from_config
+from .loss import ClaytonAftLoss, loss_from_config
 from .metrics import concordance
 from .parallel import check_workers, task_map
 
@@ -136,7 +136,8 @@ def grid_search(
         patience = number(patience, int, "patience")
         if patience < 1:
             raise ConfigError(f"patience must be a positive integer or None, got {patience!r}")
-    if cv.theta_grid is not None and loss_config.get("loss") != "clayton":
+    loss = loss_from_config(loss_config)
+    if cv.theta_grid is not None and not isinstance(loss, ClaytonAftLoss):
         raise ConfigError("theta_grid applies only to the clayton loss")
     rng = np.random.default_rng(cv.seed)
     folds = stratified_folds(data.events, cv.folds, rng)
@@ -145,8 +146,7 @@ def grid_search(
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
 
     # every loss is built before any fit, so a bad theta forks nothing
-    losses = [loss_from_config(loss_config if theta is None else {**loss_config, "theta": theta})
-              for theta in thetas]
+    losses = [loss if theta is None else replace(loss, theta=theta) for theta in thetas]
     train_sets = [
         data.subset(np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i])))
         for i in range(cv.folds)

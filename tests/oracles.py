@@ -88,6 +88,20 @@ def ref_frank_tau(theta: float) -> float:
     return tau if theta > 0 else -tau
 
 
+def ref_frank_conditional_inverse(theta: float, u: float, p: float) -> float:
+    """The v with dC/du (u, v) = p for the Frank copula, at 60 digits.
+
+    With A = e^(-theta u), B = e^(-theta v) and K = e^-theta - 1, the
+    conditional law of v given u is A (B - 1) / (K + (A - 1)(B - 1)).
+    Setting it to p and solving gives B = 1 + p K / (p + (1 - p) A), so
+    v = -log B / theta; 60 digits leave no cancellation to float64.
+    """
+    with mpmath.workdps(60):
+        theta, u, p = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(p)
+        a, k = mpmath.exp(-theta * u), mpmath.exp(-theta) - 1
+        return float(-mpmath.log(1 + p * k / (p + (1 - p) * a)) / theta)
+
+
 # -- dependent-censoring loss, direct transcription ------------------------
 
 def ref_clayton_loss(

@@ -203,6 +203,19 @@ def test_evaluate_fewer_than_two_horizons_exit_2(sim_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: n_horizons must be >= 2")
 
 
+def test_evaluate_more_than_100000_horizons_exit_2(sim_dir, tmp_path, capsys):
+    # each horizon costs memory and time: a bound refuses 10^9 of them
+    # before any is placed
+    preds = tmp_path / "p.csv"
+    n = read_csv(sim_dir / "data.csv").n
+    preds.write_text("predicted_log_time,predicted_time\n" + "0.0,1.0\n" * n)
+    for horizons in ("100001", "1000000000"):
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(sim_dir / "data.csv"),
+                     "--horizons", horizons, "--out", str(tmp_path / "eval"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: n_horizons must be <= 100000")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_evaluate_nan_prediction_exit_3(sim_dir, tmp_path, capsys):
     data = read_csv(sim_dir / "data.csv")
     rows = ["predicted_log_time,predicted_time"] + ["0.0,1.0"] * data.n

@@ -15,6 +15,7 @@ from oracles import (
     ref_clayton_generator,
     ref_clayton_generator_inv,
     ref_copula_cdf,
+    ref_frank_conditional_inverse,
     ref_frank_tau,
 )
 
@@ -258,6 +259,18 @@ def test_frank_sampler_at_large_theta_keeps_its_tau(theta):
     assert np.all((w1 >= 0.0) & (w1 <= 1.0) & (w2 >= 0.0) & (w2 <= 1.0))
     tau = kendall_tau(spec)
     assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - abs(tau))
+
+
+@pytest.mark.parametrize("theta", [31.0, 40.0, 100.0, -31.0, -300.0, -720.0])
+def test_frank_sampler_past_theta_30_matches_the_inverse_to_the_last_bits(theta):
+    # past |theta| = 30 every row is drawn in log space: the direct
+    # inverse lost up to 44 bits to cancellation there (8e-5 at 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w1, w2 = sample_pairs(CopulaSpec("frank", theta), 4000, np.random.default_rng(0))
+    p = np.random.default_rng(0).uniform(size=8000)[4000:]  # the sampler's second draw
+    ref = [ref_frank_conditional_inverse(theta, w1[i], p[i]) for i in range(200)]
+    assert np.max(np.abs(w2[:200] - ref)) <= 5e-16
 
 
 def test_positive_stable_laplace_transform():

@@ -291,7 +291,7 @@ def test_predictions_faults_past_the_first_block_name_their_line(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(DataError) as exc:
         read_predictions_csv(path)
-    assert str(exc.value) == f"{path}: line 1100: expected 2 fields"
+    assert str(exc.value) == f"{path}: line 1100: expected 2 fields, got 3"
 
 
 def test_predictions_without_rows(tmp_path):

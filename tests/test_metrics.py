@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depaft.dataset import SurvivalDataset
-from depaft.errors import DataError
+from depaft.errors import ConfigError, DataError
 from depaft.metrics import (
+    MAX_HORIZONS,
     CalibrationCurve,
     calibration,
     concordance,
@@ -226,6 +227,35 @@ def test_calibration_two_horizons_hand_counted():
     assert curve.horizons == pytest.approx([2.0, 3.0])
     assert curve.observed_proportion == pytest.approx([0.5, 0.75])
     assert curve.predicted_proportion == pytest.approx([0.5, 0.5])
+
+
+def test_calibration_shares_are_the_counts_of_a_loop():
+    # the curve sorts each array once and searches it; the reference
+    # counts times <= h horizon by horizon, and the bits must agree
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        n = int(rng.integers(2, 300))
+        ref = np.round(rng.exponential(size=n), int(rng.integers(0, 3))) + 1e-3  # ties
+        pred = np.round(rng.exponential(size=n), int(rng.integers(0, 3)))  # ties and 0
+        pred[rng.uniform(size=n) < 0.05] = np.inf
+        curve = calibration(ref, pred, int(rng.integers(2, 40)))
+        for got, times in ((curve.observed_proportion, ref), (curve.predicted_proportion, pred)):
+            loop = np.array([np.mean(times <= h) for h in curve.horizons])
+            assert got.tobytes() == loop.tobytes()
+
+
+def test_calibration_takes_up_to_100000_horizons():
+    ref = np.array([1.0, 2.0, 2.0, 3.0, 4.0])
+    pred = np.array([0.5, 2.0, 2.5, np.inf, 4.0])
+    curve = calibration(ref, pred, MAX_HORIZONS)
+    assert curve.horizons.shape == (MAX_HORIZONS,)
+    # the shares at a horizon are those of a plain count
+    for j in (0, 24_999, 50_000, MAX_HORIZONS - 1):
+        h = curve.horizons[j]
+        assert curve.observed_proportion[j] == np.mean(ref <= h)
+        assert curve.predicted_proportion[j] == np.mean(pred <= h)
+    with pytest.raises(ConfigError, match="n_horizons must be <= 100000, got 100001"):
+        calibration(ref, pred, MAX_HORIZONS + 1)
 
 
 def test_calibration_degenerate_reference():

@@ -187,7 +187,7 @@ def test_config_rejects_non_numeric_fields(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", 5), ("learning_rate", 0.0), ("max_rounds", 0), ("checkpoint_stride", 0),
-    ("max_depth", 0), ("gamma", -1.0), ("n_horizons", 1),
+    ("max_depth", 0), ("gamma", -1.0), ("n_horizons", 1), ("n_horizons", 100_001),
 ])
 def test_config_refuses_bad_model_fields_up_front(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -8,7 +8,7 @@ import pytest
 from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, parallel, tuning
 from depaft.booster import Boosting, RegressionTree, TrainConfig, TreeEnsemble, train
 from depaft.errors import ConfigError
-from depaft.loss import IndependentAftLoss, loss_from_config
+from depaft.loss import ClaytonAftLoss, IndependentAftLoss, loss_from_config
 from depaft.parallel import pool_size, usable_cpus
 from depaft.tuning import CvConfig, checkpoint_schedule, grid_search, stratified_folds
 
@@ -123,6 +123,17 @@ def test_theta_grid_requires_clayton():
     loss_cfg = {"loss": "independent", "event_baseline": {"family": "extreme", "sigma": 1 / 3}}
     cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=10, theta_grid=(1.0,))
     with pytest.raises(ConfigError):
+        grid_search(sim.data, loss_cfg, TrainConfig(rounds=10), cv)
+
+
+@pytest.mark.parametrize("loss_cfg", [
+    [{"loss": "clayton"}],
+    ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3)),
+])
+def test_theta_grid_search_refuses_a_loss_config_that_is_no_object(loss_cfg):
+    sim = _sim(seed=4)
+    cv = CvConfig(folds=2, max_rounds=10, checkpoint_stride=10, theta_grid=(1.0,))
+    with pytest.raises(ConfigError, match="loss config must be an object"):
         grid_search(sim.data, loss_cfg, TrainConfig(rounds=10), cv)
 
 
