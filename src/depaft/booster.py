@@ -25,11 +25,10 @@ One complex cumsum (g real, h imaginary) along the rows of the order
 matrix scores every (feature, threshold) cut at once.  A node scores its
 cuts on its flat p*m block, cut k of feature f in cell f*m + k, so every
 pass runs over one contiguous array; the last cell of each feature has
-no right child and is marked unusable.  A cut is usable when its
-midpoint lies in (lo, hi]; the root holds every row in every round, so
-its usable mask is computed once per grow.  No midpoint is kept: the
-chosen cut's threshold is formed at the split from its two sorted
-neighbours, by the same two operations that judged it usable.
+no right child and is marked unusable.  A cut is usable when its two
+sorted neighbours differ, and only the chosen cut gets a threshold: the
+midpoint lo/2 + hi/2, or hi where that rounds onto lo, which lies in
+(lo, hi] and cannot overflow.
 Every node works in buffers allocated once per grow (_Fit), and
 children's matrices go into one of two arenas, by the parity of their
 depth.  Two are enough for any depth: a node's cells lie inside its
@@ -170,13 +169,10 @@ def _pack(g, h):
 class _Fit:
     """Sorted columns and node buffers of one Boosting.grow, shared by its trees.
 
-    order is the (p, n) stable argsort of every column of X, xs the sorted
-    values and cuts the root's _cuts of them: the root holds every row in
-    every round, so they serve each round.  A node of m rows scores its
-    cuts in the first p*m cells of each buffer.  No buffer holds
-    midpoints: _cuts writes them into gains, which _best_split overwrites
-    after reading the usable mask, and the split forms its one threshold
-    from the sorted values.
+    order is the (p, n) stable argsort of every column of X and xs the
+    sorted values: the root holds every row in every round, so they serve
+    each round.  A node of m rows scores its cuts in the first p*m cells
+    of each buffer.
     A split writes its children's order and value matrices into the arena
     of the children's depth parity, in the cells the node's own matrices
     take in its depth.  Two arenas serve every depth: a node's cells lie
@@ -200,52 +196,26 @@ class _Fit:
         self.hr = np.empty(p * n)
         self.gains = np.empty(p * n)
         self.tmp = np.empty(p * n)
-        self.usable = np.empty(p * n, dtype=bool)
         self.valid = np.empty(p * n, dtype=bool)
         self.mask = np.empty(p * n, dtype=bool)
         # flat (order, values) of the even depths below the root, then the odd
         self.arenas = [(np.empty(p * n, dtype=np.int64), np.empty(p * n)) for _ in range(2)]
-        self.cuts = _cuts(self.xs.ravel(), n, self.gains, np.empty(p * n, dtype=bool),
-                          self.valid)
 
 
-def _cuts(xs, m, mid, usable, below):
-    """Which thresholds between sorted neighbours are usable: (xs, usable).
-
-    xs is the flat block of a node's (p, m) sorted values; mid, usable and
-    below are buffers of its size: midpoints to work in, usable mask and
-    a mask to work in.  Cell f*m + k is the cut between the k-th and
-    (k+1)-th value of feature f, at their midpoint.  A cut is usable
-    when its midpoint lies in (lo, hi]: strictly above the left value, so
-    rounding has not collapsed it onto lo (this also implies lo < hi),
-    and not above the right value, which is what fails when lo + hi
-    overflows to inf.  The last cell of each feature pairs its largest
-    value with the next feature's smallest, and is unusable.
-    """
-    usable = usable[:xs.size]
-    lo, hi, cut, ok = xs[:-1], xs[1:], mid[:xs.size - 1], usable[:-1]
-    np.add(lo, hi, out=cut)
-    cut *= 0.5
-    np.greater(cut, lo, out=ok)
-    ok &= np.less_equal(cut, hi, out=below[:xs.size - 1])
-    usable[m - 1::m] = False
-    return xs, usable
-
-
-def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
+def _best_split(g, h, rows, order, xs, gh, fit: _Fit, cfg: TrainConfig):
     """Best (gain, feature, threshold) over a node, or None.
 
     rows holds the node's row indices in ascending order; order is the
     (p, m) matrix whose row f lists the same rows sorted stably by feature
-    f, and cuts is _cuts of their flat sorted values.  gh packs g and h
-    as the real and imaginary parts of one complex array (_pack), and the
-    node works in the flat buffers of fit.  All features are scored in
-    one pass, and an argmax over the flat (feature, threshold) gains
-    realizes the lowest-feature-then-lowest-threshold tie-break.
+    f, and xs the flat block of their sorted values.  Cell f*m + k is
+    the cut between the k-th and (k+1)-th value of feature f.  gh packs
+    g and h as the real and imaginary parts of one complex array (_pack),
+    and the node works in the flat buffers of fit.  All features are
+    scored in one pass, and an argmax over the flat (feature, threshold)
+    gains realizes the lowest-feature-then-lowest-threshold tie-break.
     """
     p, m = order.shape
     size = p * m
-    xs, usable = cuts
     g_total = g[rows].sum()
     h_total = h[rows].sum()
     lam = cfg.reg_lambda
@@ -262,11 +232,14 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     # a feature's last cell has no right child: a unit Hessian there
     # keeps 0/0 out of the scoring when lam is 0
     hr[m - 1::m] = 1.0
-    # usable threshold, and both children above the Hessian-mass floor
+    # both children above the Hessian-mass floor, and sorted neighbours
+    # that differ; a feature's last cell pairs its largest value with the
+    # next feature's smallest
     mask = fit.mask[:size]
     valid = np.greater_equal(hl, cfg.min_child_weight, out=fit.valid[:size])
     valid &= np.greater_equal(hr, cfg.min_child_weight, out=mask)
-    valid &= usable
+    valid[:-1] &= np.less(xs[:-1], xs[1:], out=mask[:-1])
+    valid[m - 1::m] = False
     if not valid.any():
         return None
     # 1/2 [gl^2/(hl+lam) + gr^2/(hr+lam) - parent_score] - gamma, scored
@@ -284,8 +257,11 @@ def _best_split(g, h, rows, order, cuts, gh, fit: _Fit, cfg: TrainConfig):
     gains -= cfg.gamma
     gains[np.logical_not(valid, out=mask)] = -np.inf
     best = int(gains.argmax())
-    # the midpoint _cuts judged usable, by the same two float operations
-    return float(gains[best]), best // m, (float(xs[best]) + float(xs[best + 1])) * 0.5
+    # halved before adding, so no sum overflows; where the midpoint rounds
+    # onto lo, hi is the one threshold that parts the two
+    lo, hi = float(xs[best]), float(xs[best + 1])
+    thr = lo * 0.5 + hi * 0.5
+    return float(gains[best]), best // m, thr if thr > lo else hi
 
 
 def _partition(go_left, order, xs, fit, order_out, xs_out):
@@ -330,8 +306,7 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
             m = len(rows)
             orders, values = fit.arenas[depth % 2] if depth else root
             node_order, node_xs = orders[at:at + p * m], values[at:at + p * m]
-            cuts = _cuts(node_xs, m, fit.gains, fit.usable, fit.valid) if depth else fit.cuts
-            split = _best_split(g, h, rows, node_order.reshape(p, m), cuts, gh, fit, cfg)
+            split = _best_split(g, h, rows, node_order.reshape(p, m), node_xs, gh, fit, cfg)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
@@ -378,11 +353,10 @@ class Boosting:
         self.pred = np.full(data.n, base)
         self.loss = loss.bind(data.times, data.events)
 
-    # Training runs without numpy's warnings: a cut whose lo + hi overflows
-    # is unusable (_cuts), an invalid cut may divide by zero and is dropped
-    # (_best_split), and statistics past ~1e154 may overflow a gain to nan,
-    # which never splits, or to inf.  A prediction that such statistics
-    # make non-finite is a NumericError.
+    # Training runs without numpy's warnings: an invalid cut may divide by
+    # zero and is dropped (_best_split), and statistics past ~1e154 may
+    # overflow a gain to nan, which never splits, or to inf.  A prediction
+    # that such statistics make non-finite is a NumericError.
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def grow(self, rounds: int) -> Boosting:
         """Grow trees until the model holds `rounds`; return the fit.

@@ -2,7 +2,7 @@
 
 Subcommands: simulate, train, predict, evaluate, cv, study.  Exit codes:
 0 success, 2 configuration or usage error, 3 data error, 4 internal
-numeric error.
+numeric error or out of memory.
 """
 from __future__ import annotations
 
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print("out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 4
 
 

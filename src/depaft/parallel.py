@@ -31,21 +31,15 @@ def check_workers(workers, what: str = "workers") -> int:
     return count
 
 
-def pool_size(workers: int, jobs: int) -> int:
-    """Processes to start for `jobs` jobs on at most `workers`.
-
-    Never more than the jobs: every pool process starts up front."""
-    return min(workers, jobs)
-
-
 @contextmanager
 def task_map(workers: int, jobs: int):
-    """A map over a pool of pool_size(workers, jobs) processes, or, when
-    that is at most one, the built-in map in this process with no pool.
+    """A map over a pool of min(workers, jobs) processes, or, when that
+    is at most one, the built-in map in this process with no pool.  Never
+    more processes than jobs: every pool process starts up front.
 
     The map yields results in job order; an exception a job raises in a
     pool process is raised again here, with its own type."""
-    size = pool_size(workers, jobs)
+    size = min(workers, jobs)
     if size <= 1:
         yield map
         return

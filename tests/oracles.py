@@ -290,9 +290,10 @@ def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_w
 
     Every node sorts its rows by each feature afresh (ties by row index)
     and scans the cuts between neighbours left to right.  A cut counts
-    when its midpoint lies in (lo, hi], and replaces the incumbent only on
+    when its neighbours differ, and replaces the incumbent only on
     strictly larger gain, so the lowest feature, then the lowest
-    threshold, wins a tie.  Node totals are summed in row order.  Nodes
+    threshold, wins a tie.  Its threshold is the midpoint of the halves,
+    0.5 * lo + 0.5 * hi, or hi when that rounds onto lo.  Node totals are summed in row order.  Nodes
     are numbered depth-first, left child first; a leaf has feature -1.
     """
     feature, threshold, left, right, value = [], [], [], [], []
@@ -318,15 +319,15 @@ def ref_grow_tree(X, g, h, max_depth: int, lam: float, gamma: float, min_child_w
                     gl += g[a]
                     hl += h[a]
                     lo, hi = X[a][f], X[b][f]
-                    mid = 0.5 * (lo + hi)
                     gr, hr = g_total - gl, h_total - hl
-                    if not (lo < mid <= hi):  # lo + hi overflows to inf past ~9e307
+                    if not lo < hi:
                         continue
                     if hl < min_child_weight or hr < min_child_weight:
                         continue
                     gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
                     if best is None or gain > best[0]:
-                        best = (gain, f, mid)
+                        mid = 0.5 * lo + 0.5 * hi  # halves: lo + hi may overflow
+                        best = (gain, f, mid if mid > lo else hi)
         if best is not None and best[0] > 0.0:
             _, f, thr = best
             feature[node], threshold[node] = f, thr

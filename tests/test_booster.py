@@ -117,7 +117,7 @@ def test_split_gain_matches_bruteforce_objective():
         gamma = float(rng.uniform(0.0, 0.5))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
         fit = booster._Fit(X)
-        found = _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg)
+        found = _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
         if found is None:
             continue
         gain, f, thr = found
@@ -146,14 +146,14 @@ def test_split_search_at_zero_lambda_warns_of_nothing():
     fit = booster._Fit(X)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gain, f, thr = _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg)
+        gain, f, thr = _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
     assert gain == pytest.approx(ref_split_gain(list(g), list(h), list(X[:, f] < thr), 0.0, 0.0), abs=1e-9)
     # and a node with no usable cut still returns None
     X1 = np.ones((n, 3))
     fit = booster._Fit(X1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _best_split(g, h, np.arange(n), fit.order, fit.cuts, booster._pack(g, h), fit, cfg) is None
+        assert _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg) is None
 
 
 class FixedStatsLoss(SquaredErrorLoss):
@@ -235,8 +235,8 @@ def test_shallow_trees_match_exact_greedy_oracle(max_depth):
 
 def test_trees_match_oracle_on_adjacent_doubles():
     # columns of v, nextafter(v) and the double after that: the midpoint
-    # of two neighbouring doubles rounds onto one of them, so some cuts
-    # collapse onto lo (unusable) and others land on hi (usable)
+    # of two neighbouring doubles rounds onto one of them, and a cut whose
+    # midpoint rounds onto lo takes hi, so every such cut splits at hi
     rng = np.random.default_rng(23)
     on_hi = 0
     for trial in range(12):
@@ -253,11 +253,26 @@ def test_trees_match_oracle_on_adjacent_doubles():
     assert on_hi > 0
 
 
+@pytest.mark.parametrize("v", [0.0, -5e-324, 1.0, -1.0, 2.0 - 2.0**-52, 1e300,
+                               np.nextafter(np.finfo(float).max, 0.0)])
+def test_adjacent_doubles_split_at_the_upper_one(v):
+    # two rows one double apart with opposite gradients: the midpoint is a
+    # tie that rounds onto lo or hi, and either way the split is at hi,
+    # which sends lo left and hi right
+    hi = float(np.nextafter(v, np.inf))
+    X = np.array([[v], [hi]])
+    g, h = np.array([1.0, -1.0]), np.ones(2)
+    tree, cfg = _fit_one_tree(X, g, h, max_depth=1)
+    _assert_oracle_tree(tree, X, g, h, cfg)
+    assert (tree.feature[0], tree.threshold[0]) == (0, hi)
+    assert tree.predict(X).tolist() == [tree.value[1], tree.value[2]]
+
+
 def test_huge_valued_columns_never_split_at_inf(tmp_path):
-    # past ~9e307, lo + hi overflows and the midpoint is inf; such a cut
-    # must be unusable, not a threshold that sends every row left.  Column
-    # 2 separates the same rows with values of both signs, whose midpoint
-    # is 0.0, and column 0's lower index no longer wins the tie.
+    # past ~9e307, lo + hi overflows to inf; halved before adding, the
+    # midpoint of 1.6e308 and 1.7e308 is finite, so column 0 splits there
+    # and wins the tie with column 1 (its mirror image) and column 2
+    # (values of both signs, whose midpoint is 0.0) by its lower index
     rng = np.random.default_rng(31)
     n = 40
     up = rng.uniform(size=n) < 0.5
@@ -267,8 +282,9 @@ def test_huge_valued_columns_never_split_at_inf(tmp_path):
     h = np.ones(n)
     tree, cfg = _fit_one_tree(X, g, h, max_depth=3)
     _assert_oracle_tree(tree, X, g, h, cfg)
-    assert (tree.feature[0], tree.threshold[0]) == (2, 0.0)
-    assert not {0, 1} & set(tree.feature.tolist())
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.6e308 * 0.5 + 1.7e308 * 0.5)
+    assert 1.6e308 < tree.threshold[0] < 1.7e308
+    assert np.array_equal(X[:, 0] < tree.threshold[0], ~up)
     assert np.all(np.isfinite(tree.threshold))
     leaves = np.flatnonzero(tree.feature < 0)
     assert set(np.unique(tree.predict(X))) == set(tree.value[leaves])
@@ -278,18 +294,18 @@ def test_huge_valued_columns_never_split_at_inf(tmp_path):
 
 
 def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
-    # every node of a real fit: _best_split on the order matrix and cuts
-    # the grower carries returns the tuple it returns at the root of a
+    # every node of a real fit: _best_split on the order and value
+    # matrices the grower carries returns the tuple it returns at the root of a
     # fresh _Fit over the node's rows, with their g and h
     calls = []
     best_split = booster._best_split
     sim = generate(DgpConfig(n=300, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=5))
 
-    def spy(g, h, rows, order, cuts, gh, fit, cfg):
-        got = best_split(g, h, rows, order, cuts, gh, fit, cfg)
+    def spy(g, h, rows, order, xs, gh, fit, cfg):
+        got = best_split(g, h, rows, order, xs, gh, fit, cfg)
         gn, hn = g[rows], h[rows]
         fresh = booster._Fit(sim.data.X[rows])
-        derived = best_split(gn, hn, np.arange(rows.size), fresh.order, fresh.cuts,
+        derived = best_split(gn, hn, np.arange(rows.size), fresh.order, fresh.xs.ravel(),
                              booster._pack(gn, hn), fresh, cfg)
         calls.append((repr(got), repr(derived)))
         return got

@@ -20,6 +20,8 @@ from depaft.copula import FAMILIES
 from depaft.dataset import read_predictions_csv
 from depaft.errors import NumericError
 from depaft.loss import ClaytonAftLoss, loss_from_config
+from depaft.metrics import MAX_HORIZONS
+from depaft.studies import MAX_SEED, StudyConfig, grid_points
 
 SIM_CFG = {
     "n": 400,
@@ -524,6 +526,42 @@ def test_fold_fit_numeric_error_crosses_the_pool_exit_4(sim_dir, tmp_path, monke
     err = capfd.readouterr().err
     assert err == "numeric error: fold fit broke down\n"
     assert not (tmp_path / "cv").exists()
+
+
+# sizes no allocator can grant, past the 128 TiB of a 48-bit address
+# space, so each refusal comes at once: 10**15 rows of 10 covariates, and
+# 10**18 checkpoints of 8-byte list slots
+_HUGE_ROWS = 10**15
+_HUGE_ROUNDS = {"max_rounds": 10**18, "checkpoint_stride": 1}
+
+
+def _assert_out_of_memory(code, err):
+    assert code == 4
+    assert err.startswith("out of memory") and err.count("\n") == 1, err
+
+
+def test_simulate_past_memory_exit_4(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "n": _HUGE_ROWS})
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    _assert_out_of_memory(code, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cv_checkpoints_past_memory_exit_4(sim_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    capsys.readouterr()
+    code = _cv(sim_dir, tmp_path, {**CV_CFG, **_HUGE_ROUNDS})
+    _assert_out_of_memory(code, capsys.readouterr().err)
+    assert not (tmp_path / "cv").exists()
+
+
+def test_study_checkpoints_past_memory_exit_4(tmp_path, capsys):
+    cfg = _write(tmp_path / "study.json", {"study": 2, "repetitions": 1, "n_train": 30,
+                                           "n_test": 30, **_HUGE_ROUNDS})
+    code = main(["study", "--config", cfg, "--out", str(tmp_path / "st"), "--threads", "1",
+                 "--quiet"])
+    _assert_out_of_memory(code, capsys.readouterr().err)
+    assert not (tmp_path / "st" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("bad_theta", [0.0, -1.0])
@@ -1119,6 +1157,79 @@ def test_fuzzed_simulate_config_exits_with_a_documented_code(fuzz_dir, drawn):
     assert out.exists() == (code == 0)
     if code == 0:
         assert read_csv(out / "data.csv").n == cfg["n"]
+
+
+# -- fuzz of the study config --------------------------------------------------
+
+# (valid values, invalid values) of each study field; a valid study runs
+# one repetition on a few dozen rows for at most 6 rounds, and
+# checkpoint_stride and max_depth reach past what that can use
+_STUDY_FIELDS = {
+    "study": (st.sampled_from([1, 2, 3]),
+              st.one_of(_JUNK, _NON_FINITE, _FRACTION,
+                        st.integers().filter(lambda k: k not in (1, 2, 3)))),
+    "repetitions": (st.just(1), _BAD_COUNT),
+    "n_train": (st.integers(2, 40), st.one_of(_BAD_COUNT, st.just(1))),
+    "n_test": (st.integers(2, 40), st.one_of(_BAD_COUNT, st.just(1))),
+    "max_rounds": (st.integers(1, 6), _BAD_COUNT),
+    "checkpoint_stride": _CV_FIELDS["checkpoint_stride"],
+    "seed": (st.integers(0, MAX_SEED),
+             st.one_of(_JUNK, _NON_FINITE, _FRACTION, st.integers(max_value=-1),
+                       st.integers(min_value=MAX_SEED + 1))),
+    "n_horizons": (st.integers(2, 12),
+                   st.one_of(_BAD_COUNT, st.just(1), st.integers(min_value=MAX_HORIZONS + 1))),
+    **{name: _TRAIN_FIELDS[name]
+       for name in ("learning_rate", "max_depth", "lambda", "gamma", "min_child_weight")},
+}
+# given in every config, so that no example falls back to a full-size study
+_STUDY_REQUIRED = ("study", "repetitions", "n_train", "n_test", "max_rounds")
+
+
+@st.composite
+def _study_configs(draw):
+    """(study config, whether it is valid): the fields that keep a study
+    tiny and some others, with none, one or several drawn invalid (study
+    may instead be left out), or folds or patience, keys that name no
+    field."""
+    names = [*_STUDY_REQUIRED] + [name for name in _STUDY_FIELDS
+                                  if name not in _STUDY_REQUIRED and draw(st.booleans())]
+    bad = draw(st.one_of(st.just(set()),
+                         st.sets(st.sampled_from(names + ["folds", "patience"]), min_size=1)))
+    cfg = {}
+    for name in names:
+        if name == "study" and name in bad and draw(st.booleans()):
+            continue
+        cfg[name] = draw(_STUDY_FIELDS[name][name in bad])
+    for key in sorted({"folds", "patience"} & bad):
+        cfg[key] = draw(st.integers(1, 8))
+    return cfg, not bad
+
+
+@given(drawn=st.one_of(_study_configs(), _JUNK.map(lambda junk: (junk, False))))
+@settings(max_examples=150, deadline=3000)
+def test_fuzzed_study_config_exits_with_a_documented_code(fuzz_dir, drawn):
+    # a study config with each field drawn valid or invalid, or one that
+    # is not an object at all: an invalid one is a config error (exit 2)
+    # and runs no task; a valid one writes its tables, or is refused
+    # because its rows cannot make two folds (exit 2), or fails on the
+    # data or numerically (exit 3 or 4).  At most one line on stderr,
+    # never a traceback or a warning
+    cfg, valid = drawn
+    path = _write(fuzz_dir / "study.json", cfg)
+    out = fuzz_dir / "study"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["study", "--config", path, "--out", str(out), "--threads", "1", "--quiet"])
+    event(f"exit {code}")
+    assert code in ((0, 2, 3, 4) if valid else (2,)), err.getvalue()
+    assert err.getvalue().count("\n") == (code != 0), err.getvalue()
+    if not valid:
+        assert not out.exists()
+    if code == 0:
+        rows = (out / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * len(grid_points(StudyConfig.from_dict(cfg)))
 
 
 # -- fuzz of data CSV bytes ----------------------------------------------------

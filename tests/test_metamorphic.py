@@ -2,10 +2,11 @@
 Xie et al. 2011): transformations of the input whose effect on the
 output is known bit for bit, so they need no oracle.
 
-Split search depends only on each column's order, on midpoints between
-sorted neighbours and on row-ordered sums of g and h; ties between
-features go to the lower feature, and CV ties go to fewer rounds, then
-to the smaller theta.
+Split search depends only on each column's order, on which sorted
+neighbours differ (a cut lies between two that do, and only the chosen
+cut's midpoint becomes a threshold) and on row-ordered sums of g and h;
+ties between features go to the lower feature, and CV ties go to fewer
+rounds, then to the smaller theta.
 """
 import numpy as np
 import pytest

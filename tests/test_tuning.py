@@ -9,7 +9,7 @@ from depaft import BaselineSpec, CopulaSpec, DgpConfig, generate, parallel, tuni
 from depaft.booster import Boosting, RegressionTree, TrainConfig, TreeEnsemble, train
 from depaft.errors import ConfigError
 from depaft.loss import ClaytonAftLoss, IndependentAftLoss, loss_from_config
-from depaft.parallel import pool_size, usable_cpus
+from depaft.parallel import task_map, usable_cpus
 from depaft.tuning import CvConfig, checkpoint_schedule, grid_search, stratified_folds
 
 from oracles import ref_stratified_folds
@@ -220,12 +220,36 @@ def test_grid_search_refuses_a_bad_patience_before_any_fit(monkeypatch, patience
                     patience=patience)
 
 
-def test_pool_size_never_exceeds_the_jobs():
-    assert (pool_size(2, 4), pool_size(8, 4), pool_size(10**6, 6), pool_size(4, 0)) == (2, 4, 6, 0)
+def test_pool_size_never_exceeds_the_jobs(monkeypatch):
+    # task_map starts no more processes than workers or jobs, and no pool
+    # at all where one process would do; a stand-in pool records its size
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            self.map = map
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    def sizes(workers, jobs):
+        started.clear()
+        with task_map(workers, jobs) as run:
+            assert list(run(abs, range(-jobs, 0))) == list(range(jobs, 0, -1))
+        return started[:]
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+    assert [sizes(2, 4), sizes(8, 4), sizes(10**6, 6), sizes(4, 0), sizes(1, 9)] == [
+        [2], [4], [6], [], []]
     for workers in range(1, 40):
         for jobs in range(40):
-            size = pool_size(workers, jobs)
-            assert size <= workers and size <= jobs and (size >= 1 or jobs == 0)
+            size = sizes(workers, jobs)
+            assert size == [] or (1 < size[0] <= workers and size[0] <= jobs)
+            assert (size == []) == (workers == 1 or jobs <= 1)
 
 
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
