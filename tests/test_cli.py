@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -521,6 +522,11 @@ def _grow_fails_in_a_pool_process(fit, rounds):
 def test_fold_fit_numeric_error_crosses_the_pool_exit_4(sim_dir, tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.setattr(booster.Boosting, "grow", _grow_fails_in_a_pool_process)
+    # forked pool processes inherit the patched grow; a forkserver or
+    # spawn process (the default on some platforms) imports the real one
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                        functools.partial(parallel.ProcessPoolExecutor,
+                                          mp_context=multiprocessing.get_context("fork")))
     capfd.readouterr()
     assert _cv(sim_dir, tmp_path) == 4
     err = capfd.readouterr().err

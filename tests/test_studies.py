@@ -233,7 +233,7 @@ def test_task_builds_train_and_cv_configs_through_study_config(monkeypatch):
     assert (train_cfg, cv) == (cfg.train_config(), cfg.cv_config(seed=train_seed))
     assert (train_cfg.learning_rate, train_cfg.gamma, train_cfg.rounds) == (0.3, 0.5, 10)
     assert (cv.folds, cv.max_rounds, cv.checkpoint_stride, cv.seed) == (2, 10, 5, train_seed)
-    assert kwargs == {"patience": studies.STUDY_PATIENCE} and studies.STUDY_PATIENCE == 8
+    assert kwargs == {"patience": studies.STUDY_PATIENCE} and studies.STUDY_PATIENCE == 6
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -264,7 +264,7 @@ def test_study_cli_resume_under_another_patience_exit_2(tmp_path, capsys):
     before = (out / "results.csv").read_bytes()
     fingerprint = out / "partial" / "config.json"
     saved = json.loads(fingerprint.read_text())
-    assert saved["patience"] == studies.STUDY_PATIENCE == 8
+    assert saved["patience"] == studies.STUDY_PATIENCE == 6
     fingerprint.write_text(json.dumps({**saved, "patience": None}))
     capsys.readouterr()
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
