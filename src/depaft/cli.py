@@ -54,6 +54,11 @@ def cmd_simulate(args) -> int:
 
 
 def _train_configs(cfg_dict: dict):
+    """The loss and train config of a train or cv config file, which may
+    hold a cv section and no other."""
+    unknown = sorted(set(cfg_dict) - {"loss", "train", "cv"})
+    if unknown:
+        raise ConfigError(f"unknown config sections: {unknown}")
     if "loss" not in cfg_dict:
         raise ConfigError("train config requires a 'loss' section")
     loss = loss_from_config(cfg_dict["loss"])

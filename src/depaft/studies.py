@@ -21,9 +21,9 @@ itself (tau ~0.41 against 0.60 for Clayton(3)); handed the copula's own
 theta, the loss reads censored rows as early events and its predictions
 drift low as censoring grows.
 
-Results are flushed per repetition (one JSON per task under partial/),
-so interrupted runs resume, and the final CSVs are written sorted so
-output bytes do not depend on worker count.
+Results are flushed per repetition (one JSON per task under partial/,
+with the config it ran under), so interrupted runs resume, and the final
+CSVs are written sorted so output bytes do not depend on worker count.
 """
 from __future__ import annotations
 
@@ -197,44 +197,22 @@ def _partial_path(out_dir: str, grid_index: int, rep: int) -> str:
 
 
 def _fingerprint(config: StudyConfig) -> dict:
-    """What partial results are resumed under: the config and the CV stop
+    """What a task file records it ran under: the config and the CV stop
     rule, which is not a config field."""
     return {**config.to_dict(), "patience": STUDY_PATIENCE}
 
 
-def _check_fingerprint(config: StudyConfig, out_dir: str) -> None:
-    """Refuse to resume partial results written under another config.
-
-    partial/config.json holds the fingerprint of the config the task
-    files were run with;
-    a directory with task files but no such file is refused too.
-    """
-    partial = os.path.join(out_dir, "partial")
-    path = os.path.join(partial, "config.json")
-    if os.path.exists(path):
-        if read_json(path, ConfigError, "study fingerprint") != _fingerprint(config):
-            raise ConfigError(
-                f"{out_dir} holds partial results of a different study config "
-                f"({path}); use a new output directory"
-            )
-        return
-    if any(name.startswith("task_") for name in os.listdir(partial)):
-        raise ConfigError(
-            f"{partial} holds task files but no config fingerprint; "
-            "use a new output directory"
-        )
-    _write_atomic(path, json.dumps(_fingerprint(config), sort_keys=True))
-
-
-def _read_task(path: str) -> dict:
+def _read_task(path: str, fingerprint: dict) -> dict:
     """The record of a finished task from its partial file.
 
-    A file that is not JSON, or that lacks a field _write_results reads
-    or holds one of the wrong kind, is a DataError naming the file, so
-    it is refused before any table is written.
+    A file that is not JSON, or that lacks the fingerprint or a field
+    _write_results reads or holds one of the wrong kind, is a DataError
+    naming the file, so it is refused before any table is written; one
+    run under another fingerprint is a ConfigError naming it.
     """
     record = read_json(path, DataError, "task file")
     try:
+        written_under = record["fingerprint"]
         for key in ("train_censoring", "test_censoring"):
             number(record[key], float, key, DataError)
         for model in MODELS:
@@ -252,6 +230,11 @@ def _read_task(path: str) -> dict:
         raise DataError(f"{path}: task file misses field {exc}") from exc
     except (ValueError, TypeError) as exc:  # a field of the wrong kind
         raise DataError(f"{path}: malformed task file: {exc}") from exc
+    # checked after the fields: a ConfigError is a ValueError
+    if written_under != fingerprint:
+        raise ConfigError(f"{path} holds a task of a different study config; "
+                          "use a new output directory")
+    del record["fingerprint"]
     return record
 
 
@@ -267,15 +250,16 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     """Run all grid points and repetitions, then write the result CSVs.
 
     Completed repetitions found under partial/ are reused, so an
-    interrupted run resumes where it stopped.  A file that cannot be
-    written is a ConfigError naming it; finished task files are kept.
+    interrupted run resumes where it stopped; a task file run under
+    another config is refused.  A file that cannot be written is a
+    ConfigError naming it; finished task files are kept.
     """
     workers = check_workers(workers, "workers (--threads)")
     points = grid_points(config)
     partial = os.path.join(out_dir, "partial")
     with writing(partial):
         os.makedirs(partial, exist_ok=True)
-    _check_fingerprint(config, out_dir)
+    fingerprint = _fingerprint(config)
     tasks = [(point, rep) for point in points for rep in range(config.repetitions)]
 
     records: dict[tuple[int, int], dict] = {}
@@ -283,7 +267,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     for point, rep in tasks:
         path = _partial_path(out_dir, point.index, rep)
         if os.path.exists(path):
-            records[(point.index, rep)] = _read_task(path)
+            records[(point.index, rep)] = _read_task(path, fingerprint)
         else:
             pending.append((point, rep))
 
@@ -302,7 +286,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
         for (point, rep), record in zip(pending, done):
             _write_atomic(
                 _partial_path(out_dir, point.index, rep),
-                json.dumps(record, sort_keys=True),
+                json.dumps({**record, "fingerprint": fingerprint}, sort_keys=True),
             )
             records[(point.index, rep)] = record
             note(f"  done grid={point.label} rep={rep}")

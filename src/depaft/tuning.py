@@ -42,6 +42,10 @@ from .loss import ClaytonAftLoss, loss_from_config
 from .metrics import concordance
 from .parallel import check_workers, task_map
 
+# the most checkpoints a search takes: checkpoint_schedule lists them all
+# before any fit, and 10^7 of them would hold 400 MB
+MAX_CHECKPOINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CvConfig(Record):
@@ -55,6 +59,10 @@ class CvConfig(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        checkpoints = -(-self.max_rounds // self.checkpoint_stride)  # exact ceil
+        if checkpoints > MAX_CHECKPOINTS:
+            raise ConfigError(f"cv config fields 'max_rounds' / 'checkpoint_stride' must give "
+                              f"at most {MAX_CHECKPOINTS} checkpoints, got {checkpoints}")
         grid = self.theta_grid
         if grid is None:
             return

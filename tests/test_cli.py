@@ -24,6 +24,8 @@ from depaft.loss import ClaytonAftLoss, loss_from_config
 from depaft.metrics import MAX_HORIZONS
 from depaft.studies import MAX_SEED, StudyConfig, grid_points
 
+from pins import pin
+
 SIM_CFG = {
     "n": 400,
     "c": 1.49,
@@ -553,21 +555,25 @@ def test_simulate_past_memory_exit_4(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cv_checkpoints_past_memory_exit_4(sim_dir, tmp_path, monkeypatch, capsys):
+def test_cv_checkpoints_past_the_bound_exit_2(sim_dir, tmp_path, monkeypatch, capsys):
+    # 10^18 checkpoints used to run out of memory listing the schedule
     monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     capsys.readouterr()
-    code = _cv(sim_dir, tmp_path, {**CV_CFG, **_HUGE_ROUNDS})
-    _assert_out_of_memory(code, capsys.readouterr().err)
+    assert _cv(sim_dir, tmp_path, {**CV_CFG, **_HUGE_ROUNDS}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cv config fields 'max_rounds' / 'checkpoint_stride'")
+    assert err.count("\n") == 1
     assert not (tmp_path / "cv").exists()
 
 
-def test_study_checkpoints_past_memory_exit_4(tmp_path, capsys):
+def test_study_checkpoints_past_the_bound_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path / "study.json", {"study": 2, "repetitions": 1, "n_train": 30,
                                            "n_test": 30, **_HUGE_ROUNDS})
-    code = main(["study", "--config", cfg, "--out", str(tmp_path / "st"), "--threads", "1",
-                 "--quiet"])
-    _assert_out_of_memory(code, capsys.readouterr().err)
-    assert not (tmp_path / "st" / "results.csv").exists()
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "st"), "--threads", "1",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cv config fields 'max_rounds' / 'checkpoint_stride'")
+    assert not (tmp_path / "st").exists()
 
 
 @pytest.mark.parametrize("bad_theta", [0.0, -1.0])
@@ -755,6 +761,15 @@ def test_config_section_not_an_object_exit_2(sim_dir, tmp_path, capsys, command,
     assert "must be an object" in err and repr(value) in err
 
 
+@pytest.mark.parametrize("command, key", [("train", "trian"), ("cv", "cvv")])
+def test_unknown_config_section_exit_2(sim_dir, tmp_path, capsys, command, key):
+    # a misspelt section used to be ignored: train grew the default 100
+    # rounds and exited 0
+    err = _config_error(sim_dir, tmp_path, capsys, command, (key,), {"rounds": 3})
+    assert err == f"config error: unknown config sections: [{key!r}]\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "study"])
 def test_config_file_not_an_object_exit_2(tmp_path, command):
     argv = [command, "--config", _write(tmp_path / "cfg.json", [SIM_CFG])]
@@ -782,13 +797,23 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
 # written as repr instead of at 17 significant digits, and the file loads
 # back to the same bits.  calibration.csv was recorded from evaluate's own
 # csv.writer, before it moved onto dataset.write_rows.  Any change to
-# these bytes must be deliberate.
+# these bytes must be deliberate.  One set per numpy dispatch level
+# (tests/pins.py).
 PINNED_SHA256 = {
-    "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
-    "model.json": "4e50f8456b8f5ad591cd0728844277e1f40fd09d8758edd5f175081c4bd5709a",
-    "preds.csv": "a57785377d8670036ef9ea87a6f0cf2c8264c63e3b28f08fb6cd3295e978681a",
-    "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
-    "calibration.csv": "d8f8a08e7d9db215045b3018d4347f84f8e75846697cab4ac19581eb55718987",
+    "X86_V4": {
+        "data.csv": "77cbca432fb8a0f5b583c82efc021f940aa6209d83b61f374c6bd5aa8afa3c4b",
+        "model.json": "4e50f8456b8f5ad591cd0728844277e1f40fd09d8758edd5f175081c4bd5709a",
+        "preds.csv": "a57785377d8670036ef9ea87a6f0cf2c8264c63e3b28f08fb6cd3295e978681a",
+        "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
+        "calibration.csv": "d8f8a08e7d9db215045b3018d4347f84f8e75846697cab4ac19581eb55718987",
+    },
+    "X86_V3": {
+        "data.csv": "ef118fbe0d7e9eb96e313f75031b85e01941c02ffbf138d43d06af3353ffcf09",
+        "model.json": "efdf5bf119e3b988ece7fa541c3048e7af27080fc36e2481ecaac86aa1336dec",
+        "preds.csv": "94c9222ab91f9e97bc368a3c0985df68fcaffb5467586271d5efa92755c88e27",
+        "metrics.json": "0022893b90d7da5fbec9190d5fa88dd2ea4e160b998d6b178512b57a2cee2f05",
+        "calibration.csv": "d8f8a08e7d9db215045b3018d4347f84f8e75846697cab4ac19581eb55718987",
+    },
 }
 
 
@@ -796,7 +821,8 @@ def test_pipeline_output_bytes_are_pinned(tmp_path):
     sim = _write(tmp_path / "sim.json", {**SIM_CFG, "n": 300})
     train_cfg = _write(tmp_path / "train.json",
                        {**TRAIN_CFG, "train": {**TRAIN_CFG["train"], "rounds": 30}})
-    paths = {name: tmp_path / name for name in PINNED_SHA256}
+    pinned = pin(PINNED_SHA256)
+    paths = {name: tmp_path / name for name in pinned}
     paths["data.csv"] = tmp_path / "sim" / "data.csv"
     paths["metrics.json"] = tmp_path / "eval" / "metrics.json"
     paths["calibration.csv"] = tmp_path / "eval" / "calibration.csv"
@@ -811,26 +837,34 @@ def test_pipeline_output_bytes_are_pinned(tmp_path):
     ):
         assert main(argv + ["--quiet"]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
-    assert digests == PINNED_SHA256
+    assert digests == pinned
 
 
 # SHA-256 of the files `depaft cv` writes for a 2-value theta grid and 3
 # folds, recorded when the fold fits still ran one after another in this
 # process.  cv now maps them over a pool of up to one process per usable
-# CPU, and its bytes must not depend on that count.
+# CPU, and its bytes must not depend on that count.  One set per numpy
+# dispatch level (tests/pins.py).
 CV_PINNED_SHA256 = {
-    "cv_results.json": "e0092bbc72ac38ae37c8e7fecfd1b12c024f9ab2bfa1d1c0ab2d59653ec2e0cf",
-    "model.json": "30bce04afd8e7dd3c66b28087676e9d33659e1f0ddf7f3b2260801444ec6b884",
+    "X86_V4": {
+        "cv_results.json": "e0092bbc72ac38ae37c8e7fecfd1b12c024f9ab2bfa1d1c0ab2d59653ec2e0cf",
+        "model.json": "30bce04afd8e7dd3c66b28087676e9d33659e1f0ddf7f3b2260801444ec6b884",
+    },
+    "X86_V3": {
+        "cv_results.json": "f77aca9d1c2fd15a1d9ca16e386e4962421d0a7fdf805d3bd211080ac0875c27",
+        "model.json": "94d215c36a952d95cd216ddc581a5a4a7c5daaaab76ead1ae02ab559f769d212",
+    },
 }
 
 
 def test_cv_output_bytes_are_pinned(sim_dir, tmp_path):
     assert _cv(sim_dir, tmp_path) == 0
+    pinned = pin(CV_PINNED_SHA256)
     digests = {
         name: hashlib.sha256((tmp_path / "cv" / name).read_bytes()).hexdigest()
-        for name in CV_PINNED_SHA256
+        for name in pinned
     }
-    assert digests == CV_PINNED_SHA256
+    assert digests == pinned
 
 
 # -- fuzz of the train section -------------------------------------------------

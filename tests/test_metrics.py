@@ -101,6 +101,38 @@ def test_count_larger_before_matches_loop():
     assert count_larger_before(ranks).tolist() == ref_count_larger_before(ranks.tolist())
 
 
+# -- differential fuzz against the oracles ------------------------------------
+
+@st.composite
+def _ranks(draw):
+    """Ranks in 0..n-1 for n <= 60, drawn from a few values as often as
+    from all n, so that ties are common."""
+    n = draw(st.integers(0, 60))
+    top = draw(st.sampled_from([1, 3, max(n, 1)]))
+    return draw(st.lists(st.integers(0, min(top, max(n, 1)) - 1), min_size=n, max_size=n))
+
+
+@given(ranks=_ranks())
+@settings(max_examples=300, deadline=1000)
+def test_count_larger_before_matches_the_oracle_on_fuzzed_ranks(ranks):
+    assert count_larger_before(ranks).tolist() == ref_count_larger_before(ranks)
+
+
+# times from a few values (tied) or any positive double; predictions
+# from a few values, 0 and the infinities (tied) or any double
+_TIMES = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                   st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_PREDICTIONS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf]),
+                         st.floats(allow_nan=False))
+
+
+@given(rows=st.lists(st.tuples(_TIMES, st.integers(0, 1), _PREDICTIONS), max_size=60))
+@settings(max_examples=300, deadline=1000)
+def test_concordance_matches_the_oracle_on_fuzzed_tables(rows):
+    t, d, p = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    assert concordance(np.array(t), np.array(d, dtype=int), np.array(p)) == ref_concordance(t, d, p)
+
+
 def test_single_row_and_empty_input():
     assert concordance(np.array([1.0]), np.array([1]), np.array([2.0])) == 0.5
     assert concordance(np.array([]), np.array([], dtype=int), np.array([])) == 0.5

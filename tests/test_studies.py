@@ -17,6 +17,8 @@ from depaft.studies import (
     run_task,
 )
 
+from pins import pin
+
 TINY = dict(
     study=1, repetitions=2, n_train=60, n_test=60, seed=5,
     max_rounds=10, checkpoint_stride=5, max_depth=2,
@@ -64,7 +66,7 @@ def test_run_task_record_shape():
 def test_run_study_outputs_and_resume(tmp_path):
     cfg = StudyConfig(**TINY)
     out = tmp_path / "study"
-    run_study(cfg, str(out), workers=1, quiet=True)
+    fresh = run_study(cfg, str(out), workers=1, quiet=True)
     rows = list(csv.DictReader(open(out / "results.csv")))
     assert len(rows) == 9 * 2 * 2  # grid x models x reps
     means = list(csv.DictReader(open(out / "results_mean.csv")))
@@ -72,32 +74,46 @@ def test_run_study_outputs_and_resume(tmp_path):
     cal = list(csv.DictReader(open(out / "calibration_mean.csv")))
     assert len(cal) == 9 * 2 * 9
 
+    # partial/ holds one file per task and nothing else
+    assert sorted(p.name for p in (out / "partial").iterdir()) == [
+        f"task_g{g:03d}_r{r:04d}.json" for g in range(9) for r in range(2)
+    ]
+
     # resume: re-running reuses partials and reproduces identical bytes
+    # and records
     before = (out / "results.csv").read_bytes()
-    run_study(cfg, str(out), workers=1, quiet=True)
+    assert run_study(cfg, str(out), workers=1, quiet=True) == fresh
     assert (out / "results.csv").read_bytes() == before
 
 
 # SHA-256 of the TINY study-3 tables, recorded before the three tables
 # moved onto dataset.write_rows; any change to these bytes must be
-# deliberate.
+# deliberate.  One set per numpy dispatch level (tests/pins.py).
 TINY_STUDY3_SHA256 = {
-    "results.csv": "151508609508a8f4d05d7ef49e86f2dbe46bf4f4dba4768ca0678c2fde838d8e",
-    "results_mean.csv": "7cd27f360cde8c9897bd917741843ea170b0b363c23ec89f6841c47bd2745cce",
-    "calibration_mean.csv": "a850bb00833f571a30ecc5d99ebcdd161c3e776b98aba9d45d1893669e5a4ff7",
+    "X86_V4": {
+        "results.csv": "151508609508a8f4d05d7ef49e86f2dbe46bf4f4dba4768ca0678c2fde838d8e",
+        "results_mean.csv": "7cd27f360cde8c9897bd917741843ea170b0b363c23ec89f6841c47bd2745cce",
+        "calibration_mean.csv": "a850bb00833f571a30ecc5d99ebcdd161c3e776b98aba9d45d1893669e5a4ff7",
+    },
+    "X86_V3": {
+        "results.csv": "bc27cc39975ede38b7591a4ec52348c50d338fa84221fa23df992ecd38167614",
+        "results_mean.csv": "3045c37603e0fa39f80ca2c5def1f89448566a90bf240be75f357157908fe8e3",
+        "calibration_mean.csv": "3621cf0f891f0b09b5f38a7ee0d6b8db2e6eb639711e7c7cd0c512d06b132b8d",
+    },
 }
 
 
 def test_study_determinism_across_runs_and_workers(tmp_path):
     cfg = StudyConfig(**{**TINY, "study": 3, "repetitions": 2})
+    pinned = pin(TINY_STUDY3_SHA256)
     for name, workers in (("a", 1), ("b", 1), ("c", 4)):
         out = tmp_path / name
         run_study(cfg, str(out), workers=workers, quiet=True)
         digests = {
             table: hashlib.sha256((out / table).read_bytes()).hexdigest()
-            for table in TINY_STUDY3_SHA256
+            for table in pinned
         }
-        assert digests == TINY_STUDY3_SHA256, f"workers={workers}"
+        assert digests == pinned, f"workers={workers}"
 
 
 def test_study_cli_surface(tmp_path):
@@ -142,26 +158,19 @@ def test_clayton_loss_gets_residual_theta(monkeypatch):
     assert "theta" not in seen["independent"]
 
 
-def test_resume_refuses_a_different_config(tmp_path):
+@pytest.mark.parametrize("field, value", [("seed", 6), ("n_train", 61)])
+def test_resume_refuses_a_different_config(tmp_path, field, value):
     out = tmp_path / "study"
     cfg = StudyConfig(**{**TINY, "study": 2, "repetitions": 1})
     run_study(cfg, str(out), workers=1, quiet=True)
-    fingerprint = json.loads((out / "partial" / "config.json").read_text())
+    task = out / "partial" / "task_g000_r0000.json"
+    fingerprint = json.loads(task.read_text())["fingerprint"]
     assert fingerprint == {**cfg.to_dict(), "patience": studies.STUDY_PATIENCE}
     before = (out / "results.csv").read_bytes()
-    with pytest.raises(ConfigError, match="different study config"):
-        run_study(StudyConfig(**{**TINY, "study": 2, "repetitions": 1, "seed": 6}), str(out),
+    with pytest.raises(ConfigError, match=f"^{task} holds a task of a different study config"):
+        run_study(StudyConfig(**{**TINY, "study": 2, "repetitions": 1, field: value}), str(out),
                   workers=1, quiet=True)
     assert (out / "results.csv").read_bytes() == before
-
-
-def test_resume_refuses_task_files_without_fingerprint(tmp_path):
-    out = tmp_path / "study"
-    cfg = StudyConfig(**{**TINY, "study": 2, "repetitions": 1})
-    run_study(cfg, str(out), workers=1, quiet=True)
-    (out / "partial" / "config.json").unlink()
-    with pytest.raises(ConfigError, match="no config fingerprint"):
-        run_study(cfg, str(out), workers=1, quiet=True)
 
 
 def test_study_cli_second_seed_into_same_directory_exit_2(tmp_path, capsys):
@@ -172,7 +181,11 @@ def test_study_cli_second_seed_into_same_directory_exit_2(tmp_path, capsys):
     before = (tmp_path / "out" / "results.csv").read_bytes()
     capsys.readouterr()
     assert main(["study", "--config", str(cfg), "--out", out, "--seed", "2", "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    task = tmp_path / "out" / "partial" / "task_g000_r0000.json"
+    assert capsys.readouterr().err == (
+        f"config error: {task} holds a task of a different study config; "
+        "use a new output directory\n"
+    )
     assert (tmp_path / "out" / "results.csv").read_bytes() == before
 
 
@@ -255,20 +268,21 @@ def test_study_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 
 def test_study_cli_resume_under_another_patience_exit_2(tmp_path, capsys):
-    # partial results written under another stop rule (here, by a run
-    # that grew every fold fit to max_rounds) are not resumed
+    # a task file written under another stop rule (here, by a run that
+    # grew every fold fit to max_rounds) is not resumed
     out = tmp_path / "out"
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({**TINY, "study": 2, "repetitions": 1}))
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     before = (out / "results.csv").read_bytes()
-    fingerprint = out / "partial" / "config.json"
-    saved = json.loads(fingerprint.read_text())
-    assert saved["patience"] == studies.STUDY_PATIENCE == 6
-    fingerprint.write_text(json.dumps({**saved, "patience": None}))
+    task = out / "partial" / "task_g002_r0000.json"
+    record = json.loads(task.read_text())
+    assert record["fingerprint"]["patience"] == studies.STUDY_PATIENCE == 6
+    record["fingerprint"]["patience"] = None
+    task.write_text(json.dumps(record))
     capsys.readouterr()
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert "different study config" in capsys.readouterr().err
+    assert f"{task} holds a task of a different study config" in capsys.readouterr().err
     assert (out / "results.csv").read_bytes() == before
 
 
@@ -297,13 +311,19 @@ def _drop_calibration_field(record):
     del record["models"]["independent"]["calibration"]["observed_proportion"]
 
 
+def _drop_fingerprint(record):
+    del record["fingerprint"]
+
+
 def _round_count_as_text(record):
     record["models"]["clayton"]["rounds"] = str(record["models"]["clayton"]["rounds"])
 
 
 @pytest.mark.parametrize("corrupt", [
-    b'{"grid_index": 0', b"{}", b"\xff\xfe{}", _drop_calibration_field, _round_count_as_text,
-], ids=["truncated", "empty-object", "not-utf8", "missing-curve", "text-rounds"])
+    b'{"grid_index": 0', b"{}", b"\xff\xfe{}", b'"task"', b"[1, 2]", _drop_fingerprint,
+    _drop_calibration_field, _round_count_as_text,
+], ids=["truncated", "empty-object", "not-utf8", "string", "list", "no-fingerprint", "missing-curve",
+        "text-rounds"])
 def test_study_cli_malformed_task_file_exit_3_before_any_table(finished_study, tmp_path, capsys,
                                                                 corrupt):
     cfg, finished = finished_study
@@ -325,28 +345,17 @@ def test_study_cli_malformed_task_file_exit_3_before_any_table(finished_study, t
     assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv"))
 
 
-def test_study_cli_fingerprint_that_is_not_utf8_exit_2(finished_study, tmp_path, capsys):
+def test_study_cli_task_file_that_is_a_directory_exit_3(finished_study, tmp_path, capsys):
     cfg, finished = finished_study
     out = tmp_path / "out"
     shutil.copytree(finished, out)
-    (out / "partial" / "config.json").write_bytes(b"\xff\xfe{}")
+    task = out / "partial" / "task_g002_r0000.json"
+    task.unlink()
+    task.mkdir()
     capsys.readouterr()
-    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert "malformed study fingerprint" in capsys.readouterr().err
-
-
-def test_study_cli_fingerprint_that_is_a_directory_exit_2(finished_study, tmp_path, capsys):
-    # used to end in an IsADirectoryError traceback
-    cfg, finished = finished_study
-    out = tmp_path / "out"
-    shutil.copytree(finished, out)
-    fingerprint = out / "partial" / "config.json"
-    fingerprint.unlink()
-    fingerprint.mkdir()
-    capsys.readouterr()
-    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err == (
-        f"config error: cannot read study fingerprint {fingerprint}: Is a directory\n"
+        f"data error: cannot read task file {task}: Is a directory\n"
     )
 
 
@@ -370,17 +379,15 @@ def _with_bom(path):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 
 
-@pytest.mark.parametrize("name", ["config.json", "task_g002_r0000.json"])
-def test_study_cli_reads_partial_files_past_a_bom(finished_study, tmp_path, name):
-    # the fingerprint used to be refused as another config, and the task
-    # file as malformed
+def test_study_cli_reads_partial_files_past_a_bom(finished_study, tmp_path):
+    # the task file used to be refused as malformed
     cfg, finished = finished_study
     out = tmp_path / "out"
     shutil.copytree(finished, out)
     tables = ("results.csv", "results_mean.csv", "calibration_mean.csv")
     for table in tables:
         (out / table).unlink()
-    _with_bom(out / "partial" / name)
+    _with_bom(out / "partial" / "task_g002_r0000.json")
     assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     for table in tables:
         assert (out / table).read_bytes() == (finished / table).read_bytes()

@@ -32,6 +32,25 @@ def test_checkpoint_schedule():
     assert checkpoint_schedule(30, 50) == [30]
 
 
+def test_checkpoints_at_the_bound_are_taken():
+    n = tuning.MAX_CHECKPOINTS
+    for max_rounds, stride in ((n, 1), (7 * n, 7), (10**12 * n, 10**12)):
+        CvConfig(max_rounds=max_rounds, checkpoint_stride=stride)
+    assert len(checkpoint_schedule(n, 1)) == n
+
+
+@pytest.mark.parametrize("max_rounds, stride", [
+    # the last one is 1e6 checkpoints in float division
+    (tuning.MAX_CHECKPOINTS + 1, 1), (7 * tuning.MAX_CHECKPOINTS + 1, 7),
+    (10**12 * tuning.MAX_CHECKPOINTS + 1, 10**12),
+])
+def test_checkpoints_past_the_bound_are_refused(max_rounds, stride):
+    with pytest.raises(ConfigError, match=f"'max_rounds' / 'checkpoint_stride' must give at most "
+                                          f"{tuning.MAX_CHECKPOINTS} checkpoints, got "
+                                          f"{tuning.MAX_CHECKPOINTS + 1}$"):
+        CvConfig(max_rounds=max_rounds, checkpoint_stride=stride)
+
+
 def test_stratified_folds_cover_and_balance():
     rng = np.random.default_rng(0)
     events = np.array([1] * 30 + [0] * 10)
