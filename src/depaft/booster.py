@@ -35,8 +35,9 @@ depth.  Two are enough for any depth: a node's cells lie inside its
 parent's, and the parent is done with them once it splits.  Of node
 size, a split allocates only the flat positions it partitions by.
 
-The node totals G and H (parent score, leaf weight) are summed over the
-node's rows in ascending row order, not in any feature's sorted order.
+The node totals G and H (parent score, leaf weight) are summed once per
+node, by _grow_tree, over the node's rows in ascending row order, not in
+any feature's sorted order.
 Floating-point addition is not associative; row order makes the totals,
 and with them every gain, threshold choice and leaf weight, the same bits
 as those of a grower that re-sorts each node, so models do not depend on
@@ -202,13 +203,13 @@ class _Fit:
         self.arenas = [(np.empty(p * n, dtype=np.int64), np.empty(p * n)) for _ in range(2)]
 
 
-def _best_split(g, h, rows, order, xs, gh, fit: _Fit, cfg: TrainConfig):
+def _best_split(g_total, h_total, order, xs, gh, fit: _Fit, cfg: TrainConfig):
     """Best (gain, feature, threshold) over a node, or None.
 
-    rows holds the node's row indices in ascending order; order is the
-    (p, m) matrix whose row f lists the same rows sorted stably by feature
-    f, and xs the flat block of their sorted values.  Cell f*m + k is
-    the cut between the k-th and (k+1)-th value of feature f.  gh packs
+    g_total and h_total are the node's totals, summed in row order;
+    order is the (p, m) matrix whose row f lists the node's rows sorted
+    stably by feature f, and xs the flat block of their sorted values.
+    Cell f*m + k is the cut between the k-th and (k+1)-th value of feature f.  gh packs
     g and h as the real and imaginary parts of one complex array (_pack),
     and the node works in the flat buffers of fit.  All features are
     scored in one pass, and an argmax over the flat (feature, threshold)
@@ -216,8 +217,6 @@ def _best_split(g, h, rows, order, xs, gh, fit: _Fit, cfg: TrainConfig):
     """
     p, m = order.shape
     size = p * m
-    g_total = g[rows].sum()
-    h_total = h[rows].sum()
     lam = cfg.reg_lambda
     parent_score = g_total * g_total / (h_total + lam)
     # complex addition is componentwise, so both prefix sums come out
@@ -289,6 +288,7 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
     matrices stably with one go-left mask, so every child inherits its
     rows and values already sorted and no node sorts or gathers X again.
     Children at max_depth are leaves: only their rows are partitioned.
+    A node's totals serve both its split search and its leaf weight.
     """
     n = X.shape[0]
     leaf = [-1, 0.0, -1, -1, 0.0]  # feature, threshold, left, right, value
@@ -301,12 +301,13 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
     stack = [(0, np.arange(n), 0, 0)]
     while stack:
         node, rows, depth, at = stack.pop()
+        g_total, h_total = g[rows].sum(), h[rows].sum()
         split = None
         if depth < cfg.max_depth:
             m = len(rows)
             orders, values = fit.arenas[depth % 2] if depth else root
             node_order, node_xs = orders[at:at + p * m], values[at:at + p * m]
-            split = _best_split(g, h, rows, node_order.reshape(p, m), node_xs, gh, fit, cfg)
+            split = _best_split(g_total, h_total, node_order.reshape(p, m), node_xs, gh, fit, cfg)
         if split is not None and split[0] > 0.0:
             _, f, thr = split
             go_left = X[:, f] < thr  # indexed by row
@@ -323,9 +324,7 @@ def _grow_tree(X, g, h, fit: _Fit, cfg: TrainConfig):
             stack.append((left + 1, rows_r, depth + 1, at + p * len(rows_l)))
             stack.append((left, rows_l, depth + 1, at))
         else:
-            # summed in row order, like the totals in _best_split
-            w = -g[rows].sum() / (h[rows].sum() + cfg.reg_lambda)
-            nodes[node][4] = float(w)
+            nodes[node][4] = float(-g_total / (h_total + cfg.reg_lambda))
             row_leaf[rows] = node
     return RegressionTree(*zip(*nodes)), row_leaf
 

@@ -29,9 +29,14 @@ def _load_json(path) -> dict:
 
 
 def _write_json(obj, path) -> None:
+    """Write obj as standard JSON; a non-finite number is a NumericError,
+    raised before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: cannot write a non-finite number") from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _say(args, msg) -> None:

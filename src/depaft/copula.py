@@ -122,10 +122,19 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
         return w[:, 0], w[:, 1]
     if spec.family == "gumbel":
         v = rng.uniform(size=(n, 2))
-        z = _positive_stable(1.0 / th, n, rng)
-        if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-            raise NumericError(f"stable sampler returned invalid mixing for theta={th}")
-        w = np.exp(-((-np.log(v) / z[:, None]) ** (1.0 / th)))
+        z, alpha_log_z = _positive_stable(1.0 / th, n, rng)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e = -np.log(v)
+            ratio = e / z[:, None]
+            w = np.exp(-(ratio ** (1.0 / th)))
+        # a large theta (from ~80) draws mixing Z, or E/Z, past the normal
+        # float range: those entries form (E/Z)^(1/theta) in log space
+        tiny = np.finfo(float).tiny
+        deep = ~((ratio >= tiny) & (ratio < np.inf) & (z >= tiny)[:, None])
+        if deep.any():
+            if not np.all(np.isfinite(alpha_log_z[deep.any(axis=1)])):
+                raise NumericError(f"stable sampler returned invalid mixing for theta={th}")
+            w[deep] = np.exp(-np.exp((np.log(e) / th - alpha_log_z[:, None])[deep]))
         return w[:, 0], w[:, 1]
     if spec.family == "frank":
         w1 = rng.uniform(size=n)
@@ -152,19 +161,28 @@ def sample_pairs(spec: CopulaSpec, n: int, rng: np.random.Generator):
 
 
 # a small alpha (a large Gumbel theta) overflows the powers below;
-# sample_pairs refuses the mixing that leaves, so numpy's warnings would
-# only repeat it
+# sample_pairs takes the rows it leaves from the log-space form
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _positive_stable(alpha: float, n: int, rng: np.random.Generator):
-    """One-sided stable variables with Laplace transform exp(-s^alpha).
+    """One-sided stable variables Z with Laplace transform exp(-s^alpha),
+    and alpha log Z formed in log space.
 
     Chambers-Mallows-Stuck in its one-sided (beta = 1) form, equivalent
     to a stable law with skew 1, scale cos(pi*alpha/2)^(1/alpha) and
     location 0.  Valid for 0 < alpha <= 1; alpha = 1 degenerates to the
-    constant 1 (the expressions below evaluate to exactly that).
+    constant 1 (the expressions below evaluate to exactly that).  With
+    U uniform on (0, pi) and W exponential,
+
+        alpha log Z = alpha log sin(alpha U) - log sin U
+                      + (1 - alpha) log(sin((1 - alpha) U) / W),
+
+    finite where Z itself overflows or underflows.
     """
     u = rng.uniform(0.0, np.pi, size=n)
     w = rng.exponential(1.0, size=n)
-    return (np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)) * (
+    z = (np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)) * (
         np.sin((1.0 - alpha) * u) / w
     ) ** ((1.0 - alpha) / alpha)
+    alpha_log_z = (alpha * np.log(np.sin(alpha * u)) - np.log(np.sin(u))
+                   + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u) / w))
+    return z, alpha_log_z

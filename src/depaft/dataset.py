@@ -1,11 +1,12 @@
 """Survival data container, the one rule for survival arrays (which the
 losses and the metrics call too), and CSV schemas.
 
-Dataset CSV columns: time, event, x1..xp, and optionally the simulator's
-oracle columns true_event_time and true_censor_time.  Predictions CSV
-columns: predicted_log_time, predicted_time.  Floats are written as
-str(float), the shortest digits that read back to the same value, so
-re-reading is bit-exact and output bytes are deterministic.
+Dataset CSV columns (_data_header, for the writer and the reader):
+time, event, x1..xp, and optionally the simulator's oracle columns
+true_event_time and true_censor_time.  Predictions CSV columns
+(PREDICTION_COLUMNS): predicted_log_time, predicted_time.  Floats are
+written as str(float), the shortest digits that read back to the same
+value, so re-reading is bit-exact and output bytes are deterministic.
 
 _write_blocks is the package's one CSV writer: the dataset and
 prediction schemas here (through _write_table) and the study and
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import DataError, DomainError, open_text
 
 ORACLE_COLUMNS = ("true_event_time", "true_censor_time")
+PREDICTION_COLUMNS = ("predicted_log_time", "predicted_time")
 
 
 def survival_arrays(times, events=None, predicted=None, time_name: str = "times"):
@@ -148,13 +150,16 @@ def _write_blocks(path, header, blocks) -> None:
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
+def _data_header(p: int, has_oracle: bool) -> list[str]:
+    """The dataset CSV header of p features, with or without the oracle columns."""
+    return ["time", "event", *(f"x{j + 1}" for j in range(p)), *(ORACLE_COLUMNS if has_oracle else ())]
+
+
 def write_csv(dataset: SurvivalDataset, path) -> None:
-    header = ["time", "event"] + [f"x{j + 1}" for j in range(dataset.n_features)]
     columns = [dataset.times, dataset.events] + list(dataset.X.T)
     if dataset.has_oracle:
-        header += list(ORACLE_COLUMNS)
         columns += [dataset.true_event_times, dataset.true_censor_times]
-    _write_table(path, header, columns)
+    _write_table(path, _data_header(dataset.n_features, dataset.has_oracle), columns)
 
 
 @contextmanager
@@ -242,24 +247,14 @@ def _raise_first_fault(path, block, first_line, width, event_col) -> None:
 
 def read_csv(path) -> SurvivalDataset:
     with _csv_rows(path, "data file") as (header, rows):
-        if header[:2] != ["time", "event"]:
-            raise DataError(f"{path}: header must start with time,event")
-        feature_names = []
-        for name in header[2:]:
-            if name in ORACLE_COLUMNS:
-                break
-            feature_names.append(name)
-        expected = [f"x{j + 1}" for j in range(len(feature_names))]
-        if feature_names != expected:
-            raise DataError(f"{path}: feature columns must be named x1..x{len(feature_names)}")
-        rest = header[2 + len(feature_names):]
-        if rest not in ([], list(ORACLE_COLUMNS)):
-            raise DataError(f"{path}: trailing columns must be exactly {ORACLE_COLUMNS}")
-        has_oracle = rest == list(ORACLE_COLUMNS)
+        has_oracle = header[-2:] == list(ORACLE_COLUMNS)
+        p = len(header) - 2 - 2 * has_oracle
+        if header != _data_header(p, has_oracle):
+            raise DataError(f"{path}: header must be time,event,x1..xp, "
+                            f"then optionally {','.join(ORACLE_COLUMNS)}")
         table = _parse_rows(path, rows, len(header), event_col=1)
     if len(table) == 0:
         raise DataError(f"{path}: no data rows")
-    p = len(feature_names)
     try:
         return SurvivalDataset(
             times=table[:, 0],
@@ -273,13 +268,13 @@ def read_csv(path) -> SurvivalDataset:
 
 
 def write_predictions_csv(log_times: np.ndarray, times: np.ndarray, path) -> None:
-    _write_table(path, ["predicted_log_time", "predicted_time"],
+    _write_table(path, list(PREDICTION_COLUMNS),
                  [np.asarray(log_times, dtype=float), np.asarray(times, dtype=float)])
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with _csv_rows(path, "predictions file") as (header, rows):
-        if header != ["predicted_log_time", "predicted_time"]:
+        if header != list(PREDICTION_COLUMNS):
             raise DataError(f"{path}: bad predictions header")
         table = _parse_rows(path, rows, 2)
     if len(table) == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SurvivalDataset, survival_arrays
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 
 def _vectors(times, events, predicted, time_name="times"):
@@ -38,8 +38,6 @@ def count_larger_before(ranks) -> np.ndarray:
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     n = ranks.shape[0]
-    if n < 2:
-        return np.zeros(n, dtype=np.int64)
     size = 1 << (n - 1).bit_length()
     # padding sits after every real entry, so no real count includes it
     code = np.concatenate([ranks, np.zeros(size - n, dtype=np.int64)]) * size + np.arange(size)
@@ -100,10 +98,17 @@ def concordance(times, events, predicted_times) -> float:
     return credit2 / (2.0 * int(usable))
 
 
+def _mean_abs_error(a, b) -> float:
+    """mean |a - b|, which reads inf, without a warning, where a
+    difference or the sum passes the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(a - b)))
+
+
 def mae(true_times, predicted_times) -> float:
     """Mean absolute error on the raw time scale."""
     a, _, b = _vectors(true_times, None, predicted_times, "true_times")
-    return float(np.mean(np.abs(a - b)))
+    return _mean_abs_error(a, b)
 
 
 def event_mae(observed_times, events, predicted_times) -> float:
@@ -111,7 +116,7 @@ def event_mae(observed_times, events, predicted_times) -> float:
     t, d, p = _vectors(observed_times, events, predicted_times, "observed_times")
     if not np.any(d):
         raise DataError("event MAE undefined: no uncensored rows")
-    return float(np.mean(np.abs(t[d] - p[d])))
+    return _mean_abs_error(t[d], p[d])
 
 
 # the most horizons a calibration curve takes: each costs memory and
@@ -196,7 +201,9 @@ def evaluate_predictions(
     data: SurvivalDataset, predicted_times, n_horizons: int = 9
 ) -> MetricsReport:
     """Assemble the full metrics report for one prediction vector; the
-    first metric, concordance, checks it against the data."""
+    first metric, concordance, checks it against the data.  An MAE that
+    is not finite (an infinite predicted time, or a sum past the float
+    range) is a NumericError naming it."""
     c = concordance(data.times, data.events, predicted_times)
     e_mae = event_mae(data.times, data.events, predicted_times)
     if data.has_oracle:
@@ -207,6 +214,9 @@ def evaluate_predictions(
         full_mae = None
         curve = calibration(data.times, predicted_times, n_horizons)
         ref = "observed_time"
+    for name, value in (("event_mae", e_mae), ("mae", full_mae)):
+        if value is not None and not np.isfinite(value):
+            raise NumericError(f"{name} is not finite ({value})")
     return MetricsReport(
         c_index=c,
         event_mae=e_mae,

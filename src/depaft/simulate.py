@@ -168,9 +168,9 @@ def induce_rank_correlation(T, X, U, copula: CopulaSpec, rng: np.random.Generato
         raise DataError("rank induction needs at least two rows")
     w1, w2 = sample_pairs(copula, n, rng)
     v1, v2 = 1.0 - w1, 1.0 - w2  # survival orientation
-    order_t = np.argsort(T, kind="stable")
-    t_w = T[order_t][_ranks(v1)]
-    x_w = X[order_t][_ranks(v1)]
+    # the row of T whose rank matches each v1's rank
+    rows = np.argsort(T, kind="stable")[_ranks(v1)]
+    t_w, x_w = T[rows], X[rows]
     u_w = np.sort(U, kind="stable")[_ranks(v2)]
     return t_w, x_w, u_w
 

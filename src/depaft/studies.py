@@ -64,9 +64,13 @@ MODELS = ("clayton", "independent")
 # at study seeds 29, 31 and 47 (the README has the measurement)
 STUDY_PATIENCE = 6
 
-# _task_seeds gives each study seed a block of TASK_SEEDS task seeds;
-# the largest study seed keeps every task seed within an int64
+# _task_seeds gives each study seed a block of TASK_SEEDS task seeds,
+# each grid point GRID_SEEDS of them and each repetition two, so no two
+# tasks share a seed while repetitions stay within MAX_REPETITIONS; the
+# largest study seed keeps every task seed within an int64
 TASK_SEEDS = 1_000_000
+GRID_SEEDS = 1_000
+MAX_REPETITIONS = GRID_SEEDS // 2
 MAX_SEED = (2**63 - 1) // TASK_SEEDS - 1
 
 
@@ -75,7 +79,7 @@ class StudyConfig(Record):
     what = "study config"
 
     study: int
-    repetitions: int = field(default=20, metadata={AT_LEAST: 1})
+    repetitions: int = field(default=20, metadata={AT_LEAST: 1, AT_MOST: MAX_REPETITIONS})
     n_train: int = field(default=1000, metadata={AT_LEAST: 2})
     n_test: int = field(default=1000, metadata={AT_LEAST: 2})
     seed: int = field(default=29, metadata={AT_LEAST: 0, AT_MOST: MAX_SEED})
@@ -143,7 +147,7 @@ def grid_points(config: StudyConfig) -> list[GridPoint]:
 
 
 def _task_seeds(config: StudyConfig, grid_index: int, rep: int) -> tuple[int, int]:
-    base = config.seed * TASK_SEEDS + grid_index * 1_000 + 2 * rep
+    base = config.seed * TASK_SEEDS + grid_index * GRID_SEEDS + 2 * rep
     return base, base + 1
 
 

@@ -162,11 +162,14 @@ def grid_search(
     val_sets = [data.subset(val_idx) for val_idx in folds]
 
     # per theta and fold: the fit, its running validation prediction and
-    # its scores at the checkpoints scored so far; per theta, the
-    # checkpoint at which the mean score first reached its best
+    # its scores at the checkpoints scored so far; per theta, the mean
+    # over folds at each of those checkpoints (the axis-0 mean: a mean per
+    # checkpoint would add the folds in another order once there are 8 or
+    # more), and the checkpoint at which it first reached its best
     fits = [[Boosting(train_set, loss, train_config) for train_set in train_sets] for loss in losses]
     preds = [[np.full(val.n, fit.model.base_score) for fit, val in zip(row, val_sets)] for row in fits]
     scores = [[[] for _ in range(cv.folds)] for _ in thetas]
+    means = [None] * len(thetas)
     best_at = [0] * len(thetas)
     live = list(range(len(thetas)))
     with task_map(workers, len(thetas) * cv.folds) as fit_map:
@@ -189,21 +192,19 @@ def grid_search(
                     trees, fit.pred = next(grown)
                     fit.model.trees[start:] = trees
                     scores[t][i] += _checkpoint_scores(fit.model, val, preds[t][i], start, leg)
+                means[t] = np.array(scores[t]).mean(axis=0)
                 # argmax keeps the first checkpoint that reaches the best
-                best_at[t] = int(np.array(scores[t]).mean(axis=0).argmax())
+                best_at[t] = int(means[t].argmax())
             # a theta stops at max_rounds, or once its best is a whole
             # patience of checkpoints old
             live = [t for t in live if ends[t] < last and ends[t] - best_at[t] < patience]
 
     points = []
-    for theta, per_fold in zip(thetas, map(np.array, scores)):  # (folds, scored checkpoints)
-        # the axis-0 mean, as for best_at: a mean per point would add the
-        # folds in another order once there are 8 or more
-        means = per_fold.mean(axis=0)
+    for theta, per_fold, mean in zip(thetas, map(np.array, scores), means):
         points += [{"theta": theta, "rounds": rounds,
                     "fold_scores": [float(x) for x in per_fold[:, j]],
-                    "mean_score": float(means[j])}
-                   for j, rounds in enumerate(checkpoints[:len(means)])]
+                    "mean_score": float(mean[j])}
+                   for j, rounds in enumerate(checkpoints[:len(mean)])]
     # min keeps the first of equal keys
     best = min(points, key=lambda p: (-p["mean_score"], p["rounds"], p["theta"] or 0.0))
     refit = train(data, losses[thetas.index(best["theta"])],

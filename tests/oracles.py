@@ -102,6 +102,24 @@ def ref_frank_conditional_inverse(theta: float, u: float, p: float) -> float:
         return float(-mpmath.log(1 + p * k / (p + (1 - p) * a)) / theta)
 
 
+def ref_gumbel_draw(theta: float, v: float, u: float, w: float) -> float:
+    """The Gumbel copula coordinate exp(-(E/Z)^(1/theta)), E = -log v, at
+    60 digits.
+
+    Z is the Chambers-Mallows-Stuck one-sided stable variable of the
+    angle u in (0, pi) and the exponential w, with alpha = 1/theta:
+    Z = sin(alpha u) / sin(u)^(1/alpha) (sin((1 - alpha) u) / w)^((1 - alpha)/alpha).
+    mpmath's exponents are unbounded, so Z is formed directly however
+    far it lies past the float range.
+    """
+    with mpmath.workdps(60):
+        alpha = 1 / mpmath.mpf(theta)
+        u, w = mpmath.mpf(u), mpmath.mpf(w)
+        z = (mpmath.sin(alpha * u) / mpmath.sin(u) ** (1 / alpha)
+             * (mpmath.sin((1 - alpha) * u) / w) ** ((1 - alpha) / alpha))
+        return float(mpmath.exp(-((-mpmath.log(mpmath.mpf(v)) / z) ** alpha)))
+
+
 # -- dependent-censoring loss, direct transcription ------------------------
 
 def ref_clayton_loss(

@@ -193,7 +193,7 @@ def test_criterion_6_split_gain_and_leaf_weights():
         gamma = float(rng.uniform(0.0, 0.3))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
         fit = _Fit(X)
-        found = _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), _pack(g, h), fit, cfg)
+        found = _best_split(g.sum(), h.sum(), fit.order, fit.xs.ravel(), _pack(g, h), fit, cfg)
         if found is None:
             continue
         gain, f, thr = found

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depaft import BaselineSpec, ClaytonAftLoss, CopulaSpec, DgpConfig, booster, generate
 from depaft.booster import (
@@ -118,7 +119,7 @@ def test_split_gain_matches_bruteforce_objective():
         gamma = float(rng.uniform(0.0, 0.5))
         cfg = TrainConfig(rounds=1, reg_lambda=lam, gamma=gamma)
         fit = booster._Fit(X)
-        found = _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
+        found = _best_split(g.sum(), h.sum(), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
         if found is None:
             continue
         gain, f, thr = found
@@ -147,14 +148,14 @@ def test_split_search_at_zero_lambda_warns_of_nothing():
     fit = booster._Fit(X)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gain, f, thr = _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
+        gain, f, thr = _best_split(g.sum(), h.sum(), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg)
     assert gain == pytest.approx(ref_split_gain(list(g), list(h), list(X[:, f] < thr), 0.0, 0.0), abs=1e-9)
     # and a node with no usable cut still returns None
     X1 = np.ones((n, 3))
     fit = booster._Fit(X1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _best_split(g, h, np.arange(n), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg) is None
+        assert _best_split(g.sum(), h.sum(), fit.order, fit.xs.ravel(), booster._pack(g, h), fit, cfg) is None
 
 
 class FixedStatsLoss(SquaredErrorLoss):
@@ -254,6 +255,48 @@ def test_trees_match_oracle_on_adjacent_doubles():
     assert on_hi > 0
 
 
+_MAX = float(np.finfo(float).max)
+_ONE_UP = float(np.nextafter(1.0, np.inf))
+# the values a drawn column takes: few, so that ties are common
+_COLUMN_VALUES = [
+    [0.0, 1.0, 2.0, 3.0],  # small integers
+    [1.0, _ONE_UP, float(np.nextafter(_ONE_UP, np.inf)), 0.1, float(np.nextafter(0.1, -np.inf))],
+    [1e307, 1.6e308, 1.7e308, -1.7e308, _MAX, -_MAX],  # past 1e307
+    [0.0, 5e-324, 1e-323, -5e-324, 2.5e-323, float(np.finfo(float).tiny)],  # subnormals
+]
+
+
+@st.composite
+def _grower_cases(draw):
+    """X (n <= 40 rows, p <= 4 columns of ties, constants, adjacent
+    doubles, values past 1e307 or subnormals), dyadic g and h, and a
+    config of depth 1-4."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(p):
+        values = draw(st.sampled_from(_COLUMN_VALUES))
+        if draw(st.integers(0, 4)) == 0:  # a constant column
+            values = [draw(st.sampled_from(values))]
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    g = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n))
+    h = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    cfg = dict(max_depth=draw(st.integers(1, 4)), reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+               gamma=draw(st.sampled_from([0.0, 0.0, 0.125, 0.5, 2.0])),
+               min_child_weight=draw(st.sampled_from([0.0, 0.0, 0.5, 1.5, 4.0])))
+    return np.array(columns).T, np.array(g) / 8.0, np.array(h) / 2.0, cfg
+
+
+@given(case=_grower_cases())
+@settings(max_examples=300, deadline=1000)
+def test_grower_matches_the_oracle_on_fuzzed_trees(case):
+    # dyadic statistics make every sum exact, so the grower, which sums a
+    # node's totals once in row order and its cuts along sorted columns,
+    # and the oracle, which re-sorts each node, must agree on every cut
+    X, g, h, cfg = case
+    tree, cfg = _fit_one_tree(X, g, h, **cfg)
+    _assert_oracle_tree(tree, X, g, h, cfg)
+
+
 @pytest.mark.parametrize("v", [0.0, -5e-324, 1.0, -1.0, 2.0 - 2.0**-52, 1e300,
                                np.nextafter(np.finfo(float).max, 0.0)])
 def test_adjacent_doubles_split_at_the_upper_one(v):
@@ -297,18 +340,20 @@ def test_huge_valued_columns_never_split_at_inf(tmp_path):
 def test_carried_arrays_give_the_splits_derived_ones_give(monkeypatch):
     # every node of a real fit: _best_split on the order and value
     # matrices the grower carries returns the tuple it returns at the root of a
-    # fresh _Fit over the node's rows, with their g and h
+    # fresh _Fit over the node's rows, with their g and h; the totals the
+    # grower passes are those rows' sums in row order
     calls = []
     best_split = booster._best_split
     sim = generate(DgpConfig(n=300, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=5))
 
-    def spy(g, h, rows, order, xs, gh, fit, cfg):
-        got = best_split(g, h, rows, order, xs, gh, fit, cfg)
-        gn, hn = g[rows], h[rows]
+    def spy(g_total, h_total, order, xs, gh, fit, cfg):
+        got = best_split(g_total, h_total, order, xs, gh, fit, cfg)
+        rows = np.sort(order[0])
+        gn, hn = gh.real[rows], gh.imag[rows]
         fresh = booster._Fit(sim.data.X[rows])
-        derived = best_split(gn, hn, np.arange(rows.size), fresh.order, fresh.xs.ravel(),
+        derived = best_split(gn.sum(), hn.sum(), fresh.order, fresh.xs.ravel(),
                              booster._pack(gn, hn), fresh, cfg)
-        calls.append((repr(got), repr(derived)))
+        calls.append((repr((g_total, h_total, got)), repr((gn.sum(), hn.sum(), derived))))
         return got
 
     monkeypatch.setattr(booster, "_best_split", spy)
@@ -534,6 +579,7 @@ LARGE_FIT_SHA256 = {
 }
 
 
+@pytest.mark.pinned
 def test_large_fit_model_bytes_are_pinned(tmp_path):
     sim = generate(DgpConfig(n=4000, c=1.49, copula=CopulaSpec("clayton", 3.0), seed=41))
     loss = ClaytonAftLoss(3.0, BaselineSpec("extreme", 1 / 3), BaselineSpec("extreme", 1 / 3))

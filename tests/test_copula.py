@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kendalltau, kstest
 
+from depaft import copula
 from depaft.copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
-from depaft.errors import ConfigError
+from depaft.errors import ConfigError, NumericError
 from depaft.studies import STUDY3_COPULAS
 
 from oracles import (
@@ -17,6 +18,7 @@ from oracles import (
     ref_copula_cdf,
     ref_frank_conditional_inverse,
     ref_frank_tau,
+    ref_gumbel_draw,
 )
 from pins import pin
 
@@ -210,6 +212,7 @@ def test_clayton_theta_with_a_finite_inverse_keeps_the_frailty_draws(theta):
     assert np.array_equal(w1, w[:, 0]) and np.array_equal(w2, w[:, 1])
 
 
+@pytest.mark.pinned
 def test_clayton_draws_that_worked_keep_their_bits():
     # SHA-256 of the draws taken before frailties that underflow were
     # drawn in log space: every theta that worked keeps its draws
@@ -240,6 +243,7 @@ def test_clayton_sampler_at_large_theta_keeps_its_tau(theta, zeros):
     assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - tau)
 
 
+@pytest.mark.pinned
 def test_frank_draws_that_worked_keep_their_bits():
     # SHA-256 of the draws taken before rows that cancel were drawn in
     # log space: every theta that worked keeps its draws
@@ -280,6 +284,63 @@ def test_frank_sampler_past_theta_30_matches_the_inverse_to_the_last_bits(theta)
     assert np.max(np.abs(w2[:200] - ref)) <= 5e-16
 
 
+@pytest.mark.pinned
+def test_gumbel_draws_that_worked_keep_their_bits():
+    # SHA-256 of the draws taken before mixing past the float range was
+    # formed in log space: every theta that worked keeps its draws
+    digest = hashlib.sha256()
+    for theta in (1.0, 1.5, 2.5, 10.0, 50.0):
+        w1, w2 = sample_pairs(CopulaSpec("gumbel", theta), 400, np.random.default_rng(0))
+        digest.update(w1.tobytes())
+        digest.update(w2.tobytes())
+    assert digest.hexdigest() == pin({
+        "X86_V4": "c01026e1670d721b67bb1f23f47fab1c5b1f5c1ae123bc26867bcad59ecd0415",
+        "X86_V3": "7a624e8eb8d0abb27c3c10044da947b5f56977719897be85d7fc25830a3260d6",
+    })
+
+
+@pytest.mark.parametrize("theta", [79.0, 88.0, 100.0, 1e3, 1e4, 1e6, 1e10, 1e300])
+def test_gumbel_sampler_at_large_theta_keeps_its_tau(theta):
+    # the stable mixing Z, or E/Z, leaves the float range from theta ~ 80
+    # on, which used to be a NumericError; those entries work in log
+    # space, with no warning
+    n, spec = 4000, CopulaSpec("gumbel", theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w1, w2 = sample_pairs(spec, n, np.random.default_rng(0))
+    assert np.all((w1 >= 0.0) & (w1 <= 1.0) & (w2 >= 0.0) & (w2 <= 1.0))
+    tau = kendall_tau(spec)  # (theta - 1) / theta
+    # past theta ~ 1e6 only a handful of the 8e6 pairs are discordant
+    assert abs(kendalltau(w1, w2).statistic - tau) <= 0.25 * (1.0 - tau) + 1e-5
+
+
+@pytest.mark.parametrize("theta, rows", [(1.5, 100), (50.0, 100), (79.0, 200), (100.0, 200),
+                                         (1e3, 200), (1e6, 200), (1e300, 10)])
+def test_gumbel_draws_match_a_60_digit_reference(theta, rows):
+    # direct and log-space entries alike, within a few ulps of
+    # exp(-(E/Z)^(1/theta)) at 60 digits; from theta = 1e3 on most
+    # entries take the log-space form
+    n = 4000
+    w1, w2 = sample_pairs(CopulaSpec("gumbel", theta), n, np.random.default_rng(0))
+    rng = np.random.default_rng(0)  # the sampler's draws, in its order
+    v = rng.uniform(size=(n, 2))
+    u = rng.uniform(0.0, np.pi, size=n)
+    e = rng.exponential(1.0, size=n)
+    ref = [[ref_gumbel_draw(theta, v[i, j], u[i], e[i]) for j in range(2)] for i in range(rows)]
+    assert np.max(np.abs(np.stack([w1, w2], axis=1)[:rows] - ref)) <= 1e-14
+
+
+def test_gumbel_mixing_no_form_holds_is_a_numeric_error(monkeypatch):
+    # a mixing that neither the direct nor the log-space form holds (an
+    # angle of exactly 0 makes both 0/0) is refused, not passed on as NaN
+    def broken(alpha, n, rng):
+        return np.zeros(n), np.full(n, np.nan)
+
+    monkeypatch.setattr(copula, "_positive_stable", broken)
+    with pytest.raises(NumericError, match="stable sampler returned invalid mixing for theta=2.5"):
+        sample_pairs(CopulaSpec("gumbel", 2.5), 10, np.random.default_rng(0))
+
+
 def test_positive_stable_laplace_transform():
     # E[exp(-s Z)] = exp(-s^alpha) pins down the gumbel mixing variable
     from depaft.copula import _positive_stable
@@ -287,7 +348,8 @@ def test_positive_stable_laplace_transform():
     rng = np.random.default_rng(5)
     for theta in (1.5, 2.5, 4.0):
         alpha = 1.0 / theta
-        z = _positive_stable(alpha, 200_000, rng)
+        z, alpha_log_z = _positive_stable(alpha, 200_000, rng)
+        assert np.allclose(alpha * np.log(z), alpha_log_z, rtol=1e-12, atol=1e-12)
         for s in (0.5, 1.0, 2.0):
             assert np.mean(np.exp(-s * z)) == pytest.approx(
                 math.exp(-(s**alpha)), abs=0.004

@@ -12,7 +12,7 @@ from depaft import (BaselineSpec, ClaytonAftLoss, CopulaSpec, CvConfig, DgpConfi
                     IndependentAftLoss, StudyConfig, TrainConfig)
 from depaft.cli import main
 from depaft.errors import ConfigError, Record
-from depaft.studies import MAX_SEED, STUDY1_THETAS, _task_seeds
+from depaft.studies import MAX_REPETITIONS, MAX_SEED, STUDY1_THETAS, _task_seeds, grid_points
 
 BASELINE = {"family": "extreme", "sigma": 1 / 3}
 SIM = {"n": 50, "c": 1.49, "copula": {"family": "clayton", "theta": 3.0}}
@@ -201,3 +201,23 @@ def test_every_task_seed_of_the_largest_study_seed_builds(tmp_path, capsys):
     assert f"study config field 'seed' must be <= {MAX_SEED}, got {10**13}" in err
     assert not (tmp_path / "out").exists()
 
+
+
+def test_repetitions_stop_where_two_tasks_would_share_seeds(tmp_path, capsys):
+    # _task_seeds gives each grid point 1000 seeds, two per repetition: at
+    # MAX_REPETITIONS every task of a study has seeds of its own, and one
+    # repetition more is refused before any task runs
+    assert MAX_REPETITIONS == 500
+    for study in (1, 2, 3):
+        config = StudyConfig(study=study, repetitions=MAX_REPETITIONS)
+        seeds = [seed for point in grid_points(config) for rep in range(config.repetitions)
+                 for seed in _task_seeds(config, point.index, rep)]
+        assert len(set(seeds)) == len(seeds)
+    err = _config_error(tmp_path, capsys, "study", {"study": 1, "repetitions": MAX_REPETITIONS + 1})
+    assert "study config field 'repetitions' must be <= 500, got 501" in err
+    assert not (tmp_path / "out").exists()
+    # so is the --repetitions flag
+    assert main(["study", "--config", str(tmp_path / "cfg.json"), "--repetitions", "501",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "must be <= 500, got 501" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

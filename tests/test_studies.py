@@ -103,6 +103,7 @@ TINY_STUDY3_SHA256 = {
 }
 
 
+@pytest.mark.pinned
 def test_study_determinism_across_runs_and_workers(tmp_path):
     cfg = StudyConfig(**{**TINY, "study": 3, "repetitions": 2})
     pinned = pin(TINY_STUDY3_SHA256)
