@@ -125,8 +125,12 @@ def write_rows(path, header, rows) -> None:
 
 def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length array columns as CSV, turned into Python
-    scalars (tolist) one block of rows at a time."""
-    n = min(len(col) for col in columns)
+    scalars (tolist) one block of rows at a time; columns of unequal
+    length are a DataError, raised before the file is opened."""
+    n = len(columns[0])
+    for name, col in zip(header, columns):
+        if len(col) != n:
+            raise DataError(f"{path}: column {name} has {len(col)} rows where {header[0]} has {n}")
     _write_blocks(path, header, (
         [col[a:a + _BLOCK_ROWS].tolist() for col in columns]
         for a in range(0, n, _BLOCK_ROWS)

@@ -11,19 +11,21 @@ Two objectives over the predicted log event time yhat = h(x):
 Both expose value, gradient, and Hessian with respect to yhat, the
 quantities a second-order boosting engine needs, in log space from one
 margin core that reads each baseline's row of the family table in
-distributions.py, and from one base, AftLoss, that writes bind, grad,
-hess and to_config once.  loss.bind(t, delta) checks t and delta once
-and keeps log t and the event mask: its grad_hess(yhat) is a fit's
-per-round call and does only the arithmetic.  When the censoring
-baseline is the event baseline, the Clayton loss reads their one margin
-once.  loss, grad, hess and grad_hess(t, delta, yhat) are thin calls
-through bind that also check yhat.  Nothing but the Hessian is floored,
-so derivatives stay exact and non-zero in both tails; the extreme family
-is finite until e^s overflows (s near 709), where a call raises
-NumericError, without numpy's overflow warnings, instead of returning a
-silent zero.  The Hessian is floored at HESSIAN_FLOOR by default because
-the exact curvature can be non-positive far from the optimum while leaf
-weights need H > 0.
+distributions.py, and from one base, AftLoss, that writes bind, loss,
+grad_hess, grad, hess and to_config once.  An objective is only its
+arithmetic, _value and _grad_hess_raw.  loss.bind(t, delta) checks t and
+delta once and keeps log t and the event mask; its two calls, loss(yhat)
+and grad_hess(yhat), a fit's per-round call, are where numpy's warnings
+are silenced, every result is judged finite and the Hessian is floored,
+each written once.  When the censoring baseline is the event baseline,
+the Clayton loss reads their one margin once.  loss, grad_hess, grad and
+hess(t, delta, yhat) are thin calls through bind that also check yhat.
+Nothing but the Hessian is floored, so derivatives stay exact and
+non-zero in both tails; the extreme family is finite until e^s overflows
+(s near 709), where a call raises NumericError, without numpy's overflow
+warnings, instead of returning a silent zero.  The Hessian is floored at
+HESSIAN_FLOOR by default because the exact curvature can be non-positive
+far from the optimum while leaf weights need H > 0.
 
 A loss config is the JSON object {"loss": tag, **fields}: to_config
 writes it and loss_from_config reads it, and no other module reads or
@@ -42,8 +44,9 @@ from .errors import ABOVE, PARSE, ConfigError, DomainError, NumericError, Record
 
 HESSIAN_FLOOR = 1e-6
 
-# decorates each call that ends in _finite: an overflow or invalid value
-# there is a NumericError, so numpy's warnings would only repeat it
+# decorates the two _Bound calls, each of which ends in _finite: an
+# overflow or invalid value there is a NumericError, so numpy's warnings
+# would only repeat it
 _judged = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -61,14 +64,20 @@ class _Bound:
         self.log_t = np.log(t)
         self.objective = loss
 
+    @_judged
     def loss(self, yhat) -> np.ndarray:
         """Loss value per observation."""
-        return self.objective._value(self, yhat)
+        out = self.objective._value(self, yhat)
+        _finite(out)
+        return out
 
-    def grad_hess(self, yhat):
-        """(gradient, floored Hessian) pair: a fit's per-round call."""
+    @_judged
+    def grad_hess(self, yhat, floor: bool = True):
+        """(gradient, Hessian) pair, the Hessian floored unless
+        floor=False: a fit's per-round call."""
         g, h = self.objective._grad_hess_raw(self, yhat)
-        return g, np.maximum(h, HESSIAN_FLOOR)
+        _finite(g, h)
+        return g, (np.maximum(h, HESSIAN_FLOOR) if floor else h)
 
 
 def _inputs(loss, t, delta, yhat):
@@ -121,7 +130,7 @@ class AftLoss:
     """The methods both objectives share.  Each objective is a frozen
     Record of its parameters (AftLoss describes no config, so is none)
     with a `tag`, the config's "loss" key, and its own _value and
-    _grad_hess_raw over a _Bound fit."""
+    _grad_hess_raw over a _Bound fit, which judge and floor nothing."""
 
     tag: str
 
@@ -129,16 +138,25 @@ class AftLoss:
         """The loss bound to one fit's times and event indicators."""
         return _Bound(self, t, delta)
 
+    def loss(self, t, delta, yhat) -> np.ndarray:
+        """Loss value per observation."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.loss(yhat)
+
+    def grad_hess(self, t, delta, yhat):
+        """(gradient, floored Hessian) pair per observation."""
+        fit, yhat = _inputs(self, t, delta, yhat)
+        return fit.grad_hess(yhat)
+
     def grad(self, t, delta, yhat) -> np.ndarray:
         """d loss / d yhat per observation."""
         fit, yhat = _inputs(self, t, delta, yhat)
-        return self._grad_hess_raw(fit, yhat)[0]
+        return fit.grad_hess(yhat)[0]
 
     def hess(self, t, delta, yhat, floor: bool = True) -> np.ndarray:
         """d^2 loss / d yhat^2 per observation, floored unless floor=False."""
         fit, yhat = _inputs(self, t, delta, yhat)
-        h = self._grad_hess_raw(fit, yhat)[1]
-        return np.maximum(h, HESSIAN_FLOOR) if floor else h
+        return fit.grad_hess(yhat, floor)[1]
 
     def to_config(self) -> dict:
         """The config loss_from_config reads back to an equal loss."""
@@ -173,19 +191,10 @@ class ClaytonAftLoss(AftLoss, Record):
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
     censor_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
-    # loss and grad_hess stay in each class body: the benchmark's span
-    # tracer (perfbench/spans.py) wraps them class by class
-    def loss(self, t, delta, yhat) -> np.ndarray:
-        """Loss value per observation."""
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return fit.loss(yhat)
+    # perfbench/spans.py wraps loss and grad_hess from each class's own
+    # __dict__, so each class body names them
+    loss, grad_hess = AftLoss.loss, AftLoss.grad_hess
 
-    def grad_hess(self, t, delta, yhat):
-        """(gradient, floored Hessian) pair for the boosting engine."""
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return fit.grad_hess(yhat)
-
-    @_judged
     def _value(self, fit: _Bound, yhat) -> np.ndarray:
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
         log_t, delta = fit.log_t, fit.delta
@@ -194,11 +203,8 @@ class ClaytonAftLoss(AftLoss, Record):
         own_log_s = np.where(delta, z.log_s, v.log_s)
         own_log_f = np.where(delta, z.log_f, v.log_f)
         own_log_sigma = np.where(delta, np.log(ez.sigma), np.log(ev.sigma))
-        out = (1.0 + 1.0 / th) * log_d + ((1.0 + th) * own_log_s - own_log_f + own_log_sigma + log_t)
-        _finite(out)
-        return out
+        return (1.0 + 1.0 / th) * log_d + ((1.0 + th) * own_log_s - own_log_f + own_log_sigma + log_t)
 
-    @_judged
     def _grad_hess_raw(self, fit: _Bound, yhat):
         th, ez, ev = self.theta, self.event_baseline, self.censor_baseline
         log_t, delta = fit.log_t, fit.delta
@@ -230,7 +236,6 @@ class ClaytonAftLoss(AftLoss, Record):
         gap = z1 - v1
         spread = (u * gap) * (w * gap) - (u * z1 * inv_d) * z1 - (w * v1 * inv_d) * v1
         hess = (1.0 + th) * (weight * (own2 - other2) - own2 * inv_d) + th * (1.0 + th) * spread - f2
-        _finite(grad, hess)
         return grad, hess
 
 
@@ -245,30 +250,17 @@ class IndependentAftLoss(AftLoss, Record):
     event_baseline: BaselineSpec = field(metadata={PARSE: BaselineSpec.from_dict})
 
     # in the class body, as in ClaytonAftLoss, for perfbench/spans.py
-    def loss(self, t, delta, yhat) -> np.ndarray:
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return fit.loss(yhat)
+    loss, grad_hess = AftLoss.loss, AftLoss.grad_hess
 
-    def grad_hess(self, t, delta, yhat):
-        fit, yhat = _inputs(self, t, delta, yhat)
-        return fit.grad_hess(yhat)
-
-    @_judged
     def _value(self, fit: _Bound, yhat) -> np.ndarray:
         ez = self.event_baseline
         z = _margin(ez, fit.log_t, yhat)
-        out = np.where(fit.delta, -z.log_f + np.log(ez.sigma) + fit.log_t, -z.log_s)
-        _finite(out)
-        return out
+        return np.where(fit.delta, -z.log_f + np.log(ez.sigma) + fit.log_t, -z.log_s)
 
-    @_judged
     def _grad_hess_raw(self, fit: _Bound, yhat):
         ez = self.event_baseline
         z1, z2, fz1, fz2 = _derivs(_margin(ez, fit.log_t, yhat), ez)
-        grad = -np.where(fit.delta, fz1, z1)
-        hess = -np.where(fit.delta, fz2, z2)
-        _finite(grad, hess)
-        return grad, hess
+        return -np.where(fit.delta, fz1, z1), -np.where(fit.delta, fz2, z2)
 
 
 def loss_from_config(config: dict) -> AftLoss:

@@ -29,7 +29,7 @@ import numpy as np
 from .copula import CopulaSpec, clayton_theta_for_tau, kendall_tau, sample_pairs
 from .dataset import SurvivalDataset, survival_arrays
 from .distributions import BaselineSpec
-from .errors import ABOVE, AT_LEAST, PARSE, DataError, Record
+from .errors import ABOVE, AT_LEAST, PARSE, ConfigError, DataError, Record
 from .metrics import count_larger_before
 
 N_FEATURES = 10
@@ -183,6 +183,12 @@ def generate(config: DgpConfig) -> SimulatedDataset:
     SimulatedDataset).  Measuring it draws no random numbers, so the
     data columns do not depend on it.
     """
+    tau = kendall_tau(config.copula)
+    if tau == 1.0:
+        # from theta ~ 9e15 tau can round to 1, which no finite Clayton
+        # parameter matches: refused before any draw
+        raise ConfigError(f"{config.copula.family} copula theta {config.copula.theta!r} has a "
+                          "Kendall tau that rounds to 1; no Clayton parameter matches it")
     rng = np.random.default_rng(config.seed)
     T, U, X = draw_margins(config, rng)
     # times out of the float range are a data error naming the fields that scale them
@@ -200,7 +206,6 @@ def generate(config: DgpConfig) -> SimulatedDataset:
     )
     baseline = BaselineSpec("extreme", 1.0 / config.weibull_shape)
     theta = float(config.copula.theta)
-    tau = kendall_tau(config.copula)
     equivalent_theta = clayton_theta_for_tau(max(tau, 0.0))
     residual_tau = _kendall_tau(t_w / h_function(x_w), u_w)
     # a tiny sample with every pair concordant has tau 1, which no finite

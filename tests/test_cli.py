@@ -79,6 +79,19 @@ def test_simulate_deterministic(tmp_path):
     assert (tmp_path / "a" / "data.csv").read_bytes() == (tmp_path / "b" / "data.csv").read_bytes()
 
 
+def test_simulate_seed_flag_writes_the_bytes_of_the_config_seed(tmp_path):
+    # --seed 11 overrides the config's seed 7: the bytes of a config with seed 11
+    cfg = _write(tmp_path / "sim.json", SIM_CFG)
+    runs = {"flag": ["--config", cfg, "--seed", "11"],
+            "field": ["--config", _write(tmp_path / "seeded.json", {**SIM_CFG, "seed": 11})],
+            "own": ["--config", cfg]}
+    for name, argv in runs.items():
+        assert main(["simulate", *argv, "--out", str(tmp_path / name), "--quiet"]) == 0
+    for name in ("data.csv", "metadata.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "field" / name).read_bytes()
+    assert (tmp_path / "flag" / "data.csv").read_bytes() != (tmp_path / "own" / "data.csv").read_bytes()
+
+
 def test_simulate_bad_config_exit_2(tmp_path):
     cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "n": 0})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -115,6 +128,28 @@ def test_simulate_gumbel_at_large_theta_exit_0_without_warnings(tmp_path, theta,
         warnings.simplefilter("error")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# each family's largest theta whose Kendall tau is below 1 in double
+# precision, and one past it, where tau rounds to 1
+TAU_EDGES = [("gumbel", 9e15, 1e16), ("clayton", 1.8e16, 1.9e16), ("frank", 4e16, 1e17)]
+
+
+@pytest.mark.parametrize("family, below, past", TAU_EDGES)
+def test_simulate_copula_whose_tau_rounds_to_1_exit_2_before_any_draw(tmp_path, capsys, family, below, past):
+    # tau = 1 matches no Clayton parameter: it was exit 3 after every draw,
+    # with a message that named neither the copula nor theta
+    for theta in (below, -1e17) if family == "frank" else (below,):
+        cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "seed": 0, "copula": {"family": family, "theta": theta}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / f"o{theta}"), "--quiet"]) == 0
+    for theta in (past, 1e300):
+        cfg = _write(tmp_path / "sim.json", {**SIM_CFG, "seed": 0, "copula": {"family": family, "theta": theta}})
+        out = tmp_path / "past"
+        with mock.patch("depaft.simulate.draw_margins", side_effect=AssertionError("drew")):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: {family} copula theta {theta!r} has a Kendall tau "
+                                           "that rounds to 1; no Clayton parameter matches it\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("theta", [5e-309, 1e-310, 5e-324])
@@ -362,6 +397,15 @@ def test_train_reports_its_loss_without_walking_a_tree(sim_dir, tmp_path, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_config_without_a_loss_section_exit_2_and_writes_nothing(sim_dir, tmp_path, capsys, command):
+    cfg = _write(tmp_path / "t.json", {"train": TRAIN_CFG["train"]})
+    out = tmp_path / "out"
+    assert main([command, "--data", str(sim_dir / "data.csv"), "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: train config requires a 'loss' section\n"
+    assert not out.exists()
+
+
 def test_train_unknown_loss_exit_2(sim_dir, tmp_path):
     cfg = _write(tmp_path / "t.json", {"loss": {"loss": "coxph"}})
     assert main(["train", "--data", str(sim_dir / "data.csv"), "--config", cfg,
@@ -408,6 +452,16 @@ def test_predict_model_that_is_not_utf8_exit_3(sim_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {model}: malformed model file: ") and err.count("\n") == 1
+
+
+def test_predict_model_that_is_a_json_array_exit_3(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]")
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(sim_dir / "data.csv"),
+                 "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"data error: {model}: model file must hold a JSON object\n"
+    assert not out.exists()
 
 
 def test_config_and_model_files_read_past_a_bom(sim_dir, tmp_path):
@@ -1130,12 +1184,26 @@ _POSITIVE = st.one_of(st.floats(0.5, 5.0),
                       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 _BAD_POSITIVE = st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=0.0))
 _FINITE = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
-# (valid theta, invalid theta) of each copula family
+# (valid theta, invalid theta) of each copula family; a theta whose
+# Kendall tau rounds to 1 is invalid, so the valid ones stop at each
+# family's last working theta in TAU_EDGES, and the invalid ones start
+# where every theta's tau is 1.  That is 2**56 for Frank, but twice the
+# first refused theta for Gumbel (2**53) and Clayton (2**54): between the
+# two, theta - 1 and theta + 2 round to theta for most theta, and away
+# from it for the rest, whose tau stays below 1
+_BELOW = {family: below for family, below, _ in TAU_EDGES}
+_PAST = {family: st.floats(min_value=past, allow_infinity=False)
+         for family, past in (("gumbel", 2.0**54), ("clayton", 2.0**55), ("frank", 2.0**56))}
 _COPULA_THETAS = {
-    "clayton": (_POSITIVE, _BAD_POSITIVE),
-    "gumbel": (st.one_of(st.floats(1.0, 10.0), st.floats(min_value=1.0, allow_infinity=False)),
-               st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
-    "frank": (_FINITE.filter(lambda theta: theta != 0), st.one_of(_JUNK, _NON_FINITE, st.just(0.0))),
+    "clayton": (st.one_of(st.floats(0.5, 5.0), st.floats(0.0, _BELOW["clayton"], exclude_min=True)),
+                st.one_of(_BAD_POSITIVE, _PAST["clayton"])),
+    "gumbel": (st.one_of(st.floats(1.0, 10.0), st.floats(1.0, _BELOW["gumbel"])),
+               st.one_of(_JUNK, _NON_FINITE, st.floats(max_value=1.0, exclude_max=True),
+                         _PAST["gumbel"])),
+    "frank": (st.one_of(st.floats(-10.0, 10.0), st.floats(max_value=_BELOW["frank"], allow_nan=False,
+                                                          allow_infinity=False))
+              .filter(lambda theta: theta != 0),
+              st.one_of(_JUNK, _NON_FINITE, st.just(0.0), _PAST["frank"])),
     "independent": (_FINITE, st.one_of(_JUNK, _NON_FINITE)),
 }
 
@@ -1202,6 +1270,8 @@ def _simulate_configs(draw):
 # the stable sampler's mixing leaves the float range, and is drawn in log space
 @example(drawn=({"n": 60, "c": 1.49, "copula": {"family": "gumbel", "theta": 1e6}}, True))
 @example(drawn=({"n": 60, "c": 1.49, "copula": {"family": "clayton", "theta": "x"}}, False))
+# 2**54, the first Clayton theta whose Kendall tau rounds to 1
+@example(drawn=({"n": 2, "c": 1.0, "copula": {"family": "clayton", "theta": 2.0**54}}, False))
 @settings(max_examples=300, deadline=2000)
 def test_fuzzed_simulate_config_exits_with_a_documented_code(fuzz_dir, drawn):
     # a simulate config with each field, the copula section's too, drawn

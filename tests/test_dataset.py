@@ -128,6 +128,15 @@ def test_predictions_round_trip(tmp_path):
     assert np.array_equal(back_t, np.exp(log_t))
 
 
+@pytest.mark.parametrize("n_log, n_time", [(3, 5), (5, 3), (0, 1)])
+def test_predictions_of_unequal_lengths_are_refused_before_the_file(tmp_path, n_log, n_time):
+    # the writer took the shorter column's rows and dropped the rest
+    path = tmp_path / "p.csv"
+    with pytest.raises(DataError, match=f"predicted_time has {n_time} rows where predicted_log_time has {n_log}$"):
+        write_predictions_csv(np.zeros(n_log), np.ones(n_time), path)
+    assert not path.exists()
+
+
 def test_predictions_bad_header(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("a,b\n1,2\n")

@@ -340,16 +340,26 @@ def _bits(*arrays):
 def test_bound_grad_hess_has_the_bits_of_the_one_off_call(ez, ev):
     # a fit binds t and delta once, then calls grad_hess(yhat) each round:
     # the same bits as grad_hess(t, delta, yhat), theta from 1e-10 to 1e3
-    # and event residuals s out to +-50, both event classes in one array
+    # and event residuals s out to +-50, both event classes in one array;
+    # grad and hess give the same bits as the pair, and hess(floor=False)
+    # the raw Hessian the pair floors, which the floor lifts somewhere on
+    # this grid
     s = np.linspace(-50.0, 50.0, 201)
     t = np.full(2 * s.size, 1.7)
     delta = np.repeat([0, 1], s.size)
     yhat = math.log(1.7) - np.tile(s, 2) * ez.sigma
     losses = [IndependentAftLoss(ez)] + [ClaytonAftLoss(th, ez, ev) for th in np.logspace(-10, 3, 14)]
+    floored = False
     for loss in losses:
         bound = loss.bind(t, delta)
-        assert _bits(*bound.grad_hess(yhat)) == _bits(*loss.grad_hess(t, delta, yhat))
+        g, h = loss.grad_hess(t, delta, yhat)
+        assert _bits(*bound.grad_hess(yhat)) == _bits(g, h)
         assert _bits(bound.loss(yhat)) == _bits(loss.loss(t, delta, yhat))
+        raw = loss.hess(t, delta, yhat, floor=False)
+        assert _bits(loss.grad(t, delta, yhat), loss.hess(t, delta, yhat)) == _bits(g, h)
+        assert _bits(np.maximum(raw, HESSIAN_FLOOR)) == _bits(h)
+        floored |= bool(np.any(raw < HESSIAN_FLOOR))
+    assert floored
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -378,7 +388,8 @@ def test_bound_extreme_overflow_is_the_one_off_numeric_error():
         bound = loss.bind(t, d)
         for yhat in (np.full(2, -237.0), np.array([0.0, -240.0])):
             for call in (lambda: bound.grad_hess(yhat), lambda: loss.grad_hess(t, d, yhat),
-                         lambda: bound.loss(yhat), lambda: loss.loss(t, d, yhat)):
+                         lambda: bound.loss(yhat), lambda: loss.loss(t, d, yhat),
+                         lambda: loss.grad(t, d, yhat), lambda: loss.hess(t, d, yhat, floor=False)):
                 with pytest.raises(NumericError, match="^non-finite loss value or derivative$"):
                     call()
 

@@ -346,6 +346,25 @@ def test_study_cli_malformed_task_file_exit_3_before_any_table(finished_study, t
     assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv"))
 
 
+def test_study_cli_task_file_with_calibration_curves_of_unequal_length_exit_3(finished_study, tmp_path,
+                                                                              capsys):
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"):
+        (out / name).unlink()
+    task = out / "partial" / "task_g002_r0000.json"
+    record = json.loads(task.read_text())
+    record["models"]["clayton"]["calibration"]["observed_proportion"].pop()
+    task.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {task}: malformed task file: clayton calibration curves differ in length\n"
+    )
+    assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"))
+
+
 def test_study_cli_task_file_that_is_a_directory_exit_3(finished_study, tmp_path, capsys):
     cfg, finished = finished_study
     out = tmp_path / "out"
