@@ -17,7 +17,7 @@ from . import booster, dataset
 from .booster import TrainConfig
 from .errors import ConfigError, DataError, NumericError, read_json, section, writing
 from .loss import loss_from_config
-from .metrics import evaluate_predictions
+from .metrics import CURVE_COLUMNS, CURVE_FIELDS, evaluate_predictions
 from .parallel import usable_cpus
 from .simulate import DgpConfig, generate
 from .studies import StudyConfig, run_study
@@ -105,18 +105,23 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data = dataset.read_csv(args.data)
-    _, predicted_times = dataset.read_predictions_csv(args.predictions)
+    log_times, predicted_times = dataset.read_predictions_csv(args.predictions)
     report = evaluate_predictions(data, predicted_times, n_horizons=args.horizons)
+    # the file's two columns must agree: each predicted time is exp of
+    # its log time to a relative 1e-12, where inf matches inf
+    with np.errstate(over="ignore"):
+        expected = np.exp(log_times)
+    agree = np.isclose(predicted_times, expected, rtol=1e-12, atol=0.0)
+    if not agree.all():
+        k = int(np.argmin(agree))  # the first row that disagrees, on line k + 2
+        raise DataError(f"{args.predictions}: line {k + 2}: predicted_time {float(predicted_times[k])!r}"
+                        f" is not exp(predicted_log_time {float(log_times[k])!r})")
     curve = report.calibration
     with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
-        dataset.write_rows(
-            os.path.join(args.out, "calibration.csv"),
-            ["horizon", "predicted_proportion", "observed_proportion"],
-            zip(curve.horizons.tolist(), curve.predicted_proportion.tolist(),
-                curve.observed_proportion.tolist()),
-        )
+        dataset.write_table(os.path.join(args.out, "calibration.csv"), CURVE_COLUMNS,
+                            [getattr(curve, name) for name in CURVE_FIELDS])
     _say(args, f"c-index {report.c_index:.4f}; metrics in {args.out}")
     return 0
 

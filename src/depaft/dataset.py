@@ -8,10 +8,10 @@ true_event_time and true_censor_time.  Predictions CSV columns
 written as str(float), the shortest digits that read back to the same
 value, so re-reading is bit-exact and output bytes are deterministic.
 
-_write_blocks is the package's one CSV writer: the dataset and
-prediction schemas here (through _write_table) and the study and
-calibration tables elsewhere (through write_rows) all go through it.
-Both it and the reader core work a block of _BLOCK_ROWS rows at a time.
+write_table is the package's one CSV writer: the dataset and
+prediction schemas here and the study and calibration tables elsewhere
+all hand it their columns.  Both it and the reader core work a block of
+_BLOCK_ROWS rows at a time.
 _parse_rows tokenises with csv.reader, checks every row's width,
 refuses a block whose fields hold a character no plain number has
 (_plain), converts all of its fields with one
@@ -116,41 +116,28 @@ class SurvivalDataset:
 _BLOCK_ROWS = 1024
 
 
-def write_rows(path, header, rows) -> None:
-    """Write a header and rows of fields as CSV (see _write_blocks)."""
-    rows = iter(rows)
-    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
-    _write_blocks(path, header, (zip(*block) for block in blocks))
+def write_table(path, header, columns) -> None:
+    """The one CSV writer: a header, then equal-length columns, each an
+    array or a sequence of ints, floats or strs of one kind.
 
-
-def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length array columns as CSV, turned into Python
-    scalars (tolist) one block of rows at a time; columns of unequal
-    length are a DataError, raised before the file is opened."""
+    Each column goes through np.asarray and is turned into Python
+    scalars (tolist) one block of _BLOCK_ROWS rows at a time.  Each field
+    is str() of one: floats round-trip bit-exactly and ints print as
+    digits.  Fields are not quoted and lines end in \r\n, the bytes
+    csv.writer gives for these fields.  A block is formatted column by
+    column and written in one call, so a long table never sits in memory
+    as text.  Columns of unequal length are a DataError, raised before
+    the file is opened.
+    """
+    columns = [np.asarray(col) for col in columns]
     n = len(columns[0])
     for name, col in zip(header, columns):
         if len(col) != n:
             raise DataError(f"{path}: column {name} has {len(col)} rows where {header[0]} has {n}")
-    _write_blocks(path, header, (
-        [col[a:a + _BLOCK_ROWS].tolist() for col in columns]
-        for a in range(0, n, _BLOCK_ROWS)
-    ))
-
-
-def _write_blocks(path, header, blocks) -> None:
-    """The one CSV writer: a header, then each block of rows, given as
-    its columns.
-
-    Each field is str() of a Python int, float or str: floats round-trip
-    bit-exactly and ints print as digits.  Fields are not quoted and
-    lines end in \r\n, the bytes csv.writer gives for these fields.  A
-    block is formatted column by column and written in one call, so a
-    long table never sits in memory whole.
-    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            fields = [map(str, col) for col in columns]
+        for a in range(0, n, _BLOCK_ROWS):
+            fields = [map(str, col[a:a + _BLOCK_ROWS].tolist()) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
@@ -163,7 +150,7 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
     columns = [dataset.times, dataset.events] + list(dataset.X.T)
     if dataset.has_oracle:
         columns += [dataset.true_event_times, dataset.true_censor_times]
-    _write_table(path, _data_header(dataset.n_features, dataset.has_oracle), columns)
+    write_table(path, _data_header(dataset.n_features, dataset.has_oracle), columns)
 
 
 @contextmanager
@@ -272,8 +259,8 @@ def read_csv(path) -> SurvivalDataset:
 
 
 def write_predictions_csv(log_times: np.ndarray, times: np.ndarray, path) -> None:
-    _write_table(path, list(PREDICTION_COLUMNS),
-                 [np.asarray(log_times, dtype=float), np.asarray(times, dtype=float)])
+    write_table(path, PREDICTION_COLUMNS,
+                [np.asarray(log_times, dtype=float), np.asarray(times, dtype=float)])
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:

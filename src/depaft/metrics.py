@@ -124,6 +124,12 @@ def event_mae(observed_times, events, predicted_times) -> float:
 MAX_HORIZONS = 100_000
 
 
+# a calibration curve's three arrays, and their columns in a per-horizon
+# CSV table, in the same order
+CURVE_FIELDS = ("horizons", "predicted_proportion", "observed_proportion")
+CURVE_COLUMNS = ("horizon", "predicted_proportion", "observed_proportion")
+
+
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Cumulative predicted vs observed event proportions at a ladder of
@@ -135,12 +141,8 @@ class CalibrationCurve:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "horizons": [float(x) for x in self.horizons],
-            "predicted_proportion": [float(x) for x in self.predicted_proportion],
-            "observed_proportion": [float(x) for x in self.observed_proportion],
-            "degenerate": self.degenerate,
-        }
+        return {**{name: getattr(self, name).tolist() for name in CURVE_FIELDS},
+                "degenerate": self.degenerate}
 
 
 def calibration(reference_times, predicted_times, n_horizons: int = 9) -> CalibrationCurve:

@@ -36,11 +36,11 @@ import numpy as np
 
 from .booster import TrainConfig
 from .copula import CopulaSpec
-from .dataset import write_rows
+from .dataset import write_table
 from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, number, read_json,
                      writing)
 from .loss import ClaytonAftLoss, IndependentAftLoss
-from .metrics import MAX_HORIZONS, evaluate_predictions
+from .metrics import CURVE_COLUMNS, CURVE_FIELDS, MAX_HORIZONS, evaluate_predictions
 from .parallel import check_workers, task_map
 from .simulate import DgpConfig, generate
 from .tuning import CvConfig, grid_search
@@ -58,6 +58,13 @@ STUDY3_COPULAS = (
 )
 
 MODELS = ("clayton", "independent")
+
+# the columns of the study tables, each named once: a grid point's
+# setting, a task's censoring fractions and a fit's test scores (the
+# names of its MetricsReport fields)
+SETTING = ("study", "grid_index", "grid_label", "copula_family", "copula_theta", "c")
+CENSORING = ("train_censoring", "test_censoring")
+SCORES = ("c_index", "mae", "event_mae")
 
 # CV stop rule of every study's round selection, in checkpoints: the
 # shortest patience that changes no outcome an acceptance criterion reads
@@ -174,8 +181,7 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
         "copula_theta": point.copula.theta,
         "c": point.c,
         "rep": rep,
-        "train_censoring": sim_train.censoring_fraction,
-        "test_censoring": sim_test.censoring_fraction,
+        **dict(zip(CENSORING, (sim_train.censoring_fraction, sim_test.censoring_fraction))),
         "models": {},
     }
     for name in MODELS:
@@ -188,9 +194,7 @@ def run_task(config: StudyConfig, point: GridPoint, rep: int) -> dict:
         record["models"][name] = {
             "rounds": result["best"]["rounds"],
             "cv_score": result["best"]["mean_score"],
-            "c_index": report.c_index,
-            "mae": report.mae,
-            "event_mae": report.event_mae,
+            **{key: getattr(report, key) for key in SCORES},
             "calibration": report.calibration.to_dict(),
         }
     return record
@@ -212,24 +216,26 @@ def _read_task(path: str, fingerprint: dict) -> dict:
     A file that is not JSON, or that lacks the fingerprint or a field
     _write_results reads or holds one of the wrong kind, is a DataError
     naming the file, so it is refused before any table is written; one
-    run under another fingerprint is a ConfigError naming it.
+    run under another fingerprint is a ConfigError naming it.  Each
+    field _write_results reads holds the value number() returns, so a
+    count written as 5.0 is the int 5, as in a fresh record.
     """
     record = read_json(path, DataError, "task file")
     try:
         written_under = record["fingerprint"]
-        for key in ("train_censoring", "test_censoring"):
-            number(record[key], float, key, DataError)
+        for key in CENSORING:
+            record[key] = number(record[key], float, key, DataError)
         for model in MODELS:
             fit = record["models"][model]
-            number(fit["rounds"], int, f"{model} rounds", DataError)
-            for key in ("c_index", "mae", "event_mae"):
-                number(fit[key], float, f"{model} {key}", DataError)
-            curves = [fit["calibration"][name] for name in CURVE_FIELDS]
-            if len({len(curve) for curve in curves}) != 1:
+            fit["rounds"] = number(fit["rounds"], int, f"{model} rounds", DataError)
+            for key in SCORES:
+                fit[key] = number(fit[key], float, f"{model} {key}", DataError)
+            calibration = fit["calibration"]
+            if len({len(calibration[name]) for name in CURVE_FIELDS}) != 1:
                 raise DataError(f"{model} calibration curves differ in length")
-            for curve in curves:
-                for x in curve:
-                    number(x, float, f"{model} calibration entry", DataError)
+            for name in CURVE_FIELDS:
+                calibration[name] = [number(x, float, f"{model} calibration entry", DataError)
+                                     for x in calibration[name]]
     except KeyError as exc:
         raise DataError(f"{path}: task file misses field {exc}") from exc
     except (ValueError, TypeError) as exc:  # a field of the wrong kind
@@ -238,6 +244,11 @@ def _read_task(path: str, fingerprint: dict) -> dict:
     if written_under != fingerprint:
         raise ConfigError(f"{path} holds a task of a different study config; "
                           "use a new output directory")
+    for model in MODELS:
+        n = len(record["models"][model]["calibration"]["horizons"])
+        if n != fingerprint["n_horizons"]:
+            raise DataError(f"{path}: malformed task file: {model} calibration curves hold {n} "
+                            f"entries, not n_horizons = {fingerprint['n_horizons']}")
     del record["fingerprint"]
     return record
 
@@ -305,50 +316,34 @@ def _mean(dicts, key) -> float:
     return float(np.mean([d[key] for d in dicts]))
 
 
-CURVE_FIELDS = ("horizons", "predicted_proportion", "observed_proportion")
-
-
 def _write_results(config, points, records, out_dir):
     """Write the three study tables from one pass over points x models.
 
-    results.csv has a row per repetition; results_mean.csv and
-    calibration_mean.csv (per horizon) average over repetitions.
+    results.csv has a row per repetition; results_mean.csv (the test
+    censoring and the scores) and calibration_mean.csv (per horizon)
+    average over repetitions.  Every curve holds n_horizons entries
+    (_read_task refuses a task file whose curves do not).
     """
     results, means, curves = [], [], []
+    per_rep = ("rounds", *CENSORING, *SCORES)
+    averaged = (CENSORING[1], *SCORES)
     for point in points:
         recs = [records[(point.index, rep)] for rep in range(config.repetitions)]
-        grid = [config.study, point.index, point.label]
-        setting = grid + [point.copula.family, float(point.copula.theta), float(point.c)]
+        setting = [config.study, point.index, point.label, point.copula.family, point.copula.theta,
+                   point.c]
         for model in MODELS:
-            fits = [rec["models"][model] for rec in recs]
-            for rep, (rec, fit) in enumerate(zip(recs, fits)):
-                results.append(setting + [
-                    model, rep, fit["rounds"],
-                    float(rec["train_censoring"]), float(rec["test_censoring"]),
-                    float(fit["c_index"]), float(fit["mae"]), float(fit["event_mae"]),
-                ])
-            means.append(setting + [
-                model, config.repetitions, _mean(recs, "test_censoring"),
-                _mean(fits, "c_index"), _mean(fits, "mae"), _mean(fits, "event_mae"),
-            ])
-            model_curves = [fit["calibration"] for fit in fits]
-            n_h = min(len(curve["horizons"]) for curve in model_curves)
-            for j in range(n_h):
-                curves.append(grid + [model, j] + [
-                    float(np.mean([curve[name][j] for curve in model_curves]))
-                    for name in CURVE_FIELDS
-                ])
+            # each repetition's task fields and its fit's
+            rows = [{**rec, **rec["models"][model]} for rec in recs]
+            for rep, row in enumerate(rows):
+                results.append([*setting, model, rep, *(row[key] for key in per_rep)])
+            means.append([*setting, model, config.repetitions, *(_mean(rows, key) for key in averaged)])
+            for j in range(config.n_horizons):
+                curves.append([*setting[:3], model, j, *(
+                    float(np.mean([row["calibration"][name][j] for row in rows])) for name in CURVE_FIELDS
+                )])
 
-    setting_header = ["study", "grid_index", "grid_label", "copula_family", "copula_theta", "c"]
-    write_rows(os.path.join(out_dir, "results.csv"), setting_header + [
-        "model", "rep", "rounds", "train_censoring", "test_censoring",
-        "c_index", "mae", "event_mae",
-    ], results)
-    write_rows(os.path.join(out_dir, "results_mean.csv"), setting_header + [
-        "model", "repetitions", "mean_test_censoring", "mean_c_index",
-        "mean_mae", "mean_event_mae",
-    ], means)
-    write_rows(os.path.join(out_dir, "calibration_mean.csv"), [
-        "study", "grid_index", "grid_label", "model", "horizon_index",
-        "horizon", "predicted_proportion", "observed_proportion",
-    ], curves)
+    write_table(os.path.join(out_dir, "results.csv"), (*SETTING, "model", "rep", *per_rep), zip(*results))
+    write_table(os.path.join(out_dir, "results_mean.csv"),
+                (*SETTING, "model", "repetitions", *(f"mean_{key}" for key in averaged)), zip(*means))
+    write_table(os.path.join(out_dir, "calibration_mean.csv"),
+                (*SETTING[:3], "model", "horizon_index", *CURVE_COLUMNS), zip(*curves))

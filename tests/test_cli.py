@@ -282,6 +282,30 @@ def test_evaluate_infinite_mae_exit_4(sim_dir, tmp_path, capsys, time):
     assert not (tmp_path / "eval").exists()
 
 
+def test_evaluate_predictions_whose_columns_disagree_exit_3(sim_dir, tmp_path, capsys):
+    # each predicted time must be exp of its log time to a relative 1e-12:
+    # a file that breaks this is refused, naming its first such line, and
+    # nothing is written; one within the tolerance is scored
+    n = read_csv(sim_dir / "data.csv").n
+    rows = ["predicted_log_time,predicted_time"] + ["0.0,1.0"] * n
+    rows[1] = "0.0,1.0000000000005"
+    rows[3] = "0.25,1e-300"
+    rows[6] = "0.0,2.0"
+    preds, out = tmp_path / "p.csv", tmp_path / "eval"
+    preds.write_text("\n".join(rows) + "\n")
+    argv = ["evaluate", "--predictions", str(preds), "--data", str(sim_dir / "data.csv"),
+            "--out", str(out), "--quiet"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {preds}: line 4: predicted_time 1e-300 is not exp(predicted_log_time 0.25)\n"
+    )
+    assert not out.exists()
+    rows[3] = rows[6] = "0.25,1.2840254166877414"
+    preds.write_text("\n".join(rows) + "\n")
+    assert main(argv) == 0
+    assert (out / "metrics.json").exists()
+
+
 def test_write_json_refuses_non_finite_numbers_before_opening(tmp_path):
     path = tmp_path / "out.json"
     for value in (float("inf"), -float("inf"), float("nan")):
@@ -873,7 +897,7 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
 # was re-recorded again when save() moved to json.dumps: floats are now
 # written as repr instead of at 17 significant digits, and the file loads
 # back to the same bits.  calibration.csv was recorded from evaluate's own
-# csv.writer, before it moved onto dataset.write_rows.  Any change to
+# csv.writer, before it moved onto the package's CSV writer.  Any change to
 # these bytes must be deliberate.  One set per numpy dispatch level
 # (tests/pins.py).
 PINNED_SHA256 = {

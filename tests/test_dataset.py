@@ -9,7 +9,7 @@ from depaft.dataset import (
     read_predictions_csv,
     write_csv,
     write_predictions_csv,
-    write_rows,
+    write_table,
 )
 from depaft.errors import DataError
 
@@ -212,7 +212,7 @@ def test_write_csv_matches_csv_module_and_round_trips(tmp_path, n, oracle):
 
 
 @pytest.mark.parametrize("n", [0, 1, 1024, 1025])
-def test_write_rows_matches_csv_module(tmp_path, n):
+def test_write_table_matches_csv_module(tmp_path, n):
     # the study tables mix ints, labels and floats of every repr form
     rows = [[3, i, f"theta={AWKWARD[i % 8]:g}", "clayton", AWKWARD[i % 8], -AWKWARD[(i + 3) % 8],
              -0.0] for i in range(n)]
@@ -222,9 +222,14 @@ def test_write_rows_matches_csv_module(tmp_path, n):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    columns = [[row[j] for row in rows] for j in range(len(header))]
     path = tmp_path / "rows.csv"
-    write_rows(path, header, iter(rows))
+    write_table(path, header, columns)
     assert path.read_bytes() == ref.read_bytes()
+    # the same table with its float columns given as numpy arrays
+    arrays = tmp_path / "arrays.csv"
+    write_table(arrays, header, columns[:4] + [np.array(col, dtype=float) for col in columns[4:]])
+    assert arrays.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])

@@ -87,7 +87,7 @@ def test_run_study_outputs_and_resume(tmp_path):
 
 
 # SHA-256 of the TINY study-3 tables, recorded before the three tables
-# moved onto dataset.write_rows; any change to these bytes must be
+# moved onto the package's CSV writer; any change to these bytes must be
 # deliberate.  One set per numpy dispatch level (tests/pins.py).
 TINY_STUDY3_SHA256 = {
     "X86_V4": {
@@ -363,6 +363,49 @@ def test_study_cli_task_file_with_calibration_curves_of_unequal_length_exit_3(fi
         f"data error: {task}: malformed task file: clayton calibration curves differ in length\n"
     )
     assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"))
+
+
+def test_study_cli_task_file_with_fewer_horizons_than_the_config_exit_3(finished_study, tmp_path,
+                                                                        capsys):
+    # a curve shorter than n_horizons would drop horizons from calibration_mean.csv
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"):
+        (out / name).unlink()
+    task = out / "partial" / "task_g002_r0000.json"
+    record = json.loads(task.read_text())
+    for model in studies.MODELS:
+        curves = record["models"][model]["calibration"]
+        for name in studies.CURVE_FIELDS:
+            del curves[name][3:]
+    task.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {task}: malformed task file: clayton calibration curves hold 3 entries, "
+        "not n_horizons = 9\n"
+    )
+    assert not any((out / name).exists() for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"))
+
+
+def test_study_cli_resume_from_a_task_file_with_integral_floats_writes_fresh_bytes(finished_study,
+                                                                                  tmp_path):
+    # a round count written as 5.0 passes the reader, and the tables hold
+    # the int it reads as, not 5.0
+    cfg, finished = finished_study
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"):
+        (out / name).unlink()
+    for task in (out / "partial").iterdir():
+        record = json.loads(task.read_text())
+        for model in studies.MODELS:
+            record["models"][model]["rounds"] = float(record["models"][model]["rounds"])
+        task.write_text(json.dumps(record))
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    for name in ("results.csv", "results_mean.csv", "calibration_mean.csv"):
+        assert (out / name).read_bytes() == (finished / name).read_bytes(), name
 
 
 def test_study_cli_task_file_that_is_a_directory_exit_3(finished_study, tmp_path, capsys):
