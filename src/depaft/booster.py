@@ -49,14 +49,13 @@ lowest threshold.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import SurvivalDataset
 from .errors import (ABOVE, AT_LEAST, AT_MOST, ConfigError, DataError, NumericError,
-                     PersistenceError, Record, number, read_json)
+                     PersistenceError, Record, number, read_json, write_json)
 from .loss import loss_from_config
 
 FORMAT_VERSION = 1
@@ -390,10 +389,10 @@ def train(data: SurvivalDataset, loss, config: TrainConfig) -> TreeEnsemble:
 
 # -- persistence ---------------------------------------------------------
 #
-# Model files are compact JSON from json.dumps, which writes each float as
-# its repr: the shortest string that round-trips the float64 exactly, so
-# the bytes are deterministic.  load() reads files written at 17
-# significant digits by earlier versions just the same.
+# Model files are compact JSON from write_json, whose json.dumps writes
+# each float as its repr: the shortest string that round-trips the
+# float64 exactly, so the bytes are deterministic.  load() reads files
+# written at 17 significant digits by earlier versions just the same.
 
 
 def _tree_to_nodes(tree: RegressionTree) -> list[dict]:
@@ -424,13 +423,7 @@ def save(model: TreeEnsemble, path) -> None:
         "loss": model.loss_config,
         "trees": [{"nodes": _tree_to_nodes(t)} for t in model.trees],
     }
-    try:
-        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise NumericError("cannot serialize non-finite number") from exc
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_json(path, doc, separators=(",", ":"))
 
 
 def _number(value, kind, what: str):
@@ -491,7 +484,7 @@ def load(path) -> TreeEnsemble:
     if not isinstance(doc, dict):
         raise PersistenceError(f"{path}: model file must hold a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1
         raise PersistenceError(
             f"{path}: field 'format_version' is {version!r}, expected {FORMAT_VERSION}"
         )
@@ -506,6 +499,8 @@ def load(path) -> TreeEnsemble:
     if not isinstance(doc["trees"], list):
         raise PersistenceError(f"{path}: field 'trees' must be a list")
     n_features = _number(doc["n_features"], int, f"{path}: field 'n_features'")
+    if n_features < 1:
+        raise PersistenceError(f"{path}: field 'n_features' must be >= 1, got {n_features}")
     trees = []
     for k, t in enumerate(doc["trees"]):
         if not isinstance(t, dict) or "nodes" not in t:

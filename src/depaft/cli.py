@@ -7,7 +7,6 @@ numeric error or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import booster, dataset
 from .booster import TrainConfig
-from .errors import ConfigError, DataError, NumericError, read_json, section, writing
+from .errors import ConfigError, DataError, NumericError, make_dirs, read_json, section, write_json
 from .loss import loss_from_config
 from .metrics import CURVE_COLUMNS, CURVE_FIELDS, evaluate_predictions
 from .parallel import usable_cpus
@@ -29,14 +28,7 @@ def _load_json(path) -> dict:
 
 
 def _write_json(obj, path) -> None:
-    """Write obj as standard JSON; a non-finite number is a NumericError,
-    raised before the file is opened."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"{path}: cannot write a non-finite number") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(path, obj, indent=2, sort_keys=True)  # the CLI's one JSON layout
 
 
 def _say(args, msg) -> None:
@@ -50,10 +42,9 @@ def cmd_simulate(args) -> int:
         cfg_dict["seed"] = args.seed
     config = DgpConfig.from_dict(cfg_dict)
     sim = generate(config)
-    with writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
-        _write_json(sim.metadata(), os.path.join(args.out, "metadata.json"))
+    make_dirs(args.out)
+    dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
+    _write_json(sim.metadata(), os.path.join(args.out, "metadata.json"))
     _say(args, f"wrote {sim.data.n} rows; censoring fraction {sim.censoring_fraction:.4f}")
     return 0
 
@@ -78,8 +69,7 @@ def cmd_train(args) -> int:
     # the fit carries its training prediction, the model's own bit for
     # bit; a final loss that is not finite is exit 4, and leaves no model file
     final_loss = float(np.mean(fit.loss.loss(fit.pred)))
-    with writing(args.out):
-        booster.save(model, args.out)
+    booster.save(model, args.out)
     _say(args, f"trained {model.n_rounds} rounds; final training loss {final_loss!r}")
     return 0
 
@@ -87,6 +77,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = booster.load(args.model)
     data = dataset.read_csv(args.data)
+    if data.n_features != model.n_features:
+        raise DataError(f"the model {args.model} takes {model.n_features} features, "
+                        f"but {args.data} has {data.n_features}")
     # a model file's finite numbers may still overflow, or underflow a
     # time to 0, which no survival time is: exit 4, as in train, and no
     # predictions file
@@ -97,8 +90,7 @@ def cmd_predict(args) -> int:
         raise NumericError(f"{args.model}: non-finite predicted log time or time")
     if not times.all():
         raise NumericError(f"{args.model}: predicted time underflows to 0")
-    with writing(args.out):
-        dataset.write_predictions_csv(log_times, times, args.out)
+    dataset.write_predictions_csv(log_times, times, args.out)
     _say(args, f"wrote {data.n} predictions to {args.out}")
     return 0
 
@@ -117,11 +109,10 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{args.predictions}: line {k + 2}: predicted_time {float(predicted_times[k])!r}"
                         f" is not exp(predicted_log_time {float(log_times[k])!r})")
     curve = report.calibration
-    with writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
-        dataset.write_table(os.path.join(args.out, "calibration.csv"), CURVE_COLUMNS,
-                            [getattr(curve, name) for name in CURVE_FIELDS])
+    make_dirs(args.out)
+    _write_json(report.to_dict(), os.path.join(args.out, "metrics.json"))
+    dataset.write_table(os.path.join(args.out, "calibration.csv"), CURVE_COLUMNS,
+                        [getattr(curve, name) for name in CURVE_FIELDS])
     _say(args, f"c-index {report.c_index:.4f}; metrics in {args.out}")
     return 0
 
@@ -135,10 +126,9 @@ def cmd_cv(args) -> int:
         cv_dict["seed"] = args.seed
     cv = CvConfig.from_dict(cv_dict)
     result, model = grid_search(data, loss.to_config(), train_cfg, cv, workers=usable_cpus())
-    with writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(result, os.path.join(args.out, "cv_results.json"))
-        booster.save(model, os.path.join(args.out, "model.json"))
+    make_dirs(args.out)
+    _write_json(result, os.path.join(args.out, "cv_results.json"))
+    booster.save(model, os.path.join(args.out, "model.json"))
     best = result["best"]
     _say(
         args,

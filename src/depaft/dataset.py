@@ -28,7 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError, DomainError, open_text
+from .errors import DataError, DomainError, open_text, writing
 
 ORACLE_COLUMNS = ("true_event_time", "true_censor_time")
 PREDICTION_COLUMNS = ("predicted_log_time", "predicted_time")
@@ -127,14 +127,14 @@ def write_table(path, header, columns) -> None:
     csv.writer gives for these fields.  A block is formatted column by
     column and written in one call, so a long table never sits in memory
     as text.  Columns of unequal length are a DataError, raised before
-    the file is opened.
+    the file is opened; an unwritable file is a ConfigError naming it.
     """
     columns = [np.asarray(col) for col in columns]
     n = len(columns[0])
     for name, col in zip(header, columns):
         if len(col) != n:
             raise DataError(f"{path}: column {name} has {len(col)} rows where {header[0]} has {n}")
-    with open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for a in range(0, n, _BLOCK_ROWS):
             fields = [map(str, col[a:a + _BLOCK_ROWS].tolist()) for col in columns]

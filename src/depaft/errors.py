@@ -2,12 +2,17 @@
 and output goes through, the numeric-field and section checks, and the
 base class of every config record, which checks its number fields.
 
+Every file is UTF-8 whatever the locale.  open_text opens each input;
+write_json writes every JSON file and dataset.write_table every CSV, and
+both, like make_dirs, turn an output fault into a ConfigError (writing).
+
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
 """
 import json
 import math
 import operator
+import os
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
@@ -70,6 +75,24 @@ def writing(path):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
+def make_dirs(path) -> None:
+    """Create the output directory path and its parents, where missing."""
+    with writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
+def write_json(path, obj, **layout) -> None:
+    """Write obj as standard JSON, laid out by json.dumps keywords, and a
+    newline; a non-finite number is a NumericError naming path, raised
+    before the file is opened."""
+    try:
+        text = json.dumps(obj, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise NumericError(f"{path}: cannot write a non-finite number") from exc
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def number(value, kind, what: str, error: type[Exception] = ConfigError):

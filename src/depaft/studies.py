@@ -27,7 +27,6 @@ CSVs are written sorted so output bytes do not depend on worker count.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -37,8 +36,8 @@ import numpy as np
 from .booster import TrainConfig
 from .copula import CopulaSpec
 from .dataset import write_table
-from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, number, read_json,
-                     writing)
+from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, make_dirs, number,
+                     read_json, write_json, writing)
 from .loss import ClaytonAftLoss, IndependentAftLoss
 from .metrics import CURVE_COLUMNS, CURVE_FIELDS, MAX_HORIZONS, evaluate_predictions
 from .parallel import check_workers, task_map
@@ -253,11 +252,11 @@ def _read_task(path: str, fingerprint: dict) -> dict:
     return record
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_task(path: str, doc: dict) -> None:
+    """Write doc to path + ".tmp", then rename it: whole or not at all."""
     tmp = path + ".tmp"
+    write_json(tmp, doc, sort_keys=True)
     with writing(path):
-        with open(tmp, "w") as fh:
-            fh.write(text)
         os.replace(tmp, path)
 
 
@@ -272,8 +271,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     workers = check_workers(workers, "workers (--threads)")
     points = grid_points(config)
     partial = os.path.join(out_dir, "partial")
-    with writing(partial):
-        os.makedirs(partial, exist_ok=True)
+    make_dirs(partial)
     fingerprint = _fingerprint(config)
     tasks = [(point, rep) for point in points for rep in range(config.repetitions)]
 
@@ -299,15 +297,12 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
             run_task, repeat(config), [p for p, _ in pending], [r for _, r in pending]
         )
         for (point, rep), record in zip(pending, done):
-            _write_atomic(
-                _partial_path(out_dir, point.index, rep),
-                json.dumps({**record, "fingerprint": fingerprint}, sort_keys=True),
-            )
+            _write_task(_partial_path(out_dir, point.index, rep),
+                        {**record, "fingerprint": fingerprint})
             records[(point.index, rep)] = record
             note(f"  done grid={point.label} rep={rep}")
 
-    with writing(out_dir):
-        _write_results(config, points, records, out_dir)
+    _write_results(config, points, records, out_dir)
     note(f"wrote results to {out_dir}")
     return records
 

@@ -684,6 +684,8 @@ def _set_weight(doc, value):
         (lambda doc: doc.__setitem__("n_features", "foo"), "'n_features'"),
         (lambda doc: doc.__setitem__("n_features", [1]), "'n_features'"),
         (lambda doc: doc.__setitem__("n_features", 1.5), "'n_features'"),
+        (lambda doc: doc.update(n_features=0, trees=[{"nodes": [_leaf(0)]}]), "'n_features'"),
+        (lambda doc: doc.update(n_features=-3, trees=[{"nodes": [_leaf(0)]}]), "'n_features'"),
         (lambda doc: _set_left(doc, 1.5), "node 0: field 'left'"),
         (lambda doc: _set_left(doc, "1"), "node 0: field 'left'"),
         (lambda doc: _set_left(doc, 10**30), "node 0: field 'left'"),
@@ -693,7 +695,8 @@ def _set_weight(doc, value):
         "left-str", "left-null", "weight-str", "weight-list", "tree-without-nodes",
         "tree-not-object", "nodes-not-list", "node-not-object", "trees-not-list",
         "base-score-str", "base-score-nan", "learning-rate-str", "learning-rate-null",
-        "n-features-str", "n-features-list", "n-features-fraction", "left-fraction",
+        "n-features-str", "n-features-list", "n-features-fraction", "n-features-0",
+        "n-features-negative", "left-fraction",
         "left-numeric-str", "left-huge", "weight-numeric-str",
     ],
 )
@@ -715,9 +718,11 @@ def test_load_missing_file_is_persistence_error(tmp_path):
 
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"format_version": 99}))
-    with pytest.raises(PersistenceError, match="format_version"):
-        load(path)
+    # True == 1, but JSON does not count a boolean as a number
+    for doc in ({"format_version": 99}, {**_valid_model_doc(), "format_version": True}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="format_version"):
+            load(path)
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,10 +20,10 @@ from depaft import booster, cli, parallel, read_csv
 from depaft.cli import main
 from depaft.copula import FAMILIES
 from depaft.dataset import read_predictions_csv
-from depaft.errors import NumericError
+from depaft.errors import NumericError, write_json
 from depaft.loss import ClaytonAftLoss, loss_from_config
 from depaft.metrics import MAX_HORIZONS
-from depaft.studies import MAX_SEED, StudyConfig, grid_points
+from depaft.studies import MAX_SEED, StudyConfig, _write_task, grid_points
 
 from pins import pin
 
@@ -308,10 +309,17 @@ def test_evaluate_predictions_whose_columns_disagree_exit_3(sim_dir, tmp_path, c
 
 def test_write_json_refuses_non_finite_numbers_before_opening(tmp_path):
     path = tmp_path / "out.json"
-    for value in (float("inf"), -float("inf"), float("nan")):
-        with pytest.raises(NumericError, match="non-finite"):
-            cli._write_json({"a": [1.0, {"b": value}]}, path)
-        assert not path.exists()
+    # the CLI's layout and the model file's compact one
+    for layout in ({"indent": 2, "sort_keys": True}, {"separators": (",", ":")}):
+        for value in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(NumericError, match=f"^{re.escape(str(path))}: .*non-finite"):
+                write_json(path, {"a": [1.0, {"b": value}]}, **layout)
+            assert not path.exists()
+    # a study task record: neither the task file nor its .tmp is written
+    task = tmp_path / "task_g000_r0000.json"
+    with pytest.raises(NumericError, match="non-finite"):
+        _write_task(str(task), {"rep": 0, "models": {"clayton": {"mae": float("nan")}}})
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["evaluate-predictions", "evaluate-data", "predict-model",
@@ -556,15 +564,23 @@ def test_predict_underflowing_model_exit_4_without_warnings(sim_dir, tmp_path, c
     assert not preds.exists()
 
 
-def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path):
+def test_predict_feature_mismatch_exit_3(sim_dir, tmp_path, capsys):
     train_cfg = _write(tmp_path / "train.json", TRAIN_CFG)
     model_path = tmp_path / "model.json"
     main(["train", "--data", str(sim_dir / "data.csv"), "--config", train_cfg,
           "--out", str(model_path), "--quiet"])
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("time,event,x1\n1.0,1,0.5\n2.0,0,0.25\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
     assert main(["predict", "--model", str(model_path), "--data", str(narrow),
-                 "--out", str(tmp_path / "p.csv"), "--quiet"]) == 3
+                 "--out", str(out), "--quiet"]) == 3
+    # the message used to name neither file: "feature matrix must have
+    # shape (n, 10), got (2, 1)"
+    p = read_csv(sim_dir / "data.csv").n_features
+    assert capsys.readouterr().err == (
+        f"data error: the model {model_path} takes {p} features, but {narrow} has 1\n")
+    assert not out.exists()
 
 
 def test_predict_cyclic_model_exit_3(sim_dir, tmp_path):
