@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import booster, dataset
 from .booster import TrainConfig
-from .errors import ConfigError, DataError, NumericError, make_dirs, read_json, section, write_json
-from .loss import loss_from_config
+from .errors import PARSE, ConfigError, DataError, NumericError, Record, make_dirs, read_json, write_json
+from .loss import AftLoss, loss_from_config
 from .metrics import CURVE_COLUMNS, CURVE_FIELDS, evaluate_predictions
 from .parallel import usable_cpus
 from .simulate import DgpConfig, generate
@@ -23,8 +24,31 @@ from .studies import StudyConfig, run_study
 from .tuning import CvConfig, grid_search
 
 
-def _load_json(path) -> dict:
-    return section(read_json(path, ConfigError, "config file"), f"{path}: config")
+@dataclass(frozen=True)
+class TrainCvConfig(Record):
+    """A train or cv config file: the loss, the booster settings and the
+    CV search, each section checked whichever command reads the file.
+
+    It is only read: its to_dict writes the loss without its tag, which
+    loss_from_config needs, so it does not read back.
+    """
+
+    what = "train/cv config"
+
+    loss: AftLoss = field(metadata={PARSE: loss_from_config})
+    train: TrainConfig = field(default_factory=TrainConfig, metadata={PARSE: TrainConfig.from_dict})
+    cv: CvConfig = field(default_factory=CvConfig, metadata={PARSE: CvConfig.from_dict})
+
+
+def _read_config(record: type[Record], path):
+    """The record the config file at path describes, else ConfigError."""
+    return record.from_dict(read_json(path, ConfigError, "config file"))
+
+
+def _with_flags(config: Record, **flags):
+    """config, already checked, with each field whose flag was given (is
+    not None) replaced by it; the new record is checked again."""
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _write_json(obj, path) -> None:
@@ -37,10 +61,7 @@ def _say(args, msg) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg_dict = _load_json(args.config)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    config = DgpConfig.from_dict(cfg_dict)
+    config = _with_flags(_read_config(DgpConfig, args.config), seed=args.seed)
     sim = generate(config)
     make_dirs(args.out)
     dataset.write_csv(sim.data, os.path.join(args.out, "data.csv"))
@@ -49,22 +70,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _train_configs(cfg_dict: dict):
-    """The loss and train config of a train or cv config file, which may
-    hold a cv section and no other."""
-    unknown = sorted(set(cfg_dict) - {"loss", "train", "cv"})
-    if unknown:
-        raise ConfigError(f"unknown config sections: {unknown}")
-    if "loss" not in cfg_dict:
-        raise ConfigError("train config requires a 'loss' section")
-    loss = loss_from_config(cfg_dict["loss"])
-    return loss, TrainConfig.from_dict(cfg_dict.get("train", {}))
-
-
 def cmd_train(args) -> int:
     data = dataset.read_csv(args.data)
-    loss, train_cfg = _train_configs(_load_json(args.config))
-    fit = booster.Boosting(data, loss, train_cfg).grow(train_cfg.rounds)
+    config = _read_config(TrainCvConfig, args.config)
+    fit = booster.Boosting(data, config.loss, config.train).grow(config.train.rounds)
     model = fit.model
     # the fit carries its training prediction, the model's own bit for
     # bit; a final loss that is not finite is exit 4, and leaves no model file
@@ -119,13 +128,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cv(args) -> int:
     data = dataset.read_csv(args.data)
-    cfg_dict = _load_json(args.config)
-    loss, train_cfg = _train_configs(cfg_dict)
-    cv_dict = dict(section(cfg_dict.get("cv", {}), "config section 'cv'"))
-    if args.seed is not None:
-        cv_dict["seed"] = args.seed
-    cv = CvConfig.from_dict(cv_dict)
-    result, model = grid_search(data, loss.to_config(), train_cfg, cv, workers=usable_cpus())
+    config = _read_config(TrainCvConfig, args.config)
+    cv = _with_flags(config.cv, seed=args.seed)
+    result, model = grid_search(data, config.loss.to_config(), config.train, cv, workers=usable_cpus())
     make_dirs(args.out)
     _write_json(result, os.path.join(args.out, "cv_results.json"))
     booster.save(model, os.path.join(args.out, "model.json"))
@@ -139,12 +144,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg_dict = _load_json(args.config)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if args.repetitions is not None:
-        cfg_dict["repetitions"] = args.repetitions
-    config = StudyConfig.from_dict(cfg_dict)
+    config = _with_flags(_read_config(StudyConfig, args.config),
+                         seed=args.seed, repetitions=args.repetitions)
     run_study(config, args.out, workers=args.threads, quiet=args.quiet)
     return 0
 

@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import ABOVE, ConfigError, DomainError, Record
 
-FAMILIES = ("extreme", "normal", "logistic")
-
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -66,14 +64,18 @@ def _logistic(x) -> Margin:
 
 
 _TABLE = {"extreme": _extreme, "normal": _normal, "logistic": _logistic}
+FAMILIES = tuple(_TABLE)
+
+
+def _check_family(family) -> None:
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown baseline family {family!r}; expected one of {FAMILIES}")
 
 
 def margin(family: str, x) -> Margin:
     """The family's table row at x (no check that x is finite)."""
-    row = _TABLE.get(family)
-    if row is None:
-        raise ConfigError(f"unknown baseline family {family!r}; expected one of {FAMILIES}")
-    return row(x)
+    _check_family(family)
+    return _TABLE[family](x)
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,7 @@ class BaselineSpec(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown baseline family {self.family!r}; expected one of {FAMILIES}"
-            )
+        _check_family(self.family)
 
 
 def _row(family: str, x) -> Margin:

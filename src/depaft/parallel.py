@@ -23,11 +23,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_workers(workers, what: str = "workers") -> int:
-    """workers as number() reads it, if that is at least 1, else ConfigError."""
-    count = number(workers, int, what)
+def positive_count(value, what: str) -> int:
+    """value as number() reads it, if that is at least 1, else ConfigError
+    naming `what`: a worker count, or grid_search's patience."""
+    count = number(value, int, what)
     if count < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {workers!r}")
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
     return count
 
 

@@ -66,7 +66,6 @@ class SimulatedDataset:
     censoring_fraction: float
     event_baseline: BaselineSpec
     censor_baseline: BaselineSpec
-    theta: float
     clayton_equivalent_theta: float
     residual_clayton_theta: float
 
@@ -76,7 +75,7 @@ class SimulatedDataset:
             "censoring_fraction": self.censoring_fraction,
             "event_baseline": self.event_baseline.to_dict(),
             "censor_baseline": self.censor_baseline.to_dict(),
-            "theta": self.theta,
+            "theta": self.config.copula.theta,
             "clayton_equivalent_theta": self.clayton_equivalent_theta,
             "residual_clayton_theta": self.residual_clayton_theta,
         }
@@ -205,7 +204,6 @@ def generate(config: DgpConfig) -> SimulatedDataset:
         true_censor_times=u_w,
     )
     baseline = BaselineSpec("extreme", 1.0 / config.weibull_shape)
-    theta = float(config.copula.theta)
     equivalent_theta = clayton_theta_for_tau(max(tau, 0.0))
     residual_tau = _kendall_tau(t_w / h_function(x_w), u_w)
     # a tiny sample with every pair concordant has tau 1, which no finite
@@ -221,7 +219,6 @@ def generate(config: DgpConfig) -> SimulatedDataset:
         censoring_fraction=float(1.0 - np.mean(delta)),
         event_baseline=baseline,
         censor_baseline=baseline,
-        theta=theta,
         clayton_equivalent_theta=equivalent_theta,
         residual_clayton_theta=residual_theta,
     )

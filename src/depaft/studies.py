@@ -40,7 +40,7 @@ from .errors import (AT_LEAST, AT_MOST, ConfigError, DataError, Record, make_dir
                      read_json, write_json, writing)
 from .loss import ClaytonAftLoss, IndependentAftLoss
 from .metrics import CURVE_COLUMNS, CURVE_FIELDS, MAX_HORIZONS, evaluate_predictions
-from .parallel import check_workers, task_map
+from .parallel import positive_count, task_map
 from .simulate import DgpConfig, generate
 from .tuning import CvConfig, grid_search
 
@@ -268,7 +268,7 @@ def run_study(config: StudyConfig, out_dir: str, workers: int = 1, quiet: bool =
     another config is refused.  A file that cannot be written is a
     ConfigError naming it; finished task files are kept.
     """
-    workers = check_workers(workers, "workers (--threads)")
+    workers = positive_count(workers, "workers (--threads)")
     points = grid_points(config)
     partial = os.path.join(out_dir, "partial")
     make_dirs(partial)

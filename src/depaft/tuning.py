@@ -40,7 +40,7 @@ from .dataset import SurvivalDataset
 from .errors import AT_LEAST, ConfigError, Record, number
 from .loss import ClaytonAftLoss, loss_from_config
 from .metrics import concordance
-from .parallel import check_workers, task_map
+from .parallel import positive_count, task_map
 
 # the most checkpoints a search takes: checkpoint_schedule lists them all
 # before any fit, and 10^7 of them would hold 400 MB
@@ -139,17 +139,15 @@ def grid_search(
     is the same for any worker count.  patience (checkpoints) is the
     stop rule of the module docstring; None grows every fit to max_rounds.
     """
-    workers = check_workers(workers)
-    if patience is not None:
-        patience = number(patience, int, "patience")
-        if patience < 1:
-            raise ConfigError(f"patience must be a positive integer or None, got {patience!r}")
+    workers = positive_count(workers, "workers")
+    checkpoints = checkpoint_schedule(cv.max_rounds, cv.checkpoint_stride)
+    # no patience is one the schedule cannot reach: every fit grows to max_rounds
+    patience = len(checkpoints) if patience is None else positive_count(patience, "patience")
     loss = loss_from_config(loss_config)
     if cv.theta_grid is not None and not isinstance(loss, ClaytonAftLoss):
         raise ConfigError("theta_grid applies only to the clayton loss")
     rng = np.random.default_rng(cv.seed)
     folds = stratified_folds(data.events, cv.folds, rng)
-    checkpoints = checkpoint_schedule(cv.max_rounds, cv.checkpoint_stride)
     last = len(checkpoints) - 1
     thetas = list(cv.theta_grid) if cv.theta_grid is not None else [None]
 
@@ -176,8 +174,7 @@ def grid_search(
         while live:
             # one leg: every live fit grows to the first checkpoint at
             # which the stop rule could end its theta
-            ends = {t: last if patience is None else min(best_at[t] + patience, last)
-                    for t in live}
+            ends = {t: min(best_at[t] + patience, last) for t in live}
             jobs = [(fits[t][i], checkpoints[ends[t]]) for t in live for i in range(cv.folds)]
             # scored as they come: theta 1's folds while later fits still grow
             grown = fit_map(_grow_leg, *zip(*jobs))

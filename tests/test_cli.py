@@ -434,7 +434,7 @@ def test_config_without_a_loss_section_exit_2_and_writes_nothing(sim_dir, tmp_pa
     cfg = _write(tmp_path / "t.json", {"train": TRAIN_CFG["train"]})
     out = tmp_path / "out"
     assert main([command, "--data", str(sim_dir / "data.csv"), "--config", cfg, "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err == "config error: train config requires a 'loss' section\n"
+    assert capsys.readouterr().err == "config error: train/cv config missing fields: ['loss']\n"
     assert not out.exists()
 
 
@@ -883,7 +883,7 @@ def test_unknown_config_section_exit_2(sim_dir, tmp_path, capsys, command, key):
     # a misspelt section used to be ignored: train grew the default 100
     # rounds and exited 0
     err = _config_error(sim_dir, tmp_path, capsys, command, (key,), {"rounds": 3})
-    assert err == f"config error: unknown config sections: [{key!r}]\n"
+    assert err == f"config error: unknown train/cv config fields: [{key!r}]\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -904,6 +904,34 @@ def test_negative_seed_exit_2(sim_dir, tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2, argv[0]
         assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_a_files_own_bad_seed_is_refused_under_a_valid_seed_flag(sim_dir, tmp_path, capsys):
+    # --seed replaces a field of a file that is checked first, so the
+    # file's own seed must be valid too
+    cv_cfg = _write(tmp_path / "cv.json", {**TRAIN_CFG, "cv": {"folds": 2, "max_rounds": 10, "seed": -1}})
+    study_cfg = _write(tmp_path / "study.json", {"study": 1, "repetitions": 1, "seed": -1})
+    for argv in (
+        ["simulate", "--config", _write(tmp_path / "sim.json", {**SIM_CFG, "seed": -1})],
+        ["cv", "--data", str(sim_dir / "data.csv"), "--config", cv_cfg],
+        ["study", "--config", study_cfg],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--seed", "3", "--out", str(tmp_path / "out"), "--quiet"]) == 2, argv[0]
+        assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_train_checks_the_cv_section_exit_2(sim_dir, tmp_path, capsys):
+    # train grows no CV search, but checks the file's cv section as cv does
+    cfg = _write(tmp_path / "t.json", {**TRAIN_CFG, "cv": {"folds": 1, "max_rounds": "many"}})
+    out = tmp_path / "m.json"
+    for command in ("train", "cv"):
+        capsys.readouterr()
+        assert main([command, "--data", str(sim_dir / "data.csv"), "--config", cfg,
+                     "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: cv config field 'folds' must be >= 2, got 1\n"
+        assert not out.exists()
 
 
 # SHA-256 of each file the pipeline below writes.  data.csv dates from the

@@ -10,7 +10,7 @@ import pytest
 
 from depaft import (BaselineSpec, ClaytonAftLoss, CopulaSpec, CvConfig, DgpConfig,
                     IndependentAftLoss, StudyConfig, TrainConfig)
-from depaft.cli import main
+from depaft.cli import TrainCvConfig, main
 from depaft.errors import ConfigError, Record
 from depaft.studies import MAX_REPETITIONS, MAX_SEED, STUDY1_THETAS, _task_seeds, grid_points
 
@@ -26,6 +26,8 @@ INDEPENDENT = {**TRAIN, "loss": {"loss": "independent", "event_baseline": BASELI
 # (record, command, its config file, path to the record in it, a key it
 # must refuse, a required field or None)
 RECORDS = [
+    ("train-file", "train", TRAIN, (), "bogus", "loss"),
+    ("cv-file", "cv", TRAIN, (), "bogus", "loss"),
     ("train", "train", TRAIN, ("train",), "seed", None),
     ("cv", "cv", TRAIN, ("cv",), "patience", None),
     ("study", "study", {"study": 1, "repetitions": 1}, (), "bogus", "study"),
@@ -105,6 +107,7 @@ EXAMPLES = {
     IndependentAftLoss: IndependentAftLoss(EXTREME),
     StudyConfig: StudyConfig(study=1),
     TrainConfig: TrainConfig(base_score=0.5),
+    TrainCvConfig: TrainCvConfig(IndependentAftLoss(EXTREME)),
 }
 
 
